@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -40,14 +39,11 @@ TARGETS = {
 }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("RELUFEM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--output", required=True, help="output file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--threads", type=int, default=_default_threads())
+        p.add_argument("--samples", type=_positive_int, default=200)
 
     p = sub.add_parser("build", help="validate, compile, self-check, write")
     add_common(p, output=True)
@@ -98,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated resolutions")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--target", choices=sorted(TARGETS), default="sinpi")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="CSV output path")
 
@@ -113,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tnn-verify", help="check a tensor network file")
     p.add_argument("--function", required=True)
     p.add_argument("--network", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="evaluate a network file on points")
@@ -148,12 +143,10 @@ def cmd_build(args) -> int:
             raise CompileError(
                 "--output-bias is not available with --compact-support "
                 "(the constant row is replaced by the hull bump)")
-        net = compile_compact_support(mesh, v, args.epsilon,
-                                      threads=args.threads)
+        net = compile_compact_support(mesh, v, args.epsilon)
     else:
         net = compile_weak_representation(mesh, v, args.epsilon,
-                                          use_output_bias=args.output_bias,
-                                          threads=args.threads)
+                                          use_output_bias=args.output_bias)
     rep = check_weak_representation(net, v, mesh, args.epsilon,
                                     samples_per_cell=args.samples,
                                     seed=args.seed,

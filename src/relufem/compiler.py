@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CompileError, ConditioningWarning
-from .mesh import ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh
+from .mesh import (ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh,
+                   build_registry)
 from .networks import ReluNet2, relu
 from .pwl import AffinePiece, PiecewiseLinear
-from . import lp
 
 # multiplied onto t0 to absorb rounding in the exterior <= 0 inequality
 T0_SAFETY = 1.0 + 1e-9
@@ -36,18 +34,14 @@ WEIGHT_GUARD = 1e12
 def positive_normal_combination(cell: ConvexCell) -> np.ndarray:
     """Strictly positive lambda with sum_i lambda_i w_i = 0 and lambda >= 1.
 
-    Solutions form a cone, so we pin the LP `min sum(lambda)` subject to
-    the zero-sum constraint and lambda >= 1; infeasibility means the cell
-    is unbounded or degenerate.
+    This is the cell's cached combination, checked; its absence means the
+    cell is unbounded or degenerate.
     """
-    m, n = cell.W.shape
-    res = linprog(np.ones(m), A_eq=cell.W.T, b_eq=np.zeros(n),
-                  bounds=[(1.0, None)] * m, method="highs")
-    if not res.success:
+    lam = cell.normal_combination()
+    if lam is None:
         raise CompileError(
             "no positive zero-sum combination of facet normals exists "
             "(cell unbounded or degenerate)")
-    lam = res.x
     combo = cell.W.T @ lam
     if np.linalg.norm(combo) > 1e-10 * float(lam @ cell.norms):
         raise CompileError("facet-normal combination residual too large")
@@ -165,22 +159,14 @@ def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
 
 def _check_shrunk_nonempty(mesh: PolytopeMesh, epsilon: float):
     for ci, cell in enumerate(mesh.cells):
-        cheb = lp.chebyshev_center(cell.W, cell.b - epsilon * cell.norms)
-        if cheb is None or cheb[1] <= 0.0:
+        if not cell.inradius() > epsilon:
             raise CompileError(
                 f"epsilon {epsilon} too large: cell {ci} shrinks to empty")
 
 
-def _compile_bumps(mesh, v, R, epsilon, threads):
-    def one(ci):
-        return compile_cell_bump(mesh.cells[ci], v.piece(ci), R, epsilon,
-                                 cell_index=ci)
-
-    indices = range(mesh.n_cells)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(ci) for ci in indices]
+def _compile_bumps(mesh, v, R, epsilon):
+    return [compile_cell_bump(cell, v.piece(ci), R, epsilon, cell_index=ci)
+            for ci, cell in enumerate(mesh.cells)]
 
 
 def _assemble(mesh, bumps, R, epsilon, use_output_bias, hull_bump=None):
@@ -280,8 +266,7 @@ def merge_duplicate_neurons(net: ReluNet2,
 
 def compile_weak_representation(mesh: PolytopeMesh, v: PiecewiseLinear,
                                 epsilon: float, use_output_bias: bool = False,
-                                merge: bool = True,
-                                threads: int | None = None) -> ReluNet2:
+                                merge: bool = True) -> ReluNet2:
     """Network equal to v on every epsilon-shrunk cell with |f| <= sup|v|
     on the mesh and f = -sup|v| outside (or with -sup|v| moved into an
     output bias).
@@ -296,36 +281,21 @@ def compile_weak_representation(mesh: PolytopeMesh, v: PiecewiseLinear,
         raise CompileError("function is not defined on the given mesh")
     _check_shrunk_nonempty(mesh, epsilon)
     R = v.sup_norm()
-    bumps = _compile_bumps(mesh, v, R, epsilon, threads)
+    bumps = _compile_bumps(mesh, v, R, epsilon)
     net = _assemble(mesh, bumps, R, epsilon, use_output_bias)
     if merge:
         net = merge_duplicate_neurons(net, mesh.registry())
     return net
 
 
-def _hull_registry(mesh: PolytopeMesh, hull: ConvexCell):
-    reg = DirectedHyperplaneRegistry.build(mesh)
-    for fi in range(hull.m):
-        reg.insert_facet((-1, fi), hull.W[fi], float(hull.b[fi]))
-    reg.classify()
-    return reg
-
-
 def _check_hull_contains(mesh: PolytopeMesh, hull: ConvexCell):
     for ci, cell in enumerate(mesh.cells):
-        if cell.vertices is not None:
-            if np.min(hull.facet_values(cell.vertices)) < -1e-9:
-                raise CompileError(f"domain hull does not contain cell {ci}")
-            continue
-        for fi in range(hull.m):
-            val, _ = lp.linear_minimum(cell.W, cell.b, hull.W[fi])
-            if val + hull.b[fi] < -1e-9:
-                raise CompileError(f"domain hull does not contain cell {ci}")
+        if np.min(hull.facet_values(cell.vertex_set())) < -1e-9:
+            raise CompileError(f"domain hull does not contain cell {ci}")
 
 
 def compile_compact_support(mesh: PolytopeMesh, v: PiecewiseLinear,
-                            epsilon: float, merge: bool = True,
-                            threads: int | None = None) -> ReluNet2:
+                            epsilon: float, merge: bool = True) -> ReluNet2:
     """Compactly supported variant: f = v on the shrunk cells, |f| <= 2 sup|v|
     on the domain, and f = 0 outside the convex domain hull.
 
@@ -343,11 +313,11 @@ def compile_compact_support(mesh: PolytopeMesh, v: PiecewiseLinear,
     _check_hull_contains(mesh, hull)
     _check_shrunk_nonempty(mesh, epsilon)
     R = v.sup_norm()
-    bumps = _compile_bumps(mesh, v, R, epsilon, threads)
+    bumps = _compile_bumps(mesh, v, R, epsilon)
     hull_piece = AffinePiece(np.zeros(mesh.dimension), R / 2.0)
     hull_bump = compile_cell_bump(hull, hull_piece, R / 2.0, epsilon,
                                   cell_index=-1)
     net = _assemble(mesh, bumps, R, epsilon, False, hull_bump=hull_bump)
     if merge:
-        net = merge_duplicate_neurons(net, _hull_registry(mesh, hull))
+        net = merge_duplicate_neurons(net, build_registry(mesh, hull=hull))
     return net

@@ -10,6 +10,7 @@ writes of the same object byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -39,7 +40,7 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("top-level JSON value must be an object")
@@ -64,6 +65,22 @@ def get(doc: dict, field: str, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise DocumentError(f"field '{field}' has wrong type {type(value).__name__}")
     return value
+
+
+def as_float(value, field: str) -> float:
+    """A JSON number as a finite float, raising DocumentError naming the
+    field for booleans, non-numbers, integers beyond the float range and
+    non-finite values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DocumentError(
+            f"field '{field}' must be a number, not {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise DocumentError(f"field '{field}' is too large for a float") from exc
+    if not math.isfinite(out):
+        raise DocumentError(f"field '{field}' must be finite")
+    return out
 
 
 def as_float_array(value, field: str, shape=None) -> np.ndarray:

@@ -1,17 +1,15 @@
 """Thin wrappers around scipy's HiGHS linear programming for H-polytopes.
 
 Every polytope here is the feasible set {x : W x + b >= 0} with W an
-(m, n) array of facet normals and b the matching offsets.
+(m, n) array of facet normals and b the matching offsets. Only
+`mesh.ConvexCell` calls these; every other cell question is derived from
+the facts they return.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
-
-from .errors import MeshError
-
-UNBOUNDED = 3
 
 
 def linear_minimum_raw(W: np.ndarray, b: np.ndarray, cost: np.ndarray):
@@ -20,35 +18,17 @@ def linear_minimum_raw(W: np.ndarray, b: np.ndarray, cost: np.ndarray):
                    method="highs")
 
 
-def linear_minimum(W: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Minimize cost @ x over {x : W x + b >= 0}.
+def positive_combination(W: np.ndarray):
+    """lambda >= 1 with W^T lambda = 0 minimizing sum(lambda), or None.
 
-    Returns (value, argmin). Raises MeshError when the LP is unbounded or
-    infeasible, since either means the cell is not a valid bounded polytope.
+    Solutions form a cone, so `lambda >= 1` pins a representative; the LP
+    is infeasible exactly when some direction d has W d >= 0, W d != 0
+    (Stiemke's alternative).
     """
-    res = linear_minimum_raw(W, b, cost)
-    if res.status == UNBOUNDED:
-        raise MeshError("linear objective unbounded over cell")
-    if not res.success:
-        raise MeshError(f"LP failed: {res.message}")
-    return res.fun, res.x
-
-
-def is_bounded(W: np.ndarray, b: np.ndarray) -> bool:
-    """Check boundedness by sweeping max/min of every coordinate."""
-    n = W.shape[1]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            cost = np.zeros(n)
-            cost[j] = sign
-            res = linprog(cost, A_ub=-W, b_ub=b,
-                          bounds=[(None, None)] * n, method="highs")
-            if res.status == UNBOUNDED:
-                return False
-            if not res.success:
-                # infeasible: empty set, vacuously bounded
-                return True
-    return True
+    m, n = W.shape
+    res = linprog(np.ones(m), A_eq=W.T, b_eq=np.zeros(n),
+                  bounds=[(1.0, None)] * m, method="highs")
+    return res.x if res.success else None
 
 
 def chebyshev_center(W: np.ndarray, b: np.ndarray):

@@ -22,6 +22,8 @@ from .errors import DocumentError, MeshError
 
 DEDUP_TOL = 1e-9
 
+_UNSET = object()
+
 
 @dataclass
 class Halfspace:
@@ -89,11 +91,35 @@ def _simplex_halfspaces(vertices: np.ndarray):
     return W, b
 
 
+def _halfspace_vertices(W, b, norms, tol=1e-9):
+    """Vertices of a bounded {W x + b >= 0}: the feasible solutions of
+    every nonsingular n-facet subsystem, coincident ones merged."""
+    m, n = W.shape
+    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int)
+    A = W[subsets]
+    regular = np.abs(np.linalg.det(A)) >= 1e-12 * np.prod(norms[subsets], axis=1)
+    X = np.linalg.solve(A[regular], -b[subsets[regular]][..., None])[..., 0]
+    X = X[np.min((X @ W.T + b) / norms, axis=1) >= -tol]
+    keep = []
+    for p in X:
+        if not any(np.linalg.norm(p - q) < 1e-10 for q in keep):
+            keep.append(p)
+    if not keep:
+        raise MeshError("cell has no vertices (empty interior)")
+    return np.array(keep)
+
+
 class ConvexCell:
     """Closed convex polytope given by facet normals W and offsets b.
 
     The cell is {x : W @ x + b >= 0}. Simplex cells keep their vertex
     array as well, which enables exact volumes and nodal interpolation.
+
+    Every geometric question about a cell is answered from three cached
+    facts: the Chebyshev ball, a strictly positive combination of the
+    facet normals summing to zero, and the vertex set. Only the first two
+    need a linear program; the vertex set of a simplex is given and that
+    of an H-cell comes from n-facet intersections.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -109,7 +135,8 @@ class ConvexCell:
         self.norms = norms
         self.vertices = None if vertices is None else np.asarray(vertices, dtype=float)
         self._cheb = None
-        self._bbox = None
+        self._lam = _UNSET
+        self._vertex_set = None
 
     @classmethod
     def from_halfspaces(cls, halfspaces):
@@ -153,7 +180,11 @@ class ConvexCell:
         return ConvexCell(self.W.copy(), self.b - epsilon * self.norms)
 
     def chebyshev(self):
-        """(incenter, inradius); inradius <= 0 flags an empty interior."""
+        """(incenter, inradius); inradius <= 0 flags an empty interior.
+
+        The eps-shrunk cell has the same incenter and inradius minus eps,
+        so its interior is non-empty exactly when inradius > eps.
+        """
         if self._cheb is None:
             res = lp.chebyshev_center(self.W, self.b)
             if res is None:
@@ -164,47 +195,40 @@ class ConvexCell:
     def inradius(self) -> float:
         return float(self.chebyshev()[1])
 
+    def normal_combination(self):
+        """lambda >= 1 with sum_i lambda_i w_i = 0, or None when none exists."""
+        if self._lam is _UNSET:
+            self._lam = lp.positive_combination(self.W)
+        return self._lam
+
     def is_bounded(self) -> bool:
-        return lp.is_bounded(self.W, self.b)
+        """Bounded iff the normals have full rank and a positive zero-sum
+        combination (Stiemke: no direction d with W d >= 0, W d != 0)."""
+        return (np.linalg.matrix_rank(self.W) == self.dim
+                and self.normal_combination() is not None)
+
+    def vertex_set(self) -> np.ndarray:
+        """Vertices of the cell, shape (k, n): the given ones for simplices,
+        else n-facet intersections; MeshError when the cell is unbounded."""
+        if self.vertices is not None:
+            return self.vertices
+        if self._vertex_set is None:
+            if not self.is_bounded():
+                raise MeshError("cell is unbounded")
+            self._vertex_set = _halfspace_vertices(self.W, self.b, self.norms)
+        return self._vertex_set
 
     def bounding_box(self):
-        if self._bbox is None:
-            if self.vertices is not None:
-                lo = self.vertices.min(axis=0)
-                hi = self.vertices.max(axis=0)
-            else:
-                n = self.dim
-                lo = np.empty(n)
-                hi = np.empty(n)
-                for j in range(n):
-                    e = np.zeros(n)
-                    e[j] = 1.0
-                    lo[j] = lp.linear_minimum(self.W, self.b, e)[0]
-                    hi[j] = -lp.linear_minimum(self.W, self.b, -e)[0]
-            self._bbox = (lo, hi)
-        return self._bbox
+        V = self.vertex_set()
+        return V.min(axis=0), V.max(axis=0)
 
     def polygon_vertices(self):
-        """Vertex cycle of a 2D cell from its H-representation."""
+        """Vertex cycle of a 2D cell, sorted by angle around the centroid."""
         if self.dim != 2:
             raise MeshError("polygon_vertices requires a 2D cell")
-        pts = []
-        for i, j in itertools.combinations(range(self.m), 2):
-            A = self.W[[i, j]]
-            if abs(np.linalg.det(A)) < 1e-12 * (self.norms[i] * self.norms[j]):
-                continue
-            x = np.linalg.solve(A, -self.b[[i, j]])
-            if np.min(self.facet_values(x)[0] / self.norms) >= -1e-9:
-                pts.append(x)
+        pts = self.vertex_set()
         if len(pts) < 3:
             raise MeshError("2D cell has fewer than 3 vertices")
-        pts = np.array(pts)
-        # dedup coincident intersection points
-        keep = []
-        for p in pts:
-            if not any(np.linalg.norm(p - q) < 1e-10 for q in keep):
-                keep.append(p)
-        pts = np.array(keep)
         center = pts.mean(axis=0)
         ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
         return pts[np.argsort(ang)]
@@ -278,7 +302,7 @@ class ConvexCell:
             b = np.zeros(len(hs))
             for i, h in enumerate(hs):
                 W[i] = docio.as_float_array(docio.get(h, "w"), "w", (dimension,))
-                b[i] = float(docio.get(h, "b", (int, float)))
+                b[i] = docio.as_float(docio.get(h, "b"), "b")
             return cls(W, b)
         raise DocumentError("cell needs either 'vertices' or 'halfspaces'")
 
@@ -379,18 +403,27 @@ class DirectedHyperplaneRegistry:
         self.boundary_count = len(ids_all) - len(ids_interior)
 
     @classmethod
-    def build(cls, mesh: "PolytopeMesh", tol=DEDUP_TOL) -> "DirectedHyperplaneRegistry":
+    def build(cls, mesh: "PolytopeMesh", tol=DEDUP_TOL,
+              hull: "ConvexCell | None" = None) -> "DirectedHyperplaneRegistry":
         reg = cls(tol=tol)
         for ci, cell in enumerate(mesh.cells):
             for fi in range(cell.m):
                 reg.insert_facet((ci, fi), cell.W[fi], float(cell.b[fi]))
+        if hull is not None:
+            for fi in range(hull.m):
+                reg.insert_facet((-1, fi), hull.W[fi], float(hull.b[fi]))
         reg.classify()
         return reg
 
 
-def build_registry(mesh: "PolytopeMesh", tol=DEDUP_TOL) -> DirectedHyperplaneRegistry:
-    """Canonicalize and dedup all mesh facets; size equals 2*H_i + H_b."""
-    return DirectedHyperplaneRegistry.build(mesh, tol=tol)
+def build_registry(mesh: "PolytopeMesh", tol=DEDUP_TOL,
+                   hull: "ConvexCell | None" = None) -> DirectedHyperplaneRegistry:
+    """Canonicalize and dedup all mesh facets; size equals 2*H_i + H_b.
+
+    With a hull, its facets join under keys (-1, i); hull facets that are
+    not already mesh facets enlarge the registry.
+    """
+    return DirectedHyperplaneRegistry.build(mesh, tol=tol, hull=hull)
 
 
 class PolytopeMesh:
@@ -590,11 +623,7 @@ def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: i
         raise MeshError("epsilon must be > 0")
     if count < 1:
         raise MeshError("count must be >= 1")
-    alive = []
-    for ci, c in enumerate(mesh.cells):
-        cheb = lp.chebyshev_center(c.W, c.b - epsilon * c.norms)
-        if cheb is not None and cheb[1] > 0.0:
-            alive.append(ci)
+    alive = [ci for ci, c in enumerate(mesh.cells) if c.inradius() > epsilon]
     if not alive:
         raise MeshError("epsilon too large: every shrunk cell is empty")
     base, extra = divmod(count, len(alive))

@@ -111,7 +111,8 @@ def random_bounded_polytope(n: int, m: int, seed: int) -> ConvexCell:
     outward directions u_i drawn until they positively span R^n.
 
     A direction probe prefilters candidates; boundedness is then confirmed
-    by the coordinate-sweep LPs."""
+    by ConvexCell.is_bounded (full-rank normals with a positive zero-sum
+    combination)."""
     rng = np.random.default_rng(seed)
     for _ in range(500):
         U = rng.standard_normal((m, n))

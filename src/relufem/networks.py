@@ -13,6 +13,10 @@ import numpy as np
 from . import docio
 from .errors import DocumentError
 
+# forward passes run in row chunks so each (chunk, width) temporary holds
+# at most this many floats (64 MB)
+CHUNK_ELEMENTS = 2 ** 23
+
 
 def relu(x):
     return np.maximum(x, 0.0)
@@ -101,8 +105,7 @@ class ReluNet2:
         if X.shape[1] != self.n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
-        # chunk so the (chunk, nnz) temporary stays small
-        chunk = max(1, int(2 ** 23 // max(self.W2_vals.size, 1)))
+        chunk = max(1, CHUNK_ELEMENTS // max(self.W2_vals.size, 1))
         for lo in range(0, X.shape[0], chunk):
             Xc = X[lo:lo + chunk]
             Z1 = relu(Xc @ self.W1.T + self.b1)
@@ -197,11 +200,16 @@ class TensorNet:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
-        prod = np.ones((X.shape[0], self.rank))
-        for k, (W, b, weights) in enumerate(self.branches):
-            Z = relu(X[:, k:k + 1] @ W.T + b)
-            prod *= Z @ weights.T
-        return prod.sum(axis=1)
+        out = np.empty(X.shape[0])
+        chunk = max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank]))
+        for lo in range(0, X.shape[0], chunk):
+            Xc = X[lo:lo + chunk]
+            prod = np.ones((Xc.shape[0], self.rank))
+            for k, (W, b, weights) in enumerate(self.branches):
+                Z = relu(Xc[:, k:k + 1] @ W.T + b)
+                prod *= Z @ weights.T
+            out[lo:lo + chunk] = prod.sum(axis=1)
+        return out
 
     def forward(self, x) -> float:
         return float(self.forward_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])

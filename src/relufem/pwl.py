@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import docio, lp
+from . import docio
 from .errors import DocumentError, MeshError
 from .mesh import PolytopeMesh
 
@@ -106,19 +106,13 @@ class PiecewiseLinear:
         return self.eval_batch(X)[0]
 
     def sup_norm(self) -> float:
-        """max over cells of the absolute cell extrema, each found by LP."""
+        """max over cells of |a @ v + c| at the cell vertices, where an
+        affine function attains its extrema over a polytope."""
         if self._sup is None:
-            best = 0.0
-            for i, cell in enumerate(self.mesh.cells):
-                a = self.gradients[i]
-                c = float(self.constants[i])
-                if np.all(a == 0.0):
-                    best = max(best, abs(c))
-                    continue
-                vmin, _ = lp.linear_minimum(cell.W, cell.b, a)
-                vmax = -lp.linear_minimum(cell.W, cell.b, -a)[0]
-                best = max(best, abs(vmin + c), abs(vmax + c))
-            self._sup = float(best)
+            self._sup = max(
+                float(np.max(np.abs(cell.vertex_set() @ self.gradients[i]
+                                    + self.constants[i])))
+                for i, cell in enumerate(self.mesh.cells))
         return self._sup
 
     def to_doc(self) -> dict:
@@ -150,7 +144,7 @@ class PiecewiseLinear:
                     raise DocumentError(f"bad vertex index '{key}'") from exc
                 if not 0 <= idx < len(verts):
                     raise DocumentError(f"vertex index {idx} out of range")
-                values[idx] = float(val)
+                values[idx] = docio.as_float(val, f"nodal_values[{key}]")
                 seen[idx] = True
             if not np.all(seen):
                 missing = int(np.nonzero(~seen)[0][0])
@@ -165,7 +159,7 @@ class PiecewiseLinear:
         for i, p in enumerate(pieces):
             grads[i] = docio.as_float_array(docio.get(p, "a"), "a",
                                             (mesh.dimension,))
-            consts[i] = float(docio.get(p, "c", (int, float)))
+            consts[i] = docio.as_float(docio.get(p, "c"), "c")
         return cls(mesh, grads, consts, kind=kind)
 
     def save(self, path):

@@ -6,7 +6,7 @@ A multilinear function on an axis-aligned grid is determined by its nodal
 coefficient tensor. Factoring that tensor as a sum of rank-one terms turns
 the function into a sum of products of 1D piecewise linear interpolants,
 and each 1D interpolant is realized exactly by one ReLU layer whose output
-weights solve a lower-triangular system by forward substitution.
+weights are the differences of consecutive interval slopes.
 """
 
 from __future__ import annotations
@@ -212,6 +212,11 @@ def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
     (singular values above 1e-12 of the largest). Higher orders run ALS
     with increasing rank until the relative residual reaches target_tol,
     falling back to the exact fibre expansion at the matricization bound.
+    The search starts at the largest numerical unfolding rank (singular
+    values above target_tol * |T|): a rank-r tensor has unfoldings of rank
+    at most r, so |T - T_r| >= sigma_{r+1}(unfolding) and no smaller rank
+    can reach the target. Each rank reseeds ALS, so skipping changes
+    nothing else.
     """
     T = np.asarray(coeffs, dtype=float)
     if T.ndim < 2:
@@ -229,7 +234,9 @@ def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
         cp.residual = float(np.linalg.norm(T - cp.reconstruct()))
         return cp
     bound = matricization_rank_bound(T.shape)
-    for rank in range(1, bound):
+    start = max(int(np.sum(np.linalg.svd(_unfold(T, k), compute_uv=False)
+                           > target_tol * normT)) for k in range(T.ndim))
+    for rank in range(max(start, 1), bound):
         factors, resid = _als(T, rank, seed)
         if resid <= target_tol * normT:
             return CPFactors(rank, factors, float(resid))
@@ -242,9 +249,10 @@ def compile_1d_hat(grid, values):
     """One-layer data (W, b, w) with w @ relu(W x + b) interpolating
     (grid, values) and piecewise linear with breakpoints at the grid.
 
-    W = (1,...,1,0)^T and b = (-t_0,...,-t_{N-1}, 1); the output weights
-    solve the lower-triangular system l(t_i) = values_i by forward
-    substitution (the final neuron relu(1) = 1 carries the constant).
+    W = (1,...,1,0)^T and b = (-t_0,...,-t_{N-1}, 1). The slope of l on
+    [t_j, t_{j+1}] is w_0 + ... + w_j, so the weights are the slope
+    differences w_0 = s_0, w_j = s_j - s_{j-1}, and the final neuron
+    relu(1) = 1 carries the constant w_N = values_0.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -258,13 +266,8 @@ def compile_1d_hat(grid, values):
     N = grid.size - 1
     W = np.concatenate([np.ones(N), [0.0]]).reshape(-1, 1)
     b = np.concatenate([-grid[:-1], [1.0]])
-    w = np.zeros(N + 1)
-    w[N] = values[0]
-    for i in range(1, N + 1):
-        acc = w[N]
-        for j in range(i - 1):
-            acc += w[j] * (grid[i] - grid[j])
-        w[i - 1] = (values[i] - acc) / (grid[i] - grid[i - 1])
+    slopes = np.diff(values) / gaps
+    w = np.concatenate([slopes[:1], np.diff(slopes), values[:1]])
     return W, b, w
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, VerifyError
-from .mesh import PolytopeMesh, sample_cells
+from .mesh import PolytopeMesh, build_registry, sample_cells
 from .networks import ReluNet2
 from .pwl import PiecewiseLinear
 
@@ -188,9 +188,7 @@ def check_counts(mesh: PolytopeMesh, net: ReluNet2) -> CountCheck:
     hi, hb, nt = mesh.counts()
     expected_h1 = 2 * hi + hb
     if net.provenance.get("mode") == "compact":
-        # hull facets that are not already mesh facets enlarge the first layer
-        from .compiler import _hull_registry
-        expected_h1 = _hull_registry(mesh, mesh.domain_hull).size
+        expected_h1 = build_registry(mesh, hull=mesh.domain_hull).size
         expected_h2 = nt + 1
     elif net.provenance.get("output_bias_mode"):
         expected_h2 = nt

@@ -1,0 +1,171 @@
+"""Cell questions derived from the three cached cell facts (Chebyshev ball,
+positive normal combination, vertex set), checked against linear programs
+that live only here as oracles."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from relufem import lp
+from relufem.errors import MeshError
+from relufem.mesh import ConvexCell, PolytopeMesh, freudenthal_mesh
+from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
+                             random_simplex_mesh)
+from relufem.pwl import PiecewiseLinear
+
+UNBOUNDED = 3  # scipy's linprog status code
+
+VORONOI = random_polygon_mesh(5, n_sites=20)
+
+
+def corpus():
+    """Freudenthal, perturbed-simplex, Voronoi and random-polytope cells.
+
+    Simplex cells also appear in H-representation only, so the vertex set
+    comes from facet intersections rather than from the given vertices."""
+    meshes = [freudenthal_mesh(2, 2), freudenthal_mesh(3, 1),
+              random_simplex_mesh(2, 2, seed=3),
+              random_simplex_mesh(3, 1, seed=4), VORONOI]
+    cells = [c for mesh in meshes for c in mesh.cells]
+    cells += [ConvexCell(c.W, c.b) for c in meshes[3].cells]
+    cells += [random_bounded_polytope(n, m, seed=200 + 10 * n + m)
+              for n in (2, 3) for m in (n + 1, n + 3, 2 * n + 2)]
+    return cells
+
+
+CELLS = corpus()
+
+
+def lp_extremes(cell, cost):
+    """(min, max) of cost @ x over the cell by two LPs."""
+    lo = lp.linear_minimum_raw(cell.W, cell.b, cost)
+    hi = lp.linear_minimum_raw(cell.W, cell.b, -cost)
+    assert lo.success and hi.success
+    return lo.fun, -hi.fun
+
+
+def sweep_bounded(W, b):
+    """Boundedness by minimizing and maximizing every coordinate (the
+    bounded cells pass the same sweep in the bounding-box test)."""
+    n = W.shape[1]
+    for j, sign in itertools.product(range(n), (1.0, -1.0)):
+        res = lp.linear_minimum_raw(W, b, sign * np.eye(n)[j])
+        if res.status == UNBOUNDED:
+            return False
+        assert res.success
+    return True
+
+
+def test_sup_norm_matches_lp_extremes():
+    rng = np.random.default_rng(0)
+    for cell in CELLS:
+        mesh = PolytopeMesh(cell.dim, [cell])
+        a = rng.uniform(-2, 2, cell.dim)
+        c = float(rng.uniform(-1, 1))
+        vmin, vmax = lp_extremes(cell, a)
+        oracle = max(abs(vmin + c), abs(vmax + c))
+        got = PiecewiseLinear(mesh, [a], [c]).sup_norm()
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+
+def test_sup_norm_of_whole_mesh_is_cell_maximum():
+    mesh = VORONOI
+    rng = np.random.default_rng(1)
+    grads = rng.uniform(-1, 1, (mesh.n_cells, 2))
+    consts = rng.uniform(-1, 1, mesh.n_cells)
+    oracle = 0.0
+    for cell, a, c in zip(mesh.cells, grads, consts):
+        vmin, vmax = lp_extremes(cell, a)
+        oracle = max(oracle, abs(vmin + c), abs(vmax + c))
+    got = PiecewiseLinear(mesh, grads, consts).sup_norm()
+    assert got == pytest.approx(oracle, rel=1e-12)
+
+
+def test_bounding_box_matches_coordinate_lps():
+    for cell in CELLS:
+        assert cell.is_bounded()
+        lo, hi = cell.bounding_box()
+        for j in range(cell.dim):
+            vmin, vmax = lp_extremes(cell, np.eye(cell.dim)[j])
+            scale = 1.0 + abs(vmin) + abs(vmax)
+            assert abs(lo[j] - vmin) <= 1e-12 * scale
+            assert abs(hi[j] - vmax) <= 1e-12 * scale
+
+
+UNBOUNDED_CELLS = {
+    "half-line": ([[1.0]], [0.0]),
+    "strip": ([[0.0, 1.0], [0.0, -1.0]], [0.0, 1.0]),
+    "half-plane": ([[1.0, 1.0]], [0.0]),
+    "wedge": ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+    "open triangle": ([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]], [0.0, 0.0, 1.0]),
+    "square prism": ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], [0.0, 1.0, 0.0, 1.0]),
+    "octant": (np.eye(3), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED_CELLS))
+def test_unbounded_cells_agree_with_sweep(name):
+    W, b = UNBOUNDED_CELLS[name]
+    cell = ConvexCell(W, b)
+    assert not sweep_bounded(cell.W, cell.b)
+    assert not cell.is_bounded()
+
+
+def test_strip_has_a_combination_but_is_unbounded():
+    # Stiemke's alternative alone passes a strip: rank decides
+    W, b = UNBOUNDED_CELLS["strip"]
+    cell = ConvexCell(W, b)
+    assert cell.normal_combination() is not None
+    assert np.linalg.matrix_rank(cell.W) < cell.dim
+    assert not cell.is_bounded()
+
+
+def test_shrink_check_matches_shrunk_chebyshev_lp():
+    for cell in CELLS:
+        r = cell.inradius()
+        for factor in (0.25, 0.9, 1.1, 3.0):
+            eps = factor * r
+            res = lp.chebyshev_center(cell.W, cell.b - eps * cell.norms)
+            shrunk_r = res[1] if res is not None else -np.inf
+            assert (shrunk_r > 0.0) == (r > eps)
+            if res is not None:
+                assert shrunk_r == pytest.approx(r - eps, rel=1e-9, abs=1e-12 * r)
+
+
+def test_vertex_set_of_simplex_cells():
+    for mesh in (freudenthal_mesh(2, 2), random_simplex_mesh(3, 2, seed=8)):
+        for cell in mesh.cells:
+            got = ConvexCell(cell.W, cell.b).vertex_set()
+            want = cell.vertices
+            assert got.shape == want.shape
+            for v in want:
+                assert np.min(np.linalg.norm(got - v, axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vertex_set_of_boxes(n):
+    rng = np.random.default_rng(n)
+    lo = rng.uniform(-1, 0, n)
+    hi = lo + rng.uniform(0.5, 2, n)
+    # redundant parallel facets must not add vertices
+    W = np.vstack([np.eye(n), -np.eye(n), np.eye(n)])
+    b = np.concatenate([-lo, hi, -lo + 1.0])
+    got = ConvexCell(W, b).vertex_set()
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    assert got.shape == corners.shape
+    for v in corners:
+        assert np.min(np.max(np.abs(got - v), axis=1)) <= 1e-14
+
+
+def test_vertex_set_keeps_simplex_vertices_out_of_the_document():
+    cell = ConvexCell([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, 1.0])
+    cell.vertex_set()
+    assert cell.vertices is None
+    assert "halfspaces" in cell.to_doc()
+
+
+def test_unbounded_cell_has_no_vertex_set():
+    with pytest.raises(MeshError, match="unbounded"):
+        ConvexCell(*UNBOUNDED_CELLS["wedge"]).bounding_box()

@@ -1,7 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relufem import docio
 from relufem.cli import main
@@ -222,3 +226,83 @@ def test_eval_requires_points_object(tmp_path):
     rc = main(["eval", "--network", str(tmp_path / "net.json"),
                "--points", str(tmp_path / "pts.json")])
     assert rc == 2
+
+
+# --- malformed scalars in the input documents ---------------------------------
+
+HUGE_INT = "1" * 401
+FIELD = {"c": "'c'", "b": "'b'", "nodal": "nodal_values[1]"}
+
+
+def slot_docs(tmp_path, slot, text):
+    """Build command over a two-cell interval mesh and a function, with raw
+    JSON text in one slot: a piece constant "c", the halfspace offset "b"
+    of the second cell, or the nodal value of vertex 1."""
+    fill = {"c": "0.5", "b": "1.0", "nodal": "0.5", slot: text}
+    if slot == "nodal":
+        second = '{"vertices": [[0.5], [1.0]]}'
+        function = ('{"kind": "nodal-linear", "nodal_values": '
+                    '{"0": 0.25, "1": %s, "2": -0.25}}' % fill["nodal"])
+    else:
+        second = ('{"halfspaces": [{"w": [1.0], "b": -0.5}, '
+                  '{"w": [-1.0], "b": %s}]}' % fill["b"])
+        function = ('{"kind": "constant", "pieces": [{"a": [0.0], "c": %s}, '
+                    '{"a": [0.0], "c": 0.25}]}' % fill["c"])
+    (tmp_path / "m.json").write_text(
+        '{"dimension": 1, "cells": [{"vertices": [[0.0], [0.5]]}, %s]}' % second)
+    (tmp_path / "f.json").write_text(function)
+    return ["build", "--mesh", str(tmp_path / "m.json"),
+            "--function", str(tmp_path / "f.json"), "--epsilon", "0.01",
+            "--samples", "20", "--output", str(tmp_path / "n.json")]
+
+
+@pytest.mark.parametrize("slot", sorted(FIELD))
+@pytest.mark.parametrize("text", ["true", '"x"', HUGE_INT, "NaN", "-Infinity",
+                                  "null"])
+def test_malformed_scalar_exits_2(tmp_path, capsys, slot, text):
+    assert main(slot_docs(tmp_path, slot, text)) == 2
+    assert FIELD[slot] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_samples_below_one_exits_2(workdir, capsys, command):
+    argv = [command, "--mesh", str(workdir / "mesh.json"),
+            "--function", str(workdir / "fn.json"), "--epsilon", "0.01",
+            "--samples", "0"]
+    argv += (["--output", str(workdir / "x.json")] if command == "build"
+             else ["--network", str(workdir / "x.json")])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+MALFORMED = (st.none() | st.booleans() | st.text(max_size=5)
+             | st.integers(min_value=10 ** 309)
+             | st.sampled_from([math.inf, -math.inf, math.nan]))
+IN_RANGE = {"c": st.floats(-4, 4) | st.integers(-4, 4),
+            "b": st.floats(0.75, 4) | st.integers(1, 4),
+            "nodal": st.floats(-4, 4) | st.integers(-4, 4)}
+NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("slot", sorted(FIELD))
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_scalar_in_a_slot_is_handled(tmp_path, slot, data):
+    """Malformed scalars exit 2, in-range numbers build (exit 0), and any
+    other finite number gets a documented exit code, never a traceback."""
+    kind = data.draw(st.sampled_from(["malformed", "in range", "number"]))
+    value = data.draw({"malformed": MALFORMED, "in range": IN_RANGE[slot],
+                       "number": NUMBERS}[kind])
+    argv = slot_docs(tmp_path, slot, json.dumps(value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    if kind == "malformed":
+        assert rc == 2
+    elif kind == "in range":
+        assert rc == 0
+    else:
+        assert rc in (0, 2, 3, 4, 5)

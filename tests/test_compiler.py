@@ -222,16 +222,6 @@ def test_output_bias_mode_same_function():
     np.testing.assert_allclose(plain(X), biased(X), atol=1e-12)
 
 
-def test_threads_do_not_change_result():
-    mesh = freudenthal_mesh(2, 2)
-    v = PiecewiseLinear.constant(
-        mesh, np.random.default_rng(4).uniform(-1, 1, mesh.n_cells))
-    a = compile_weak_representation(mesh, v, 0.02)
-    b = compile_weak_representation(mesh, v, 0.02, threads=4)
-    np.testing.assert_array_equal(a.W1, b.W1)
-    np.testing.assert_array_equal(a.W2_vals, b.W2_vals)
-
-
 # --- duplicate-neuron merge --------------------------------------------------
 
 def test_merge_without_duplicates_keeps_function():
@@ -347,6 +337,16 @@ def test_compact_support_needs_hull():
     v = PiecewiseLinear(mesh, [[1.0]], [0.0])
     with pytest.raises(CompileError, match="hull"):
         compile_compact_support(mesh, v, 0.05)
+
+
+def test_compact_support_rejects_halfspace_cell_outside_hull():
+    # [0, 2] x [0, 1] given by halfspaces pokes out of the unit-square hull
+    wide = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                      [0.0, 2.0, 0.0, 1.0])
+    mesh = PolytopeMesh(2, [wide], domain_hull=SQUARE)
+    v = PiecewiseLinear.constant(mesh, [1.0])
+    with pytest.raises(CompileError, match="does not contain cell 0"):
+        compile_compact_support(mesh, v, 0.01)
 
 
 def test_compact_support_bound_2R():

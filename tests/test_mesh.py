@@ -108,6 +108,17 @@ def test_registry_merges_positive_multiple():
     assert reg.facet_scale[(1, 0)] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_registry_with_hull_adds_only_new_facets():
+    mesh = freudenthal_mesh(2, 2)
+    # the unit-square hull repeats the four boundary facets
+    assert build_registry(mesh, hull=mesh.domain_hull).size == mesh.registry().size
+    bigger = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                        [1.0, 2.0, 1.0, 2.0])
+    reg = build_registry(mesh, hull=bigger)
+    assert reg.size == mesh.registry().size + 4
+    assert reg.facet_entry[(-1, 0)] >= mesh.registry().size
+
+
 def test_registry_idempotent():
     mesh = freudenthal_mesh(2, 3)
     first = mesh.registry()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from relufem.errors import DocumentError
-from relufem.networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
-                              serialize, tnn_forward)
+from relufem.networks import (CHUNK_ELEMENTS, ReluNet2, TensorNet,
+                              deserialize, fnn_forward, serialize, tnn_forward)
 from relufem.tensorfe import compile_1d_hat
 
 
@@ -168,3 +168,17 @@ def test_unknown_arch_rejected():
 def test_nonfinite_weights_rejected():
     with pytest.raises(DocumentError):
         ReluNet2([[np.inf]], [0.0], [], [0.0], [1.0])
+
+
+def test_tnn_forward_in_chunks_is_bitwise_piecewise():
+    # width 4096 makes one chunk 2048 rows, so 5000 points span three
+    rng = np.random.default_rng(7)
+    grid = np.sort(rng.uniform(0, 1, 4096))
+    grid[0], grid[-1] = 0.0, 1.0
+    W, b, w1 = compile_1d_hat(grid, rng.standard_normal(4096))
+    _, _, w2 = compile_1d_hat(grid, rng.standard_normal(4096))
+    net = TensorNet([(W, b, np.vstack([w1, w2])), (W, b, np.vstack([w2, w1]))])
+    assert CHUNK_ELEMENTS // max(net.widths) < 5000
+    X = rng.uniform(0, 1, (5000, 2))
+    pieces = np.concatenate([net(X[lo:lo + 1000]) for lo in range(0, 5000, 1000)])
+    np.testing.assert_array_equal(net(X), pieces)

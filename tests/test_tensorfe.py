@@ -201,3 +201,39 @@ def test_tensorfe_document_errors():
     with pytest.raises(DocumentError, match="length"):
         TensorFE.from_doc({"grids": [[0.0, 1.0], [0.0, 1.0]],
                            "shape": [2, 2], "coefficients": [1.0]})
+
+
+def test_hat_weights_match_forward_substitution():
+    # the lower-triangular solve l(t_i) = values_i, kept as the reference
+    rng = np.random.default_rng(12)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 60))])
+    values = rng.standard_normal(61)
+    _, _, w = compile_1d_hat(grid, values)
+    N = grid.size - 1
+    ref = np.zeros(N + 1)
+    ref[N] = values[0]
+    for i in range(1, N + 1):
+        acc = ref[N] + ref[:i - 1] @ (grid[i] - grid[:i - 1])
+        ref[i - 1] = (values[i] - acc) / (grid[i] - grid[i - 1])
+    np.testing.assert_allclose(w, ref, rtol=1e-9, atol=1e-9 * np.max(np.abs(ref)))
+
+
+def test_cp_search_starts_at_the_unfolding_rank(monkeypatch):
+    import relufem.tensorfe as tensorfe
+    tried = []
+    als = tensorfe._als
+
+    def recording_als(T, rank, seed):
+        tried.append(rank)
+        return als(T, rank, seed)
+
+    monkeypatch.setattr(tensorfe, "_als", recording_als)
+    rng = np.random.default_rng(6)
+    # generic 2x5x10: unfolding rank 10 equals the bound, so no ALS at all
+    cp = cp_decompose(rng.standard_normal((2, 5, 10)))
+    assert (cp.rank, tried) == (10, [])
+    # planted rank 2 in 3x3x3: unfolding ranks are 2, so ALS starts there
+    A, B, C = (rng.standard_normal((3, 2)) for _ in range(3))
+    c = np.einsum("ip,jp,kp->ijk", A, B, C)
+    cp = cp_decompose(c, target_tol=1e-10, seed=0)
+    assert tried[0] == 2 and cp.rank == tried[-1]
