@@ -139,7 +139,12 @@ def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
         raise CompileError(f"cell {cell_index}: shifted weights not positive")
     b_I = cell.b - epsilon * cell.norms
     w_II = -coeff
-    b_II = float(coeff @ b_I) + c + R
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_II = float(coeff @ b_I) + c + R
+    if not (np.all(np.isfinite(w_II)) and np.isfinite(b_II)):
+        raise CompileError(
+            f"cell {cell_index}: weights overflow the float range for "
+            f"R = sup|v| = {R:.3e}")
     if np.max(np.abs(w_II)) > WEIGHT_GUARD:
         warnings.warn(
             f"cell {cell_index}: second-layer weight magnitude "

@@ -9,6 +9,7 @@ writes of the same object byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -84,10 +85,25 @@ def as_float(value, field: str) -> float:
 
 
 def as_float_array(value, field: str, shape=None) -> np.ndarray:
+    """A (nested) JSON array of numbers as a finite float array, raising
+    DocumentError naming the field for booleans, strings and other
+    non-numbers, integers beyond the float range, non-finite values and a
+    shape other than `shape`."""
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise DocumentError(
+            f"field '{field}' holds an integer too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field '{field}' is not numeric: {exc}") from exc
+    # the conversion above reads true as 1.0 and "1.5" as 1.5
+    entries = [value] if arr.ndim == 0 else value
+    for _ in range(arr.ndim - 1):
+        entries = itertools.chain.from_iterable(entries)
+    wrong = set(map(type, entries)) - {int, float}
+    if wrong:
+        names = ", ".join(sorted(t.__name__ for t in wrong))
+        raise DocumentError(f"field '{field}' must hold numbers, not {names}")
     if not np.all(np.isfinite(arr)):
         raise DocumentError(f"field '{field}' contains non-finite values")
     if shape is not None and arr.shape != tuple(shape):

@@ -9,13 +9,17 @@ outputs multiply across axes and sum over the rank index.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from . import docio
 from .errors import DocumentError
 
 # forward passes run in row chunks so each (chunk, width) temporary holds
-# at most this many floats (64 MB)
+# at most this many floats: 64 MB for the tensor net; 2 MB for the fully
+# connected net, whose next layer re-reads each temporary while it is
+# still in cache
 CHUNK_ELEMENTS = 2 ** 23
+FNN_CHUNK_ELEMENTS = 2 ** 18
 
 
 def relu(x):
@@ -25,9 +29,13 @@ def relu(x):
 class ReluNet2:
     """x -> w3 @ relu(W2 @ relu(W1 @ x + b1) + b2) (+ output_bias).
 
-    W2 is kept as (row, col, value) triplets. Rows are summed in triplet
-    storage order (grouped by row, original order within a row), which
-    keeps evaluation bit-stable under serialization and under the
+    W2 is kept as (row, col, value) triplets, grouped by row with the
+    original order kept inside a row. The forward pass multiplies by each
+    layer as a CSR matrix built in that storage order (W1 and w3 row by
+    row, W2 from the triplets as they stand), and scipy's CSR product sums
+    each row's terms left to right in storage order. Every output is
+    therefore the same float whatever batch or chunk its point falls in,
+    and evaluation stays bit-stable under serialization and under the
     duplicate-neuron merge.
     """
 
@@ -50,14 +58,14 @@ class ReluNet2:
         self.W2_cols = np.asarray(cols, dtype=int)[order]
         self.W2_vals = np.asarray(vals, dtype=float)[order]
         self._validate()
-        # segment boundaries for the ordered row sums
-        if self.W2_rows.size:
-            change = np.flatnonzero(np.diff(self.W2_rows)) + 1
-            self._seg_starts = np.concatenate([[0], change])
-            self._seg_rows = self.W2_rows[self._seg_starts]
-        else:
-            self._seg_starts = np.zeros(0, dtype=int)
-            self._seg_rows = np.zeros(0, dtype=int)
+        # from the stored order as it stands: no sum_duplicates or
+        # sort_indices, which would reorder the terms of a row
+        indptr = np.searchsorted(self.W2_rows, np.arange(self.h2 + 1))
+        self._layers = (
+            sparse.csr_matrix(self.W1),
+            sparse.csr_matrix((self.W2_vals, self.W2_cols, indptr),
+                              shape=(self.h2, self.h1)),
+            sparse.csr_matrix(self.w3[None, :]))
 
     def _validate(self):
         if self.h1 < 1 or self.h2 < 1:
@@ -92,27 +100,26 @@ class ReluNet2:
         np.add.at(M, (self.W2_rows, self.W2_cols), self.W2_vals)
         return M
 
-    def _second_layer(self, Z1):
-        out = np.zeros((Z1.shape[0], self.h2))
-        if self.W2_vals.size:
-            terms = Z1[:, self.W2_cols] * self.W2_vals
-            sums = np.add.reduceat(terms, self._seg_starts, axis=1)
-            out[:, self._seg_rows] = sums
-        return out
-
     def forward_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
-        chunk = max(1, CHUNK_ELEMENTS // max(self.W2_vals.size, 1))
+        W1, W2, w3 = self._layers
+        b1 = self.b1[:, None]
+        b2 = self.b2[:, None]
+        chunk = max(1, FNN_CHUNK_ELEMENTS // max(self.h1, self.h2))
         for lo in range(0, X.shape[0], chunk):
-            Xc = X[lo:lo + chunk]
-            Z1 = relu(Xc @ self.W1.T + self.b1)
-            Z2 = relu(self._second_layer(Z1) + self.b2)
-            out[lo:lo + chunk] = Z2 @ self.w3
+            # transposed layout: one column per point
+            Z1 = W1 @ X[lo:lo + chunk].T
+            Z1 += b1
+            np.maximum(Z1, 0.0, out=Z1)
+            Z2 = W2 @ Z1
+            Z2 += b2
+            np.maximum(Z2, 0.0, out=Z2)
+            out[lo:lo + chunk] = (w3 @ Z2)[0]
         if self.output_bias is not None:
-            out = out + self.output_bias
+            out += self.output_bias
         return out
 
     def forward(self, x) -> float:
@@ -206,7 +213,10 @@ class TensorNet:
             Xc = X[lo:lo + chunk]
             prod = np.ones((Xc.shape[0], self.rank))
             for k, (W, b, weights) in enumerate(self.branches):
-                Z = relu(Xc[:, k:k + 1] @ W.T + b)
+                # one rounded product per entry, as the k=1 matmul gave
+                Z = Xc[:, k:k + 1] * W[:, 0]
+                Z += b
+                np.maximum(Z, 0.0, out=Z)
                 prod *= Z @ weights.T
             out[lo:lo + chunk] = prod.sum(axis=1)
         return out

@@ -228,17 +228,20 @@ def test_eval_requires_points_object(tmp_path):
     assert rc == 2
 
 
-# --- malformed scalars in the input documents ---------------------------------
+# --- malformed numbers in the input documents ---------------------------------
 
 HUGE_INT = "1" * 401
-FIELD = {"c": "'c'", "b": "'b'", "nodal": "nodal_values[1]"}
+FIELD = {"c": "'c'", "b": "'b'", "nodal": "nodal_values[1]", "a": "'a'",
+         "vertices": "'vertices'"}
 
 
 def slot_docs(tmp_path, slot, text):
     """Build command over a two-cell interval mesh and a function, with raw
-    JSON text in one slot: a piece constant "c", the halfspace offset "b"
-    of the second cell, or the nodal value of vertex 1."""
-    fill = {"c": "0.5", "b": "1.0", "nodal": "0.5", slot: text}
+    JSON text in one slot: a scalar (a piece constant "c", the halfspace
+    offset "b" of the second cell, the nodal value of vertex 1) or an array
+    entry (the piece gradient "a", the first vertex of the first cell)."""
+    fill = {"c": "0.5", "b": "1.0", "nodal": "0.5", "a": "0.0",
+            "vertices": "0.0", slot: text}
     if slot == "nodal":
         second = '{"vertices": [[0.5], [1.0]]}'
         function = ('{"kind": "nodal-linear", "nodal_values": '
@@ -246,10 +249,11 @@ def slot_docs(tmp_path, slot, text):
     else:
         second = ('{"halfspaces": [{"w": [1.0], "b": -0.5}, '
                   '{"w": [-1.0], "b": %s}]}' % fill["b"])
-        function = ('{"kind": "constant", "pieces": [{"a": [0.0], "c": %s}, '
-                    '{"a": [0.0], "c": 0.25}]}' % fill["c"])
+        function = ('{"kind": "general", "pieces": [{"a": [%s], "c": %s}, '
+                    '{"a": [0.0], "c": 0.25}]}' % (fill["a"], fill["c"]))
     (tmp_path / "m.json").write_text(
-        '{"dimension": 1, "cells": [{"vertices": [[0.0], [0.5]]}, %s]}' % second)
+        '{"dimension": 1, "cells": [{"vertices": [[%s], [0.5]]}, %s]}'
+        % (fill["vertices"], second))
     (tmp_path / "f.json").write_text(function)
     return ["build", "--mesh", str(tmp_path / "m.json"),
             "--function", str(tmp_path / "f.json"), "--epsilon", "0.01",
@@ -258,10 +262,16 @@ def slot_docs(tmp_path, slot, text):
 
 @pytest.mark.parametrize("slot", sorted(FIELD))
 @pytest.mark.parametrize("text", ["true", '"x"', HUGE_INT, "NaN", "-Infinity",
-                                  "null"])
+                                  "null", '"1.5"'])
 def test_malformed_scalar_exits_2(tmp_path, capsys, slot, text):
     assert main(slot_docs(tmp_path, slot, text)) == 2
     assert FIELD[slot] in capsys.readouterr().err
+
+
+def test_weight_overflow_exits_4(tmp_path, capsys):
+    # R = 1e308 is a finite sup norm whose bump weights are not
+    assert main(slot_docs(tmp_path, "c", "1e308")) == 4
+    assert "R = sup|v| = 1.000e+308" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
@@ -282,7 +292,9 @@ MALFORMED = (st.none() | st.booleans() | st.text(max_size=5)
              | st.sampled_from([math.inf, -math.inf, math.nan]))
 IN_RANGE = {"c": st.floats(-4, 4) | st.integers(-4, 4),
             "b": st.floats(0.75, 4) | st.integers(1, 4),
-            "nodal": st.floats(-4, 4) | st.integers(-4, 4)}
+            "nodal": st.floats(-4, 4) | st.integers(-4, 4),
+            "a": st.floats(-4, 4) | st.integers(-4, 4),
+            "vertices": st.floats(-4, 0.25) | st.integers(-4, 0)}
 NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -291,8 +303,9 @@ NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_json_scalar_in_a_slot_is_handled(tmp_path, slot, data):
-    """Malformed scalars exit 2, in-range numbers build (exit 0), and any
-    other finite number gets a documented exit code, never a traceback."""
+    """Malformed values exit 2, in-range numbers build (exit 0), and any
+    other finite number gets a documented exit code, never a traceback,
+    in a scalar slot and in an array entry alike."""
     kind = data.draw(st.sampled_from(["malformed", "in range", "number"]))
     value = data.draw({"malformed": MALFORMED, "in range": IN_RANGE[slot],
                        "number": NUMBERS}[kind])

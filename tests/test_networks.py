@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
+from relufem.compiler import (compile_compact_support,
+                              compile_weak_representation)
 from relufem.errors import DocumentError
-from relufem.networks import (CHUNK_ELEMENTS, ReluNet2, TensorNet,
-                              deserialize, fnn_forward, serialize, tnn_forward)
+from relufem.mesh import freudenthal_mesh
+from relufem.meshgen import random_polygon_mesh
+from relufem.networks import (CHUNK_ELEMENTS, FNN_CHUNK_ELEMENTS, ReluNet2,
+                              TensorNet, deserialize, fnn_forward, serialize,
+                              tnn_forward)
+from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import compile_1d_hat
 
 
@@ -182,3 +188,72 @@ def test_tnn_forward_in_chunks_is_bitwise_piecewise():
     X = rng.uniform(0, 1, (5000, 2))
     pieces = np.concatenate([net(X[lo:lo + 1000]) for lo in range(0, 5000, 1000)])
     np.testing.assert_array_equal(net(X), pieces)
+
+
+def compiled_nets():
+    """A merged weak-mode net on a 3D Freudenthal mesh and a merged
+    compact-support net on a 12-site Voronoi mesh, with their input
+    dimensions."""
+    rng = np.random.default_rng(3)
+    grid = freudenthal_mesh(3, 2)
+    verts, _ = grid.vertex_table()
+    weak = compile_weak_representation(
+        grid, nodal_linear(grid, rng.uniform(-5, 5, len(verts))), 1e-3)
+    voronoi = random_polygon_mesh(4, n_sites=12)
+    v = PiecewiseLinear(voronoi, rng.uniform(-3, 3, (voronoi.n_cells, 2)),
+                        rng.uniform(-3, 3, voronoi.n_cells))
+    compact = compile_compact_support(voronoi, v, 1e-3)
+    return [(weak, 3), (compact, 2)]
+
+
+def second_layer_sums(net, X):
+    """Second-layer row sums S (before b2), read through forward_batch.
+
+    With b2 = 0 and w3 = e_i the net returns relu(S_i); with the W2 values
+    negated every product and partial sum flips sign exactly, so it returns
+    relu(-S_i), and the difference of the two is S_i bit for bit.
+    """
+    S = np.empty((net.h2, len(X)))
+    for i in range(net.h2):
+        w3 = np.zeros(net.h2)
+        w3[i] = 1.0
+        plus, minus = (
+            ReluNet2(net.W1, net.b1,
+                     list(zip(net.W2_rows, net.W2_cols, sign * net.W2_vals)),
+                     np.zeros(net.h2), w3)(X)
+            for sign in (1.0, -1.0))
+        S[i] = plus - minus
+    return S
+
+
+def test_fnn_second_layer_sums_rows_in_storage_order():
+    rng = np.random.default_rng(11)
+    for net, n in compiled_nets():
+        X = rng.uniform(-0.1, 1.1, (40, n))
+        expect = np.zeros((net.h2, len(X)))
+        for p, x in enumerate(X.tolist()):
+            # every row summed left to right, in storage order
+            z1 = []
+            for w, b in zip(net.W1.tolist(), net.b1.tolist()):
+                total = 0.0
+                for w_k, x_k in zip(w, x):
+                    total += w_k * x_k
+                z1.append(max(total + b, 0.0))
+            for r, c, v in zip(net.W2_rows, net.W2_cols, net.W2_vals.tolist()):
+                expect[r, p] += v * z1[c]
+        np.testing.assert_array_equal(second_layer_sums(net, X), expect)
+
+
+def test_fnn_forward_in_chunks_is_bitwise_piecewise():
+    rng = np.random.default_rng(7)
+    for net, n in compiled_nets():
+        # 12000 points span three or more chunks, whose boundaries fall
+        # inside the 1000-point pieces
+        assert FNN_CHUNK_ELEMENTS // max(net.h1, net.h2) < 6000
+        X = rng.uniform(-0.1, 1.1, (12000, n))
+        pieces = np.concatenate([net(X[lo:lo + 1000])
+                                 for lo in range(0, 12000, 1000)])
+        y = net(X)
+        np.testing.assert_array_equal(y, pieces)
+        singles = [fnn_forward(net, x) for x in X[:50]]
+        np.testing.assert_array_equal(y[:50], singles)
