@@ -7,7 +7,8 @@ from .errors import (CompileError, ConditioningWarning, DocumentError,
 from .mesh import (ConvexCell, DirectedHyperplaneRegistry, Halfspace,
                    PolytopeMesh, ValidationReport, build_registry,
                    freudenthal_mesh, min_inradius, sample_cells,
-                   sample_shrunk_domain, shrink_cell, validate_mesh)
+                   sample_exterior, sample_mesh, sample_shrunk_domain,
+                   shrink_cell, validate_mesh)
 from .pwl import (AffinePiece, EvalResult, PiecewiseLinear, eval_pwl,
                   nodal_linear, sup_norm)
 from .networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
@@ -22,7 +23,7 @@ from .tensorfe import (CPFactors, TensorFE, TensorMesh, compile_1d_hat,
 from .verify import (ConvergenceTable, CountCheck, WeakRepReport,
                      check_counts, check_weak_representation,
                      convergence_experiment, estimate_lp_error,
-                     estimate_lp_error_with_stderr, sample_exterior)
+                     estimate_lp_error_with_stderr)
 
 __version__ = "0.1.0"
 

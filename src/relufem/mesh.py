@@ -16,11 +16,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import Delaunay
 
 from . import docio, lp
 from .errors import DocumentError, MeshError
 
 DEDUP_TOL = 1e-9
+
+# containment tests run in point chunks so each (points, facets) temporary
+# holds about this many floats
+CHUNK_ELEMENTS = 2 ** 18
 
 _UNSET = object()
 
@@ -42,6 +47,22 @@ class Halfspace:
 
     def value(self, x):
         return float(self.normal @ np.asarray(x, dtype=float) + self.offset)
+
+
+def _affine(X, W, b):
+    """X @ W.T + b summed coordinate by coordinate, so an entry has the same
+    bits whatever batch or facet stack it is computed in."""
+    out = X[:, :1] * W[:, 0]
+    for d in range(1, W.shape[1]):
+        out += X[:, d:d + 1] * W[:, d]
+    out += b
+    return out
+
+
+def _simplex_volumes(T):
+    """Volumes of simplices given as vertex arrays, shape (k, n+1, n)."""
+    n = T.shape[2]
+    return np.abs(np.linalg.det(T[:, 1:] - T[:, :1])) / float(math.factorial(n))
 
 
 def _facet_normal(points: np.ndarray) -> np.ndarray:
@@ -93,7 +114,8 @@ def _simplex_halfspaces(vertices: np.ndarray):
 
 def _halfspace_vertices(W, b, norms, tol=1e-9):
     """Vertices of a bounded {W x + b >= 0}: the feasible solutions of
-    every nonsingular n-facet subsystem, coincident ones merged."""
+    every nonsingular n-facet subsystem, coincident ones merged; shape
+    (0, n) when the set is empty."""
     m, n = W.shape
     subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int)
     A = W[subsets]
@@ -104,22 +126,21 @@ def _halfspace_vertices(W, b, norms, tol=1e-9):
     for p in X:
         if not any(np.linalg.norm(p - q) < 1e-10 for q in keep):
             keep.append(p)
-    if not keep:
-        raise MeshError("cell has no vertices (empty interior)")
-    return np.array(keep)
+    return np.array(keep).reshape(-1, n)
 
 
 class ConvexCell:
     """Closed convex polytope given by facet normals W and offsets b.
 
     The cell is {x : W @ x + b >= 0}. Simplex cells keep their vertex
-    array as well, which enables exact volumes and nodal interpolation.
+    array as well, which enables nodal interpolation.
 
     Every geometric question about a cell is answered from three cached
     facts: the Chebyshev ball, a strictly positive combination of the
     facet normals summing to zero, and the vertex set. Only the first two
     need a linear program; the vertex set of a simplex is given and that
-    of an H-cell comes from n-facet intersections.
+    of an H-cell comes from n-facet intersections. Volumes and samples
+    come from a tiling of the (shrunk) cell by simplices.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -164,8 +185,7 @@ class ConvexCell:
 
     def facet_values(self, X):
         """h_i(x) for every facet, shape (S, m)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.W.T + self.b
+        return _affine(np.atleast_2d(np.asarray(X, dtype=float)), self.W, self.b)
 
     def contains(self, X, tol=1e-12):
         return np.min(self.facet_values(X), axis=1) >= -tol
@@ -215,36 +235,38 @@ class ConvexCell:
         if self._vertex_set is None:
             if not self.is_bounded():
                 raise MeshError("cell is unbounded")
-            self._vertex_set = _halfspace_vertices(self.W, self.b, self.norms)
+            V = _halfspace_vertices(self.W, self.b, self.norms)
+            if len(V) == 0:
+                raise MeshError("cell has no vertices (empty interior)")
+            self._vertex_set = V
         return self._vertex_set
 
     def bounding_box(self):
         V = self.vertex_set()
         return V.min(axis=0), V.max(axis=0)
 
-    def polygon_vertices(self):
-        """Vertex cycle of a 2D cell, sorted by angle around the centroid."""
-        if self.dim != 2:
-            raise MeshError("polygon_vertices requires a 2D cell")
-        pts = self.vertex_set()
-        if len(pts) < 3:
-            raise MeshError("2D cell has fewer than 3 vertices")
-        center = pts.mean(axis=0)
-        ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
-        return pts[np.argsort(ang)]
+    def simplices(self, epsilon: float = 0.0) -> np.ndarray:
+        """Simplices tiling the epsilon-shrunk cell, shape (k, n+1, n).
+
+        A cell with n+1 vertices is a simplex and shrinks to one; any other
+        cell is tiled by a Delaunay triangulation of its shrunk vertex set.
+        An empty shrunk cell, one whose vertex mean is not strictly inside
+        it, gives k = 0.
+        """
+        V = self.vertex_set()
+        n = self.dim
+        if epsilon > 0:
+            b = self.b - epsilon * self.norms
+            V = _halfspace_vertices(self.W, b, self.norms)
+            if len(V) <= n or np.min(_affine(V.mean(axis=0)[None], self.W, b)) <= 0.0:
+                return np.zeros((0, n + 1, n))
+        if len(V) == n + 1:
+            return V[None]
+        P = V - V.mean(axis=0)
+        return V[Delaunay(P / np.max(np.abs(P))).simplices]
 
     def volume(self) -> float:
-        if self.vertices is not None and self.vertices.shape[0] == self.dim + 1:
-            edges = self.vertices[1:] - self.vertices[0]
-            return abs(float(np.linalg.det(edges))) / float(math.factorial(self.dim))
-        if self.dim == 1:
-            lo, hi = self.bounding_box()
-            return max(float(hi[0] - lo[0]), 0.0)
-        if self.dim == 2:
-            pts = self.polygon_vertices()
-            x, y = pts[:, 0], pts[:, 1]
-            return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-        raise MeshError("exact volume only available for simplices, 1D and 2D cells")
+        return float(np.sum(_simplex_volumes(self.simplices())))
 
     def prune_redundant(self, tol=1e-9) -> "ConvexCell":
         """Drop halfspaces that do not support a facet of the cell."""
@@ -443,6 +465,7 @@ class PolytopeMesh:
         self.domain_hull = domain_hull
         self._registry = None
         self._vertex_table = None
+        self._facets = None
 
     @property
     def n_cells(self) -> int:
@@ -495,19 +518,28 @@ class PolytopeMesh:
     def volume(self) -> float:
         return float(sum(c.volume() for c in self.cells))
 
+    def containing(self, X, tol=1e-12):
+        """(first containing cell or -1, number of containing cells) per
+        point; cell c contains x when ConvexCell.contains(x, tol) holds."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._facets is None:
+            self._facets = (np.vstack([c.W for c in self.cells]),
+                            np.concatenate([c.b for c in self.cells]),
+                            np.cumsum([0] + [c.m for c in self.cells[:-1]]))
+        W, b, starts = self._facets
+        first = np.empty(X.shape[0], dtype=int)
+        count = np.empty(X.shape[0], dtype=int)
+        step = max(1, CHUNK_ELEMENTS // len(b))
+        for lo in range(0, X.shape[0], step):
+            vals = _affine(X[lo:lo + step], W, b)
+            inside = np.minimum.reduceat(vals, starts, axis=1) >= -tol
+            count[lo:lo + step] = inside.sum(axis=1)
+            first[lo:lo + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        return first, count
+
     def locate(self, X, tol=1e-12):
         """First containing cell index per point, -1 when outside the mesh."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = -np.ones(X.shape[0], dtype=int)
-        todo = np.arange(X.shape[0])
-        for ci, cell in enumerate(self.cells):
-            if todo.size == 0:
-                break
-            inside = cell.contains(X[todo], tol=tol)
-            hit = todo[inside]
-            out[hit] = ci
-            todo = todo[~inside]
-        return out
+        return self.containing(X, tol)[0]
 
     def to_doc(self) -> dict:
         doc = {
@@ -586,72 +618,101 @@ def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
     return PolytopeMesh(n, cells, domain_hull=hull)
 
 
-def _cell_rng(seed: int, cell_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(cell_index),))
+def _rng(seed: int, *stream: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _rejection_sample(cell: ConvexCell, epsilon: float, quota: int,
-                      rng: np.random.Generator, max_rounds: int = 400):
-    """Uniform points of the epsilon-shrunk cell via bounding-box rejection."""
-    lo, hi = cell.bounding_box()
-    thresholds = epsilon * cell.norms
-    got = []
-    total = 0
-    for _ in range(max_rounds):
-        draw = rng.uniform(lo, hi, size=(max(4 * quota, 64), cell.dim))
-        vals = cell.facet_values(draw)
-        ok = np.all(vals - thresholds >= 0.0, axis=1)
-        pts = draw[ok]
-        if pts.shape[0]:
-            got.append(pts)
-            total += pts.shape[0]
-        if total >= quota:
-            break
-    if not got:
-        return np.zeros((0, cell.dim))
-    return np.vstack(got)[:quota]
+def _sample(mesh: PolytopeMesh, epsilon: float, quotas, rng: np.random.Generator):
+    """quotas[c] uniform points of each epsilon-shrunk cell c, tagged by cell.
+
+    Exact, with no rejection: each point picks a tile of its cell with
+    probability proportional to the tile's volume, then barycentric weights
+    from normalised exponentials, which are uniform on a simplex (Devroye
+    1986, ch. XI). A cell whose shrunk interior is empty gets no points.
+    """
+    n = mesh.dimension
+    tiles = [cell.simplices(epsilon) if q else np.zeros((0, n + 1, n))
+             for cell, q in zip(mesh.cells, quotas)]
+    k = np.array([len(t) for t in tiles], dtype=int)
+    tags = np.repeat(np.arange(mesh.n_cells), np.where(k > 0, quotas, 0))
+    T = np.concatenate(tiles)
+    vol = _simplex_volumes(T)
+    cum = np.cumsum(vol)
+    last = np.cumsum(k)[tags] - 1
+    first = last - k[tags] + 1
+    # inverse CDF over the cell's tiles; the clip keeps rounding in the cell
+    target = cum[last] - rng.random(tags.size) * (cum[last] - cum[first] + vol[first])
+    pick = np.clip(np.searchsorted(cum, target), first, last)
+    E = rng.standard_exponential((tags.size, n + 1))
+    X = np.einsum("pk,pkd->pd", E / E.sum(axis=1, keepdims=True), T[pick])
+    return X, tags
 
 
 def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: int):
     """Uniform samples of the union of epsilon-shrunk cells, tagged by cell.
 
-    Returns (points, cell_indices). Cells whose shrunk interior is empty
-    contribute nothing; if every cell is empty the epsilon is too large.
+    Returns (points, cell_indices). The count is split evenly over the
+    cells whose shrunk interior is non-empty; if every cell is empty the
+    epsilon is too large.
     """
     if epsilon <= 0:
         raise MeshError("epsilon must be > 0")
     if count < 1:
         raise MeshError("count must be >= 1")
-    alive = [ci for ci, c in enumerate(mesh.cells) if c.inradius() > epsilon]
+    alive = [ci for ci, c in enumerate(mesh.cells) if len(c.simplices(epsilon))]
     if not alive:
         raise MeshError("epsilon too large: every shrunk cell is empty")
     base, extra = divmod(count, len(alive))
-    points = []
-    tags = []
-    for pos, ci in enumerate(alive):
-        quota = base + (1 if pos < extra else 0)
-        if quota == 0:
-            continue
-        pts = _rejection_sample(mesh.cells[ci], epsilon, quota, _cell_rng(seed, ci))
-        points.append(pts)
-        tags.append(np.full(pts.shape[0], ci, dtype=int))
-    points = np.vstack(points)
-    tags = np.concatenate(tags)
-    if points.shape[0] == 0:
-        raise MeshError("epsilon too large: no sample survived rejection")
-    return points, tags
+    quotas = np.zeros(mesh.n_cells, dtype=int)
+    quotas[alive] = base + (np.arange(len(alive)) < extra)
+    return _sample(mesh, epsilon, quotas, _rng(seed, 0))
 
 
 def sample_cells(mesh: PolytopeMesh, per_cell: int, seed: int, epsilon: float = 0.0):
-    """Per-cell uniform samples (optionally of the shrunk cells), tagged."""
-    points = []
-    tags = []
-    for ci, cell in enumerate(mesh.cells):
-        pts = _rejection_sample(cell, epsilon, per_cell, _cell_rng(seed, ci))
-        points.append(pts)
-        tags.append(np.full(pts.shape[0], ci, dtype=int))
-    return np.vstack(points), np.concatenate(tags)
+    """Per-cell uniform samples (optionally of the shrunk cells), tagged;
+    per_cell points in every cell whose shrunk interior is non-empty."""
+    return _sample(mesh, epsilon, [per_cell] * mesh.n_cells, _rng(seed, 0))
+
+
+def sample_mesh(mesh: PolytopeMesh, count: int, seed: int) -> np.ndarray:
+    """count uniform points of the whole mesh: cell counts drawn
+    multinomially by cell volume, then sampled cell by cell."""
+    rng = _rng(seed, 77)
+    vols = np.array([c.volume() for c in mesh.cells])
+    return _sample(mesh, 0.0, rng.multinomial(count, vols / vols.sum()), rng)[0]
+
+
+def sample_exterior(mesh: PolytopeMesh, count: int, seed: int,
+                    inflate: float = 3.0, far_points: int = 100,
+                    region=None):
+    """Points safely outside the mesh (or outside `region` when given):
+    rejection samples from the inflated bounding box plus a far ring at
+    ten diameters. MeshError when the box yields fewer than count."""
+    lo, hi = mesh.bounding_box()
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * inflate
+    diam = float(np.linalg.norm(hi - lo))
+    rng = _rng(seed, 90)
+    batches = []
+    got = 0
+    for _ in range(400):
+        X = rng.uniform(center - half, center + half,
+                        size=(max(2 * count, 128), mesh.dimension))
+        if region is None:
+            X = X[mesh.containing(X, tol=1e-9)[1] == 0]
+        else:
+            X = X[~region.contains(X, tol=1e-9)]
+        batches.append(X)
+        got += X.shape[0]
+        if got >= count:
+            break
+    if got < count:
+        raise MeshError(f"exterior sampling found {got} of {count} points "
+                        f"outside the {'mesh' if region is None else 'region'}")
+    dirs = rng.standard_normal((far_points, mesh.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.vstack([np.vstack(batches)[:count], center + dirs * (10.0 * diam)])
 
 
 @dataclass
@@ -662,7 +723,7 @@ class ValidationReport:
     inradius: list[float]
     overlap_fraction: float
     union_volume_estimate: float
-    cell_volume_sum: float | None
+    cell_volume_sum: float
     hull_uncovered_fraction: float | None
     samples: int
     issues: list[str] = field(default_factory=list)
@@ -693,19 +754,12 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
         inradius.append(r)
 
     lo, hi = mesh.bounding_box()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
-    X = rng.uniform(lo, hi, size=(samples, mesh.dimension))
-    inside_count = np.zeros(samples, dtype=int)
-    for cell in mesh.cells:
-        inside_count += np.min(cell.facet_values(X), axis=1) > 1e-12
+    X = _rng(seed).uniform(lo, hi, size=(samples, mesh.dimension))
+    _, inside_count = mesh.containing(X, tol=-1e-12)
     box_vol = float(np.prod(hi - lo))
     overlap_fraction = float(np.mean(inside_count >= 2))
     union_vol = float(np.mean(inside_count >= 1)) * box_vol
-
-    try:
-        vol_sum = mesh.volume()
-    except MeshError:
-        vol_sum = None
+    vol_sum = mesh.volume()
 
     hull_uncovered = None
     if mesh.domain_hull is not None:
@@ -718,7 +772,7 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
     mc_sigma = 1.0 / np.sqrt(samples)
     if overlap_fraction > 3 * mc_sigma + 1e-4:
         issues.append(f"cell interiors overlap on ~{overlap_fraction:.2%} of the box")
-    if vol_sum is not None and box_vol > 0:
+    if box_vol > 0:
         rel = abs(union_vol - vol_sum) / max(vol_sum, 1e-300)
         if rel > 5 * mc_sigma * box_vol / max(vol_sum, 1e-300) + 1e-3:
             issues.append(

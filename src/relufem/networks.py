@@ -66,6 +66,12 @@ class ReluNet2:
             sparse.csr_matrix((self.W2_vals, self.W2_cols, indptr),
                               shape=(self.h2, self.h1)),
             sparse.csr_matrix(self.w3[None, :]))
+        # scipy's sparse maximum, minimum and abs sort a matrix's indices in
+        # place, which would reorder the terms of a row and change the
+        # output bits; read-only arrays make such a call fail instead
+        for layer in self._layers:
+            for a in (layer.data, layer.indices, layer.indptr):
+                a.flags.writeable = False
 
     def _validate(self):
         if self.h1 < 1 or self.h2 < 1:
@@ -94,11 +100,6 @@ class ReluNet2:
     @property
     def h2(self) -> int:
         return self.b2.shape[0]
-
-    def W2_dense(self):
-        M = np.zeros((self.h2, self.h1))
-        np.add.at(M, (self.W2_rows, self.W2_cols), self.W2_vals)
-        return M
 
     def forward_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -12,56 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, VerifyError
-from .mesh import PolytopeMesh, build_registry, sample_cells
+from .mesh import (PolytopeMesh, build_registry, sample_cells,
+                   sample_exterior, sample_mesh)
 from .networks import ReluNet2
 from .pwl import PiecewiseLinear
 
 INTERIOR_RTOL = 1e-9
 EXTERIOR_TOL = 1e-9
 BOUND_TOL = 1e-9
-
-
-def _rng(seed, stream):
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_exterior(mesh: PolytopeMesh, count: int, seed: int,
-                    inflate: float = 3.0, far_points: int = 100,
-                    region=None):
-    """Points safely outside the mesh (or outside `region` when given):
-    rejection samples from the inflated bounding box plus a far ring at
-    ten diameters."""
-    lo, hi = mesh.bounding_box()
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * inflate
-    diam = float(np.linalg.norm(hi - lo))
-    rng = _rng(seed, 90)
-
-    def outside(X):
-        if region is not None:
-            return ~region.contains(X, tol=1e-9)
-        mask = np.ones(X.shape[0], dtype=bool)
-        for cell in mesh.cells:
-            mask &= ~cell.contains(X, tol=1e-9)
-        return mask
-
-    batches = []
-    got = 0
-    for _ in range(400):
-        draw = rng.uniform(center - half, center + half,
-                           size=(max(2 * count, 128), mesh.dimension))
-        pts = draw[outside(draw)]
-        if pts.shape[0]:
-            batches.append(pts)
-            got += pts.shape[0]
-        if got >= count:
-            break
-    near = np.vstack(batches)[:count] if batches else np.zeros((0, mesh.dimension))
-    dirs = rng.standard_normal((far_points, mesh.dimension))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    far = center + dirs * (10.0 * diam)
-    return np.vstack([near, far])
 
 
 @dataclass
@@ -130,15 +88,11 @@ def check_weak_representation(net: ReluNet2, v: PiecewiseLinear,
     mismatch = np.abs(net(Xi) - v.eval_cells(Xi, tags))
 
     Xo, _ = sample_cells(mesh, samples_per_cell, seed + 1, epsilon=0.0)
-    if Xo.shape[0] == 0:
-        raise VerifyError("no mesh samples")
     sup_omega = float(np.max(np.abs(net(Xo))))
 
     region = mesh.domain_hull if compact else None
     Xe = sample_exterior(mesh, max(500, samples_per_cell), seed + 2,
                          region=region)
-    if Xe.shape[0] == 0:
-        raise VerifyError("no exterior samples")
     target = 0.0 if compact else -R
     exterior_dev = float(np.max(np.abs(net(Xe) - target)))
 
@@ -205,25 +159,6 @@ def _as_batch(f, mesh):
     raise VerifyError(f"cannot evaluate object of type {type(f).__name__}")
 
 
-def _uniform_mesh_samples(mesh: PolytopeMesh, samples: int, seed: int):
-    lo, hi = mesh.bounding_box()
-    rng = _rng(seed, 77)
-    out = []
-    got = 0
-    for _ in range(1000):
-        draw = rng.uniform(lo, hi, size=(max(2 * samples, 1024), mesh.dimension))
-        inside = mesh.locate(draw, tol=0.0) >= 0
-        pts = draw[inside]
-        if pts.shape[0]:
-            out.append(pts)
-            got += pts.shape[0]
-        if got >= samples:
-            break
-    if got < samples:
-        raise VerifyError("could not draw enough interior samples")
-    return np.vstack(out)[:samples]
-
-
 def estimate_lp_error_with_stderr(f, v, mesh: PolytopeMesh, p: float,
                                   samples: int, seed: int):
     """(error, stderr): (vol * mean |f-v|^p)^(1/p) over uniform mesh samples,
@@ -232,7 +167,7 @@ def estimate_lp_error_with_stderr(f, v, mesh: PolytopeMesh, p: float,
         raise VerifyError("p must satisfy 1 <= p < inf")
     if samples < 1:
         raise VerifyError("samples must be >= 1")
-    X = _uniform_mesh_samples(mesh, samples, seed)
+    X = sample_mesh(mesh, samples, seed)
     fv = _as_batch(f, mesh)(X)
     vv = _as_batch(v, mesh)(X)
     power = np.abs(fv - vv) ** p

@@ -257,3 +257,19 @@ def test_fnn_forward_in_chunks_is_bitwise_piecewise():
         np.testing.assert_array_equal(y, pieces)
         singles = [fnn_forward(net, x) for x in X[:50]]
         np.testing.assert_array_equal(y[:50], singles)
+
+
+def test_fnn_layers_are_frozen():
+    # scipy's sparse maximum sorts a CSR matrix's indices in place; on a
+    # live layer that would reorder the terms of each row and change bits
+    rng = np.random.default_rng(13)
+    for net, n in compiled_nets():
+        assert not net._layers[1].has_sorted_indices
+        X = rng.uniform(-0.1, 1.1, (2000, n))
+        y = net(X)
+        with pytest.raises(ValueError):
+            net._layers[1].maximum(0)
+        for layer in net._layers:
+            for a in (layer.data, layer.indices, layer.indptr):
+                assert not a.flags.writeable
+        np.testing.assert_array_equal(net(X), y)

@@ -1,0 +1,140 @@
+"""The one sampler (simplex tilings with exact Dirichlet draws) and the one
+containment pass (`PolytopeMesh.containing`), against oracles kept here."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
+from scipy.stats import kstest
+
+from relufem.compiler import compile_weak_representation
+from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
+                          sample_cells)
+from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
+                             random_simplex_mesh)
+from relufem.pwl import nodal_linear
+from relufem.verify import check_weak_representation
+
+
+def sliver_mesh():
+    return PolytopeMesh(2, [
+        ConvexCell.from_simplex([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+        ConvexCell.from_simplex([[0.0, 0.0], [1.0, 1.0], [1.0, 1.001]]),
+    ])
+
+
+def test_sliver_cell_gets_its_full_quota_and_passes():
+    mesh = sliver_mesh()
+    eps = 0.99 * mesh.cells[1].inradius()
+    X, tags = sample_cells(mesh, 1000, seed=0, epsilon=eps)
+    assert np.bincount(tags).tolist() == [1000, 1000]
+    for ci, cell in enumerate(mesh.cells):
+        assert np.all(cell.boundary_distance(X[tags == ci]) >= eps - 1e-12)
+    verts, _ = mesh.vertex_table()
+    v = nodal_linear(mesh, np.random.default_rng(0).uniform(-1, 1, len(verts)))
+    net = compile_weak_representation(mesh, v, eps)
+    rep = check_weak_representation(net, v, mesh, eps, samples_per_cell=1000,
+                                    seed=0)
+    assert rep.interior_samples == 2000
+    assert rep.passed, rep.as_text()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       fraction=st.sampled_from([0.0, 0.5, 0.99]))
+def test_shrunk_polytope_samples_are_exact(n, seed, fraction):
+    cell = random_bounded_polytope(n, 2 * n + 2, seed % 1000)
+    eps = fraction * cell.inradius()
+    X, tags = sample_cells(PolytopeMesh(n, [cell]), 300, seed, epsilon=eps)
+    assert X.shape == (300, n)
+    assert np.all(tags == 0)
+    assert np.all(cell.boundary_distance(X) >= eps - 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_samples_are_uniform(n):
+    # a box is cut into several Delaunay tiles; uniform points of the box,
+    # shrunk or not, have independent uniform coordinates
+    box = ConvexCell(np.vstack([np.eye(n), -np.eye(n)]),
+                     np.concatenate([np.zeros(n), [2.0] + [1.0] * (n - 1)]))
+    for eps in (0.0, 0.25):
+        X, _ = sample_cells(PolytopeMesh(n, [box]), 20000, seed=n, epsilon=eps)
+        hi = np.array([2.0] + [1.0] * (n - 1)) - eps
+        U = (X - eps) / (hi - eps)
+        for d in range(n):
+            assert kstest(U[:, d], "uniform").pvalue > 1e-4
+        corner = np.mean(np.all(U < 0.5, axis=1))
+        assert abs(corner - 0.5 ** n) < 5 * np.sqrt(0.5 ** n / len(U))
+
+
+def test_samples_follow_tile_volumes():
+    # Delaunay cuts this trapezoid into triangles of areas 2 and 0.5; the
+    # strip x < 1 holds 1 of its area 2.5
+    cell = ConvexCell([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, -3.0]],
+                      [0.0, 0.0, 1.0, 4.0])
+    X, _ = sample_cells(PolytopeMesh(2, [cell]), 20000, seed=4)
+    assert abs(np.mean(X[:, 0] < 1.0) - 0.4) < 5 * np.sqrt(0.24 / len(X))
+
+
+def test_cell_shrunk_just_past_its_inradius_gets_no_points():
+    # the shrunk vertices still pass the 1e-9 vertex tolerance, but the
+    # shrunk cell is empty
+    mesh = freudenthal_mesh(2, 1)
+    eps = mesh.cells[0].inradius() + 1e-10
+    assert len(mesh.cells[0].simplices(eps)) == 0
+    X, tags = sample_cells(mesh, 10, seed=0, epsilon=eps)
+    assert X.shape == (0, 2) and tags.size == 0
+
+
+def containing_oracle(mesh, X, tol):
+    """(first, count) from one ConvexCell.contains call per cell."""
+    first = -np.ones(len(X), dtype=int)
+    count = np.zeros(len(X), dtype=int)
+    for ci in reversed(range(mesh.n_cells)):
+        inside = mesh.cells[ci].contains(X, tol=tol)
+        first[inside] = ci
+        count += inside
+    return first, count
+
+
+def square(lo, hi):
+    return ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                      [-lo, hi, -lo, hi])
+
+
+@pytest.mark.parametrize("mesh", [
+    freudenthal_mesh(2, 3),
+    random_polygon_mesh(2, n_sites=15),
+    random_simplex_mesh(3, 2, seed=1),
+    PolytopeMesh(2, [square(0.0, 1.0), square(0.0, 1.0), square(0.5, 2.0)]),
+], ids=["freudenthal", "voronoi", "jittered-3d", "overlapping-squares"])
+def test_containing_matches_per_cell_contains(mesh):
+    lo, hi = mesh.bounding_box()
+    n = mesh.dimension
+    rng = np.random.default_rng(5)
+    axes = [np.linspace(lo[d], hi[d], 13) for d in range(n)]
+    grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n, -1).T
+    vertices = np.vstack([c.vertex_set() for c in mesh.cells])
+    # more random points than one chunk holds
+    X = np.vstack([rng.uniform(lo - 0.2, hi + 0.2, (20000, n)), grid, vertices])
+    for tol in (0.0, 1e-12, 1e-9, -1e-12):
+        first, count = mesh.containing(X, tol)
+        expect_first, expect_count = containing_oracle(mesh, X, tol)
+        np.testing.assert_array_equal(first, expect_first)
+        np.testing.assert_array_equal(count, expect_count)
+        np.testing.assert_array_equal(mesh.locate(X, tol), expect_first)
+
+
+def volume_cases():
+    cells = [random_bounded_polytope(n, m, seed)
+             for n, m in ((2, 7), (3, 9), (4, 11)) for seed in range(3)]
+    cells += random_polygon_mesh(3, n_sites=10).cells
+    cells += random_simplex_mesh(3, 1, seed=2).cells
+    return cells
+
+
+@pytest.mark.parametrize("cell", volume_cases())
+def test_volume_matches_convex_hull(cell):
+    assert cell.volume() == pytest.approx(
+        ConvexHull(cell.vertex_set()).volume, rel=1e-12)

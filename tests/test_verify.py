@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relufem.compiler import compile_compact_support, compile_weak_representation
-from relufem.errors import VerifyError
+from relufem.errors import MeshError, VerifyError
 from relufem.mesh import ConvexCell, PolytopeMesh, freudenthal_mesh, min_inradius
 from relufem.meshgen import random_polygon_mesh
 from relufem.networks import ReluNet2
@@ -152,6 +152,17 @@ def test_sample_exterior_is_outside():
         assert not np.any(cell.contains(X, tol=0.0))
     # includes far points at ten diameters
     assert np.max(np.linalg.norm(X - 0.5, axis=1)) > 5.0
+
+
+def test_compact_exterior_shortfall_raises():
+    # the hull covers the whole inflated box, so no exterior point exists
+    mesh = freudenthal_mesh(2, 2)
+    mesh.domain_hull = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                   [0.0, -1.0]], [100.0, 100.0, 100.0, 100.0])
+    v = PiecewiseLinear.constant(mesh, np.zeros(mesh.n_cells))
+    with pytest.raises(MeshError, match="exterior"):
+        check_weak_representation(zero_net(2), v, mesh, 0.01,
+                                  samples_per_cell=50, seed=0, compact=True)
 
 
 def test_convergence_affine_target_error_is_collar_level():
