@@ -15,7 +15,6 @@ from .networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
                        serialize, tnn_forward)
 from .compiler import (CellBump, compile_cell_bump, compile_compact_support,
                        compile_weak_representation, merge_duplicate_neurons,
-                       positive_combination_bruteforce,
                        positive_normal_combination, shift_t0, solve_mu)
 from .tensorfe import (CPFactors, TensorFE, TensorMesh, compile_1d_hat,
                        compile_tnn, cp_decompose, eval_tensor_fe,

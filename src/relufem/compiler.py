@@ -13,7 +13,6 @@ neurons belonging to the same directed hyperplane are merged afterwards.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,34 +47,6 @@ def positive_normal_combination(cell: ConvexCell) -> np.ndarray:
     if lam.min() < 1.0 - 1e-9:
         raise CompileError("LP returned lambda below 1")
     return lam
-
-
-def positive_combination_bruteforce(cell: ConvexCell):
-    """Independent oracle for the combination above (small facet counts).
-
-    Enumerates basic solutions of {W^T lam = 0, lam >= 1}: every vertex of
-    that (pointed) feasible set fixes m - n coordinates at 1 and solves the
-    square remainder. Returns a feasible lambda or None.
-    """
-    m, n = cell.W.shape
-    if m - n < 0:
-        return None
-    A = cell.W.T  # (n, m)
-    for ones in itertools.combinations(range(m), m - n):
-        free = [i for i in range(m) if i not in ones]
-        M = A[:, free]
-        if np.linalg.matrix_rank(M) < n:
-            continue
-        rhs = -A[:, ones] @ np.ones(len(ones)) if ones else np.zeros(n)
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ sol - rhs) > 1e-9 * (1.0 + np.linalg.norm(rhs)):
-            continue
-        lam = np.ones(m)
-        lam[free] = sol
-        if lam.min() >= 1.0 - 1e-9 and \
-                np.linalg.norm(A @ lam) <= 1e-9 * float(lam @ cell.norms):
-            return lam
-    return None
 
 
 def solve_mu(cell: ConvexCell, gradient) -> np.ndarray:
@@ -175,26 +146,16 @@ def _compile_bumps(mesh, v, R, epsilon):
 
 
 def _assemble(mesh, bumps, R, epsilon, use_output_bias, hull_bump=None):
-    """Stack bumps into the full (pre-merge) network."""
-    rows = []
-    b1 = []
-    tags = []
-    triplets = []
-    for ci, bump in enumerate(bumps):
-        col0 = len(b1)
-        for fi in range(bump.W_I.shape[0]):
-            rows.append(bump.W_I[fi])
-            b1.append(bump.b_I[fi])
-            tags.append((ci, fi))
-            triplets.append((ci, col0 + fi, bump.w_II[fi]))
+    """Stack bumps into the full (pre-merge) network: first-layer row r is
+    row r of the mesh's facet table, with the hull's facets appended."""
+    every = bumps + ([hull_bump] if hull_bump is not None else [])
+    b1 = np.concatenate([b.b_I for b in every])
+    triplets = np.column_stack([
+        np.repeat(np.arange(len(every)), [b.b_I.size for b in every]),
+        np.arange(b1.size),
+        np.concatenate([b.w_II for b in every])])
     NT = len(bumps)
     if hull_bump is not None:
-        col0 = len(b1)
-        for fi in range(hull_bump.W_I.shape[0]):
-            rows.append(hull_bump.W_I[fi])
-            b1.append(hull_bump.b_I[fi])
-            tags.append((-1, fi))
-            triplets.append((NT, col0 + fi, hull_bump.w_II[fi]))
         b2 = np.array([b.b_II for b in bumps] + [hull_bump.b_II])
         w3 = np.concatenate([np.ones(NT), [-1.0]])
         output_bias = None
@@ -209,6 +170,7 @@ def _assemble(mesh, bumps, R, epsilon, use_output_bias, hull_bump=None):
         w3 = np.concatenate([np.ones(NT), [-1.0]])
         output_bias = None
         mode = "weak"
+    hull = mesh.domain_hull if hull_bump is not None else None
     provenance = {
         "mode": mode,
         "mesh_hash": mesh.content_hash(),
@@ -218,11 +180,11 @@ def _assemble(mesh, bumps, R, epsilon, use_output_bias, hull_bump=None):
         "s": [b.provenance["s"] for b in bumps],
         "output_bias_mode": bool(use_output_bias),
         "merged": False,
-        "first_layer_tags": [list(t) for t in tags],
+        "first_layer_tags": mesh.facets(hull)[3],
     }
     if hull_bump is not None:
         provenance["t0_hull"] = hull_bump.provenance["t0"]
-    return ReluNet2(np.array(rows), np.array(b1), triplets, b2, w3,
+    return ReluNet2(np.vstack([b.W_I for b in every]), b1, triplets, b2, w3,
                     output_bias=output_bias, provenance=provenance)
 
 
@@ -236,36 +198,37 @@ def merge_duplicate_neurons(net: ReluNet2,
     merged neuron keeps the raw floats of the registry's representative
     facet, which makes the merge numerically exact for bit-identical
     duplicates.
+
+    First-layer row r of the unmerged net is row r of the registry's facet
+    table, as its tags must show. Terms that land on one (row, column) are
+    summed in storage order and kept where the first of them stood, so the
+    merged net sums the same floats in the same order as the unmerged one
+    (bitwise-equal for exact merges).
     """
     tags = net.provenance.get("first_layer_tags")
     if tags is None or len(tags) != net.h1:
         raise CompileError("network lacks first-layer facet tags")
-    epsilon = net.provenance["epsilon"]
-    entry_count = registry.size
-    W1 = np.zeros((entry_count, net.n))
-    b1 = np.zeros(entry_count)
-    for e, entry in enumerate(registry.entries):
-        W1[e] = entry.rep_normal
-        b1[e] = entry.rep_offset - epsilon * np.linalg.norm(entry.rep_normal)
-    col_of = np.zeros(net.h1, dtype=int)
-    scale_of = np.zeros(net.h1)
-    for row, tag in enumerate(tags):
-        key = (int(tag[0]), int(tag[1]))
-        if key not in registry.facet_entry:
-            raise CompileError(f"facet tag {key} missing from registry")
-        col_of[row] = registry.facet_entry[key]
-        scale_of[row] = registry.facet_scale[key]
-    merged: dict[tuple[int, int], float] = {}
-    for r, c, v in zip(net.W2_rows, net.W2_cols, net.W2_vals):
-        key = (int(r), int(col_of[c]))
-        merged[key] = merged.get(key, 0.0) + v * scale_of[c]
-    # keep pre-merge term order inside every row so the merged net sums
-    # the same floats in the same order (bitwise-equal for exact merges)
-    triplets = [(r, c, v) for (r, c), v in merged.items()]
+    if not np.array_equal(np.asarray(tags, dtype=int), registry.tags[:net.h1]):
+        raise CompileError(
+            "first-layer facet tags do not match the registry's facet table")
+    rep = registry.rep
+    W1 = registry.W[rep]
+    b1 = registry.b[rep] - net.provenance["epsilon"] * registry.norms[rep]
+    rows = net.W2_rows
+    cols = registry.entry[net.W2_cols]
+    vals = net.W2_vals * registry.scale[net.W2_cols]
+    _, first, slot = np.unique(rows * registry.size + cols, return_index=True,
+                               return_inverse=True)
+    # merged terms in order of first occurrence, each summed from 0.0
+    order = np.argsort(first)
+    merged = np.zeros(order.size)
+    np.add.at(merged, np.argsort(order)[slot.reshape(-1)], vals)
+    keep = first[order]
     provenance = dict(net.provenance)
     provenance.pop("first_layer_tags", None)
     provenance["merged"] = True
-    return ReluNet2(W1, b1, triplets, net.b2.copy(), net.w3.copy(),
+    return ReluNet2(W1, b1, np.column_stack([rows[keep], cols[keep], merged]),
+                    net.b2.copy(), net.w3.copy(),
                     output_bias=net.output_bias, provenance=provenance)
 
 

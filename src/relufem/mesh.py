@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from . import docio, lp
 from .errors import DocumentError, MeshError
@@ -334,116 +334,94 @@ def shrink_cell(cell: ConvexCell, epsilon: float) -> ConvexCell:
     return cell.shrink(epsilon)
 
 
-@dataclass
-class RegistryEntry:
-    """One directed hyperplane in canonical (unit-normal) coordinates.
-
-    `rep_normal`/`rep_offset` keep the raw data of the first facet mapped
-    here, so merged network neurons can reuse those exact floats.
-    """
-
-    unit_normal: np.ndarray
-    unit_offset: float
-    rep_normal: np.ndarray
-    rep_offset: float
-    undirected_id: int = -1
-    interior: bool = False
-
-
 class DirectedHyperplaneRegistry:
-    """Canonical list of the directed hyperplanes supporting mesh facets."""
+    """Canonical list of the directed hyperplanes supporting mesh facets.
+
+    The facets are the rows of a stacked facet table (W, b, starts, tags;
+    see PolytopeMesh.facets), keyed by (unit normal, unit offset). Facet by
+    facet in table order, each maps to the first entry whose representative
+    (first-inserted) key is within `tol` of its own in every coordinate, or
+    else founds a new entry. All state is arrays:
+
+    - per facet: `entry`, and `scale` = |w| / |w_rep| (1.0 for a
+      bit-identical copy of the representative), and `norms` = |w|;
+    - per entry: `rep`, the table row of its representative, and
+      `undirected` and `interior` from pairing each entry with the first
+      entry within `tol` of its reversed key.
+    """
 
     def __init__(self, tol=DEDUP_TOL):
         self.tol = tol
-        self.entries: list[RegistryEntry] = []
-        self.facet_entry: dict[tuple[int, int], int] = {}
-        self.facet_scale: dict[tuple[int, int], float] = {}
-        self._units = np.zeros((0, 0))
-        self._offsets = np.zeros(0)
-        self.interior_count = 0
-        self.boundary_count = 0
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    def _find(self, u: np.ndarray, beta: float) -> int:
-        if not self.entries:
-            return -1
-        d = np.max(np.abs(self._units - u), axis=1)
-        mask = (d <= self.tol) & (np.abs(self._offsets - beta) <= self.tol)
-        hits = np.nonzero(mask)[0]
-        return int(hits[0]) if hits.size else -1
-
-    def _add(self, u, beta, w, b) -> int:
-        self.entries.append(RegistryEntry(u, beta, w.copy(), float(b)))
-        if self._units.size == 0:
-            self._units = u[None, :].copy()
-        else:
-            self._units = np.vstack([self._units, u])
-        self._offsets = np.append(self._offsets, beta)
-        return len(self.entries) - 1
-
-    def insert_facet(self, key: tuple[int, int], w: np.ndarray, b: float) -> int:
-        nw = float(np.linalg.norm(w))
-        u = w / nw
-        beta = b / nw
-        idx = self._find(u, beta)
-        if idx < 0:
-            idx = self._add(u, beta, w, b)
-            scale = 1.0
-        else:
-            entry = self.entries[idx]
-            if w.shape == entry.rep_normal.shape and np.array_equal(w, entry.rep_normal) \
-                    and b == entry.rep_offset:
-                scale = 1.0
-            else:
-                scale = nw / float(np.linalg.norm(entry.rep_normal))
-        self.facet_entry[key] = idx
-        self.facet_scale[key] = scale
-        return idx
-
-    def classify(self):
-        """Pair each entry with its reversed orientation; set interior flags."""
-        undirected = -np.ones(len(self.entries), dtype=int)
-        next_id = 0
-        for i, e in enumerate(self.entries):
-            if undirected[i] >= 0:
-                continue
-            undirected[i] = next_id
-            j = self._find(-e.unit_normal, -e.unit_offset)
-            if j >= 0 and j != i and undirected[j] < 0:
-                undirected[j] = next_id
-                e.interior = True
-                self.entries[j].interior = True
-            next_id += 1
-        for i, e in enumerate(self.entries):
-            e.undirected_id = int(undirected[i])
-        ids_interior = {e.undirected_id for e in self.entries if e.interior}
-        ids_all = {e.undirected_id for e in self.entries}
-        self.interior_count = len(ids_interior)
-        self.boundary_count = len(ids_all) - len(ids_interior)
+        return len(self.rep)
 
     @classmethod
     def build(cls, mesh: "PolytopeMesh", tol=DEDUP_TOL,
               hull: "ConvexCell | None" = None) -> "DirectedHyperplaneRegistry":
         reg = cls(tol=tol)
-        for ci, cell in enumerate(mesh.cells):
-            for fi in range(cell.m):
-                reg.insert_facet((ci, fi), cell.W[fi], float(cell.b[fi]))
-        if hull is not None:
-            for fi in range(hull.m):
-                reg.insert_facet((-1, fi), hull.W[fi], float(hull.b[fi]))
+        reg.W, reg.b, reg.starts, reg.tags = mesh.facets(hull)
+        W, b = reg.W, reg.b
+        # one norm per vector: the row-wise norm can round differently in
+        # the last ulp, which would move the merged first-layer biases
+        reg.norms = norms = np.array([np.linalg.norm(w) for w in W])
+        keys = np.column_stack([W, b]) / norms[:, None]
+        # equal keys share an entry, so only distinct keys enter the search,
+        # in order of first appearance: a Freudenthal grid has few
+        # hyperplanes, each shared by many facets
+        distinct, first, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        # one max-norm ball query (Bentley 1975), hits in increasing order
+        hits = cKDTree(distinct[order]).query_ball_point(
+            distinct[order], r=tol, p=np.inf, return_sorted=True)
+        # a key joins the first earlier founder within tol, as the first
+        # match of a scan over the entries would, or founds an entry
+        founder = np.zeros(order.size, dtype=bool)
+        root = np.arange(order.size)
+        for f, near in enumerate(hits):
+            root[f] = next(g for g in near if founder[g] or g == f)
+            founder[f] = root[f] == f
+        entry_of_key = (np.cumsum(founder) - 1)[root]
+        reg.entry = entry_of_key[np.argsort(order)][inverse.reshape(-1)]
+        reg.rep = first[order[founder]]
+        rep = reg.rep[reg.entry]
+        same = np.all(W == W[rep], axis=1) & (b == b[rep])
+        reg.scale = np.where(same, 1.0, norms / norms[rep])
         reg.classify()
         return reg
+
+    def classify(self):
+        """Pair each entry with the first entry within tol of its reversed
+        key when neither is paired yet; set `undirected`, `interior` and
+        the interior and boundary hyperplane counts."""
+        keys = np.column_stack([self.W, self.b])[self.rep] \
+            / self.norms[self.rep, None]
+        opposite = cKDTree(keys).query_ball_point(
+            -keys, r=self.tol, p=np.inf, return_sorted=True)
+        self.undirected = np.full(self.size, -1)
+        self.interior = np.zeros(self.size, dtype=bool)
+        next_id = 0
+        for i, near in enumerate(opposite):
+            if self.undirected[i] >= 0:
+                continue
+            self.undirected[i] = next_id
+            j = near[0] if near else i
+            if j != i and self.undirected[j] < 0:
+                self.undirected[j] = next_id
+                self.interior[[i, j]] = True
+            next_id += 1
+        self.interior_count = int(self.interior.sum()) // 2
+        self.boundary_count = next_id - self.interior_count
 
 
 def build_registry(mesh: "PolytopeMesh", tol=DEDUP_TOL,
                    hull: "ConvexCell | None" = None) -> DirectedHyperplaneRegistry:
     """Canonicalize and dedup all mesh facets; size equals 2*H_i + H_b.
 
-    With a hull, its facets join under keys (-1, i); hull facets that are
-    not already mesh facets enlarge the registry.
+    With a hull, its facets join as the table's last block (tagged -1);
+    hull facets that are not already mesh facets enlarge the registry.
     """
     return DirectedHyperplaneRegistry.build(mesh, tol=tol, hull=hull)
 
@@ -518,15 +496,34 @@ class PolytopeMesh:
     def volume(self) -> float:
         return float(sum(c.volume() for c in self.cells))
 
+    def facets(self, hull: ConvexCell | None = None):
+        """The stacked facet table (W, b, starts, tags) by whose rows every
+        module numbers the mesh's facets: each cell's facets in cell order,
+        cell c's from row starts[c], then the hull's as one last block when
+        a hull is given. tags[r] is the (cell, facet) of row r, with cell
+        -1 for the hull."""
+        if self._facets is None:
+            sizes = [c.m for c in self.cells]
+            cell = np.repeat(np.arange(self.n_cells), sizes)
+            starts = np.cumsum([0] + sizes[:-1])
+            facet = np.arange(cell.size) - starts[cell]
+            self._facets = (np.vstack([c.W for c in self.cells]),
+                            np.concatenate([c.b for c in self.cells]),
+                            starts, np.column_stack([cell, facet]))
+            for a in self._facets:
+                a.flags.writeable = False
+        if hull is None:
+            return self._facets
+        W, b, starts, tags = self._facets
+        hull_tags = np.column_stack([np.full(hull.m, -1), np.arange(hull.m)])
+        return (np.vstack([W, hull.W]), np.concatenate([b, hull.b]),
+                np.append(starts, b.size), np.vstack([tags, hull_tags]))
+
     def containing(self, X, tol=1e-12):
         """(first containing cell or -1, number of containing cells) per
         point; cell c contains x when ConvexCell.contains(x, tol) holds."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._facets is None:
-            self._facets = (np.vstack([c.W for c in self.cells]),
-                            np.concatenate([c.b for c in self.cells]),
-                            np.cumsum([0] + [c.m for c in self.cells[:-1]]))
-        W, b, starts = self._facets
+        W, b, starts, _ = self.facets()
         first = np.empty(X.shape[0], dtype=int)
         count = np.empty(X.shape[0], dtype=int)
         step = max(1, CHUNK_ELEMENTS // len(b))

@@ -29,11 +29,13 @@ def relu(x):
 class ReluNet2:
     """x -> w3 @ relu(W2 @ relu(W1 @ x + b1) + b2) (+ output_bias).
 
-    W2 is kept as (row, col, value) triplets, grouped by row with the
-    original order kept inside a row. The forward pass multiplies by each
-    layer as a CSR matrix built in that storage order (W1 and w3 row by
-    row, W2 from the triplets as they stand), and scipy's CSR product sums
-    each row's terms left to right in storage order. Every output is
+    W2 is given as an array of (row, col, value) triplets with integral
+    rows and columns, and kept as the read-only arrays W2_rows, W2_cols
+    and W2_vals, grouped by row with the original order kept inside a
+    row. The forward pass multiplies by each layer as a CSR matrix built
+    in that storage order (W1 and w3 row by row, W2 from the triplets as
+    they stand), and scipy's CSR product sums each row's terms left to
+    right in storage order. Every output is
     therefore the same float whatever batch or chunk its point falls in,
     and evaluation stays bit-stable under serialization and under the
     duplicate-neuron merge.
@@ -47,17 +49,12 @@ class ReluNet2:
         self.w3 = np.asarray(w3, dtype=float).reshape(-1)
         self.output_bias = None if output_bias is None else float(output_bias)
         self.provenance = provenance or {}
-        rows, cols, vals = [], [], []
-        for r, c, v in W2_triplets:
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-        rows = np.asarray(rows, dtype=int)
-        order = np.argsort(rows, kind="stable") if rows.size else np.zeros(0, int)
-        self.W2_rows = rows[order]
-        self.W2_cols = np.asarray(cols, dtype=int)[order]
-        self.W2_vals = np.asarray(vals, dtype=float)[order]
-        self._validate()
+        T = np.asarray(W2_triplets, dtype=float).reshape(-1, 3)
+        T = T[np.argsort(T[:, 0], kind="stable")]
+        self._validate(T)
+        self.W2_rows = T[:, 0].astype(int)
+        self.W2_cols = T[:, 1].astype(int)
+        self.W2_vals = T[:, 2].copy()
         # from the stored order as it stands: no sum_duplicates or
         # sort_indices, which would reorder the terms of a row
         indptr = np.searchsorted(self.W2_rows, np.arange(self.h2 + 1))
@@ -68,26 +65,31 @@ class ReluNet2:
             sparse.csr_matrix(self.w3[None, :]))
         # scipy's sparse maximum, minimum and abs sort a matrix's indices in
         # place, which would reorder the terms of a row and change the
-        # output bits; read-only arrays make such a call fail instead
+        # output bits; read-only arrays make such a call fail instead. The
+        # triplet arrays are frozen too: W2_vals is the layer's data.
+        for a in (self.W2_rows, self.W2_cols, self.W2_vals):
+            a.flags.writeable = False
         for layer in self._layers:
             for a in (layer.data, layer.indices, layer.indptr):
                 a.flags.writeable = False
 
-    def _validate(self):
+    def _validate(self, T):
         if self.h1 < 1 or self.h2 < 1:
             raise DocumentError("hidden layers must be non-empty")
         if self.b1.shape[0] != self.h1:
             raise DocumentError("b1 length does not match W1")
         if self.w3.shape[0] != self.h2:
             raise DocumentError("w3 length does not match b2")
-        arrays = [self.W1, self.b1, self.b2, self.w3, self.W2_vals]
+        arrays = [self.W1, self.b1, self.b2, self.w3, T]
         if any(not np.all(np.isfinite(a)) for a in arrays):
             raise DocumentError("network weights must be finite")
-        if self.W2_rows.size:
-            if self.W2_rows.min() < 0 or self.W2_rows.max() >= self.h2:
-                raise DocumentError("W2 triplet row out of range")
-            if self.W2_cols.min() < 0 or self.W2_cols.max() >= self.h1:
-                raise DocumentError("W2 triplet column out of range")
+        rows, cols = T[:, 0], T[:, 1]
+        if np.any(rows % 1 != 0) or np.any(cols % 1 != 0):
+            raise DocumentError("W2 triplet rows and columns must be integers")
+        if np.any(rows < 0) or np.any(rows >= self.h2):
+            raise DocumentError("W2 triplet row out of range")
+        if np.any(cols < 0) or np.any(cols >= self.h1):
+            raise DocumentError("W2 triplet column out of range")
 
     @property
     def n(self) -> int:
@@ -159,10 +161,9 @@ class ReluNet2:
         b1 = docio.as_float_array(docio.get(doc, "b1"), "b1", (h1,))
         b2 = docio.as_float_array(docio.get(doc, "b2"), "b2", (h2,))
         w3 = docio.as_float_array(docio.get(doc, "w3"), "w3", (h2,))
-        trip = docio.get(doc, "W2", list)
-        for t in trip:
-            if not (isinstance(t, list) and len(t) == 3):
-                raise DocumentError("W2 triplets must be [row, col, value]")
+        trip = docio.as_float_array(docio.get(doc, "W2", list), "W2")
+        if trip.size and (trip.ndim != 2 or trip.shape[1] != 3):
+            raise DocumentError("W2 triplets must be [row, col, value]")
         ob = doc.get("output_bias")
         net = cls(W1, b1, trip, b2, w3,
                   output_bias=None if ob is None else float(ob),

@@ -11,7 +11,6 @@ import pytest
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation,
                               merge_duplicate_neurons,
-                              positive_combination_bruteforce,
                               positive_normal_combination)
 from relufem.mesh import freudenthal_mesh, min_inradius
 from relufem.meshgen import (demo_polygon_mesh, demo_simplex_mesh,
@@ -20,6 +19,8 @@ from relufem.meshgen import (demo_polygon_mesh, demo_simplex_mesh,
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import TensorFE, TensorMesh, compile_1d_hat, compile_tnn
 from relufem.verify import check_weak_representation, convergence_experiment
+
+from oracles import positive_combination_bruteforce
 
 
 def criterion(num, passed, description):

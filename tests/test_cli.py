@@ -228,6 +228,25 @@ def test_eval_requires_points_object(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("triplet", [
+    '["0", 0, 1.0]', '[true, 0, 1.0]', '[0.9, 0, 1.0]', '[0, 0.5, 1.0]',
+    '[0, 0, "1.5"]', '[0, 0, %s]' % ("1" * 401), '[0, 0]'],
+    ids=["row string", "row bool", "row fraction", "column fraction",
+         "value string", "value huge int", "short triplet"])
+def test_malformed_w2_triplet_exits_2(tmp_path, capsys, triplet):
+    """A W2 row or column that is not an integer, or a value that is not a
+    float, is refused with exit 2 naming W2, not read as a number."""
+    (tmp_path / "net.json").write_text(
+        '{"arch": "fnn2", "n": 1, "h1": 2, "h2": 2, "W1": [[1.0], [-1.0]], '
+        '"b1": [0.0, 0.0], "W2": [[1, 1, 1.0], %s], "b2": [0.0, 0.0], '
+        '"w3": [1.0, 1.0], "output_bias": null, "provenance": {}}' % triplet)
+    docio.save({"points": [[0.5]]}, tmp_path / "pts.json")
+    rc = main(["eval", "--network", str(tmp_path / "net.json"),
+               "--points", str(tmp_path / "pts.json")])
+    assert rc == 2
+    assert "W2" in capsys.readouterr().err
+
+
 # --- malformed numbers in the input documents ---------------------------------
 
 HUGE_INT = "1" * 401

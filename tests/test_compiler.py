@@ -6,13 +6,14 @@ import pytest
 from relufem.compiler import (compile_cell_bump, compile_compact_support,
                               compile_weak_representation,
                               merge_duplicate_neurons,
-                              positive_combination_bruteforce,
                               positive_normal_combination, shift_t0, solve_mu)
 from relufem.errors import CompileError, ConditioningWarning
 from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
                           min_inradius, sample_cells)
 from relufem.meshgen import random_simplex_mesh
 from relufem.pwl import AffinePiece, PiecewiseLinear, nodal_linear
+
+from oracles import positive_combination_bruteforce
 
 INTERVAL = ConvexCell([[1.0], [-1.0]], [0.0, 1.0])
 SQUARE = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -244,7 +245,7 @@ def test_merge_positive_multiple_duplicate():
                        [0.0, 1.0, -1.0, 2.0])
     mesh = PolytopeMesh(2, [lower, upper])
     reg = mesh.registry()
-    assert reg.facet_scale[(1, 0)] == pytest.approx(2.0, rel=1e-12)
+    assert reg.scale[reg.starts[1] + 0] == pytest.approx(2.0, rel=1e-12)
     v = PiecewiseLinear.constant(mesh, [0.5, -0.25])
     pre = compile_weak_representation(mesh, v, 0.02, merge=False)
     post = merge_duplicate_neurons(pre, reg)

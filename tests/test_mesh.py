@@ -101,11 +101,11 @@ def test_registry_merges_positive_multiple():
         [0.0, 1.0, -1.0, 2.0])
     mesh = PolytopeMesh(2, [lower, upper])
     reg = build_registry(mesh)
-    key_lower = reg.facet_entry[(0, 0)]
-    key_upper = reg.facet_entry[(1, 0)]
+    key_lower = reg.entry[reg.starts[0] + 0]
+    key_upper = reg.entry[reg.starts[1] + 0]
     assert key_lower == key_upper
-    assert reg.facet_scale[(0, 0)] == 1.0
-    assert reg.facet_scale[(1, 0)] == pytest.approx(2.0, rel=1e-12)
+    assert reg.scale[reg.starts[0] + 0] == 1.0
+    assert reg.scale[reg.starts[1] + 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_registry_with_hull_adds_only_new_facets():
@@ -116,7 +116,7 @@ def test_registry_with_hull_adds_only_new_facets():
                         [1.0, 2.0, 1.0, 2.0])
     reg = build_registry(mesh, hull=bigger)
     assert reg.size == mesh.registry().size + 4
-    assert reg.facet_entry[(-1, 0)] >= mesh.registry().size
+    assert reg.entry[reg.starts[-1] + 0] >= mesh.registry().size
 
 
 def test_registry_idempotent():
@@ -156,7 +156,7 @@ def test_registry_count_identity_holds_everywhere():
                  freudenthal_mesh(3, 2)):
         reg = mesh.registry()
         assert reg.size == 2 * reg.interior_count + reg.boundary_count
-        undirected = {e.undirected_id for e in reg.entries}
+        undirected = set(reg.undirected.tolist())
         assert len(undirected) == reg.interior_count + reg.boundary_count
 
 

@@ -272,4 +272,9 @@ def test_fnn_layers_are_frozen():
         for layer in net._layers:
             for a in (layer.data, layer.indices, layer.indptr):
                 assert not a.flags.writeable
+        # W2_vals is the second layer's data: an edit would change outputs
+        for a in (net.W2_rows, net.W2_cols, net.W2_vals):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] *= 2
         np.testing.assert_array_equal(net(X), y)
