@@ -9,13 +9,12 @@ from .mesh import (ConvexCell, DirectedHyperplaneRegistry, Halfspace,
                    freudenthal_mesh, min_inradius, sample_cells,
                    sample_exterior, sample_mesh, sample_shrunk_domain,
                    shrink_cell, validate_mesh)
-from .pwl import (AffinePiece, EvalResult, PiecewiseLinear, eval_pwl,
-                  nodal_linear, sup_norm)
+from .pwl import (EvalResult, PiecewiseLinear, eval_pwl, nodal_linear,
+                  sup_norm)
 from .networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
                        serialize, tnn_forward)
-from .compiler import (CellBump, compile_cell_bump, compile_compact_support,
-                       compile_weak_representation, merge_duplicate_neurons,
-                       positive_normal_combination, shift_t0, solve_mu)
+from .compiler import (Bumps, compile_bumps, compile_compact_support,
+                       compile_weak_representation, merge_duplicate_neurons)
 from .tensorfe import (CPFactors, TensorFE, TensorMesh, compile_1d_hat,
                        compile_tnn, cp_decompose, eval_tensor_fe,
                        matricization_rank_bound)

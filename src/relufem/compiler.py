@@ -5,24 +5,28 @@ For every cell the compiler builds a compactly supported "bump"
 subnetwork equal to v + R strictly inside the cell, bounded by 2R in the
 epsilon collar, and zero outside; summing the bumps against a constant -R
 reproduces v away from cell boundaries while keeping |f| <= R. The exact
-ingredients per cell: a strictly positive combination of the facet normals
-summing to zero, a least-norm solution of normals @ mu = -gradient, and a
-shift t0 large enough to kill the bump outside the cell. First-layer
-neurons belonging to the same directed hyperplane are merged afterwards.
+ingredients per cell: a strictly positive combination lambda of the facet
+normals summing to zero (the cell's cached fact), a least-norm solution of
+normals @ mu = -gradient, and a shift t0 large enough to kill the bump
+outside the cell. Every bump is compiled at once, as arrays over the rows
+of the mesh's facet table (PolytopeMesh.facets), so first-layer row r is
+table row r; the compact-support hull bump is the table's last block.
+First-layer neurons belonging to the same directed hyperplane are merged
+afterwards.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CompileError, ConditioningWarning
 from .mesh import (ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh,
                    build_registry)
-from .networks import ReluNet2, relu
-from .pwl import AffinePiece, PiecewiseLinear
+from .networks import ReluNet2
+from .pwl import PiecewiseLinear
 
 # multiplied onto t0 to absorb rounding in the exterior <= 0 inequality
 T0_SAFETY = 1.0 + 1e-9
@@ -30,162 +34,160 @@ T0_SAFETY = 1.0 + 1e-9
 WEIGHT_GUARD = 1e12
 
 
-def positive_normal_combination(cell: ConvexCell) -> np.ndarray:
-    """Strictly positive lambda with sum_i lambda_i w_i = 0 and lambda >= 1.
+class Bumps(NamedTuple):
+    """Every bump of one compile: per facet-table row lam, mu, b_I and w_II,
+    per cell s, t0 and b_II. Cell c's bump is
+    x -> relu(w_II . relu(W x + b_I) + b_II) over its rows."""
 
-    This is the cell's cached combination, checked; its absence means the
-    cell is unbounded or degenerate.
-    """
-    lam = cell.normal_combination()
-    if lam is None:
-        raise CompileError(
-            "no positive zero-sum combination of facet normals exists "
-            "(cell unbounded or degenerate)")
-    combo = cell.W.T @ lam
-    if np.linalg.norm(combo) > 1e-10 * float(lam @ cell.norms):
-        raise CompileError("facet-normal combination residual too large")
-    if lam.min() < 1.0 - 1e-9:
-        raise CompileError("LP returned lambda below 1")
-    return lam
-
-
-def solve_mu(cell: ConvexCell, gradient) -> np.ndarray:
-    """Least-norm mu with (w_1^T ... w_m^T) mu = -gradient^T."""
-    a = np.asarray(gradient, dtype=float).reshape(-1)
-    A = cell.W.T  # (n, m)
-    mu, _, rank, _ = np.linalg.lstsq(A, -a, rcond=None)
-    if rank < cell.dim:
-        raise CompileError(
-            f"facet normal matrix is rank deficient ({rank} < {cell.dim})")
-    if np.linalg.norm(A @ mu + a) > 1e-10 * (1.0 + np.linalg.norm(a)):
-        raise CompileError("mu residual too large")
-    return mu
-
-
-def shift_t0(cell: ConvexCell, mu, lam, c: float, R: float, epsilon: float):
-    """(s, t0): s makes mu + s*lam positive, t0 kills the bump outside.
-
-    t0 is the closed-form value
-    max((|sum (mu_i + s lam_i) b_i + c + R| + sum eps |mu_i||w_i|)
-        / min_i eps lam_i |w_i|, s + 1).
-    """
-    if epsilon <= 0:
-        raise CompileError("epsilon must be > 0 (t0 divides by eps*lam*|w|)")
-    mu = np.asarray(mu, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    s = float(np.max(np.abs(mu / lam))) + 1.0
-    numerator = abs(float((mu + s * lam) @ cell.b) + c + R) \
-        + epsilon * float(np.abs(mu) @ cell.norms)
-    denominator = epsilon * float(np.min(lam * cell.norms))
-    t0 = max(numerator / denominator, s + 1.0)
-    return s, t0
-
-
-@dataclass
-class CellBump:
-    """One-cell subnetwork x -> relu(w_II @ relu(W_I x + b_I) + b_II)."""
-
-    W_I: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
     b_I: np.ndarray
     w_II: np.ndarray
-    b_II: float
-    provenance: dict = field(default_factory=dict)
-
-    def value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return relu(relu(X @ self.W_I.T + self.b_I) @ self.w_II + self.b_II)
+    s: np.ndarray
+    t0: np.ndarray
+    b_II: np.ndarray
 
 
-def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
-                      epsilon: float, cell_index: int = 0) -> CellBump:
-    """Bump equal to v + R on the shrunk cell, in [0, 2R] on the collar,
-    zero outside the cell."""
-    lam = positive_normal_combination(cell)
-    mu = solve_mu(cell, piece.gradient)
-    c = float(piece.constant)
-    s, t0 = shift_t0(cell, mu, lam, c, R, epsilon)
-    t_used = t0 * T0_SAFETY
-    coeff = mu + t_used * lam
-    if coeff.min() <= 0.0:
-        raise CompileError(f"cell {cell_index}: shifted weights not positive")
-    b_I = cell.b - epsilon * cell.norms
-    w_II = -coeff
+def _name(c, n_cells):
+    """Cell c of the facet table, where the hull is the cell after the
+    mesh's."""
+    return "domain hull" if c == n_cells else f"cell {c}"
+
+
+def _refuse(bad, message, n_cells):
+    """CompileError naming the first cell flagged in `bad`."""
+    if np.any(bad):
+        raise CompileError(f"{_name(int(np.argmax(bad)), n_cells)}: {message}")
+
+
+def _dot(groups, x, y):
+    """x . y over each cell's rows, by the stacked form of x[rows] @ y[rows],
+    which runs the same dot kernel and so gives the same bits."""
+    out = np.empty(sum(len(cells) for cells, _ in groups))
+    for cells, rows in groups:
+        out[cells] = np.matmul(x[rows][:, None], y[rows][..., None])[:, 0, 0]
+    return out
+
+
+def _least_norm(groups, W, gradients):
+    """Least-norm mu with W_c^T mu_c = -a_c for every cell c, and the rank
+    of W_c, stacked per group, both with lstsq's cut-off (singular values
+    up to eps * max(n, m) times the largest count as zero)."""
+    mu = np.empty(len(W))
+    rank = np.empty(len(gradients), dtype=int)
+    for cells, rows in groups:
+        A = W[rows].transpose(0, 2, 1)
+        pinv = np.linalg.pinv(A, np.finfo(float).eps * max(A.shape[1:]))
+        mu[rows] = np.matmul(pinv, -gradients[cells, :, None])[..., 0]
+        rank[cells] = np.linalg.matrix_rank(A)
+    return mu, rank
+
+
+def compile_bumps(mesh: PolytopeMesh, v: PiecewiseLinear, R: float,
+                  epsilon: float, hull: ConvexCell | None = None) -> Bumps:
+    """Every cell's bump at once, plus, when a hull is given, the hull's
+    bump for the constant R/2 with sup norm R/2 (plateau R).
+
+    Per cell: lambda from the cached fact; s = max|mu/lambda| + 1 makes
+    mu + s lambda positive; t0 is the closed-form value
+    max((|sum (mu_i + s lam_i) b_i + c + R| + sum eps |mu_i||w_i|)
+        / min_i eps lam_i |w_i|, s + 1), times T0_SAFETY. Each check runs
+    over all cells and raises CompileError naming the first that fails.
+    """
+    if epsilon <= 0:
+        raise CompileError("epsilon must be > 0")
+    if v.mesh is not mesh:
+        raise CompileError("function is not defined on the given mesh")
+    N = mesh.n_cells
+    r = np.array([cell.inradius() for cell in mesh.cells])
+    _refuse(~(r > epsilon), f"shrinks to empty: epsilon {epsilon} too large", N)
+    W, b, starts, _ = mesh.facets(hull)
+    table_cells = mesh.cells + ([hull] if hull is not None else [])
+    sizes = np.diff(np.append(starts, len(b)))
+    row_cell = np.repeat(np.arange(len(table_cells)), sizes)
+    # cells grouped by facet count m, with their table rows, shape (k, m)
+    groups = [(cells, starts[cells, None] + np.arange(m))
+              for m in np.unique(sizes) for cells in [np.flatnonzero(sizes == m)]]
+    gradients, c, Rc = v.gradients, v.constants, np.full(len(table_cells), R)
+    if hull is not None:
+        gradients = np.vstack([gradients, np.zeros(W.shape[1])])
+        c = np.append(c, R / 2.0)
+        Rc[-1] = R / 2.0
+    norms = np.linalg.norm(W, axis=1)
+
+    lams = [cell.normal_combination() for cell in table_cells]
+    _refuse([lam is None for lam in lams],
+            "no positive zero-sum combination of facet normals exists "
+            "(cell unbounded or degenerate)", N)
+    lam = np.concatenate(lams)
+    combo = np.linalg.norm(np.add.reduceat(lam[:, None] * W, starts), axis=1)
+    _refuse(combo > 1e-10 * np.add.reduceat(lam * norms, starts),
+            "facet-normal combination residual too large", N)
+    _refuse(np.minimum.reduceat(lam, starts) < 1.0 - 1e-9,
+            "normal combination has lambda below 1", N)
+
+    mu, rank = _least_norm(groups, W, gradients)
+    n = mesh.dimension
+    _refuse(rank < n, "facet normal matrix is rank deficient "
+            f"({rank[np.argmax(rank < n)]} < {n})", N)
+    resid = np.linalg.norm(np.add.reduceat(mu[:, None] * W, starts)
+                           + gradients, axis=1)
+    _refuse(resid > 1e-10 * (1.0 + np.linalg.norm(gradients, axis=1)),
+            "mu residual too large", N)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        b_II = float(coeff @ b_I) + c + R
-    if not (np.all(np.isfinite(w_II)) and np.isfinite(b_II)):
-        raise CompileError(
-            f"cell {cell_index}: weights overflow the float range for "
-            f"R = sup|v| = {R:.3e}")
-    if np.max(np.abs(w_II)) > WEIGHT_GUARD:
+        s = np.maximum.reduceat(np.abs(mu / lam), starts) + 1.0
+        numerator = np.abs(_dot(groups, mu + s[row_cell] * lam, b) + c + Rc) \
+            + epsilon * _dot(groups, np.abs(mu), norms)
+        denominator = epsilon * np.minimum.reduceat(lam * norms, starts)
+        t0 = np.maximum(numerator / denominator, s + 1.0) * T0_SAFETY
+        coeff = mu + t0[row_cell] * lam
+        b_I = b - epsilon * norms
+        b_II = _dot(groups, coeff, b_I) + c + Rc
+    _refuse(np.minimum.reduceat(coeff, starts) <= 0.0,
+            "shifted weights not positive", N)
+    big = np.maximum.reduceat(np.abs(coeff), starts)
+    _refuse(~(np.isfinite(big) & np.isfinite(b_II)),
+            f"weights overflow the float range for R = sup|v| = {R:.3e}", N)
+    for ci in np.flatnonzero(big > WEIGHT_GUARD):
         warnings.warn(
-            f"cell {cell_index}: second-layer weight magnitude "
-            f"{np.max(np.abs(w_II)):.3e} exceeds {WEIGHT_GUARD:.0e}; tiny "
-            f"epsilon relative to the cell makes the construction "
+            f"{_name(ci, N)}: second-layer weight magnitude "
+            f"{big[ci]:.3e} exceeds {WEIGHT_GUARD:.0e}; "
+            f"tiny epsilon relative to the cell makes the construction "
             f"ill-conditioned", ConditioningWarning)
-    return CellBump(
-        W_I=cell.W.copy(),
-        b_I=b_I,
-        w_II=w_II,
-        b_II=b_II,
-        provenance={"cell_index": cell_index, "t0": t_used, "t0_formula": t0,
-                    "s": s, "mu": mu, "lam": lam, "epsilon": epsilon,
-                    "R": R, "c": c},
-    )
+    return Bumps(lam, mu, b_I, -coeff, s, t0, b_II)
 
 
-def _check_shrunk_nonempty(mesh: PolytopeMesh, epsilon: float):
-    for ci, cell in enumerate(mesh.cells):
-        if not cell.inradius() > epsilon:
-            raise CompileError(
-                f"epsilon {epsilon} too large: cell {ci} shrinks to empty")
-
-
-def _compile_bumps(mesh, v, R, epsilon):
-    return [compile_cell_bump(cell, v.piece(ci), R, epsilon, cell_index=ci)
-            for ci, cell in enumerate(mesh.cells)]
-
-
-def _assemble(mesh, bumps, R, epsilon, use_output_bias, hull_bump=None):
-    """Stack bumps into the full (pre-merge) network: first-layer row r is
-    row r of the mesh's facet table, with the hull's facets appended."""
-    every = bumps + ([hull_bump] if hull_bump is not None else [])
-    b1 = np.concatenate([b.b_I for b in every])
-    triplets = np.column_stack([
-        np.repeat(np.arange(len(every)), [b.b_I.size for b in every]),
-        np.arange(b1.size),
-        np.concatenate([b.w_II for b in every])])
-    NT = len(bumps)
-    if hull_bump is not None:
-        b2 = np.array([b.b_II for b in bumps] + [hull_bump.b_II])
-        w3 = np.concatenate([np.ones(NT), [-1.0]])
-        output_bias = None
-        mode = "compact"
-    elif use_output_bias:
-        b2 = np.array([b.b_II for b in bumps])
-        w3 = np.ones(NT)
-        output_bias = -R
-        mode = "weak"
+def _assemble(mesh, v, epsilon, use_output_bias, hull=None):
+    """The full (pre-merge) network, straight from the bump arrays:
+    first-layer row r is row r of the facet table and feeds the
+    second-layer row of its cell (the hull's is row N_cells)."""
+    R = v.sup_norm()
+    bumps = compile_bumps(mesh, v, R, epsilon, hull)
+    W, _, _, tags = mesh.facets(hull)
+    N = mesh.n_cells
+    triplets = np.column_stack([np.where(tags[:, 0] < 0, N, tags[:, 0]),
+                                np.arange(len(W)), bumps.w_II])
+    if use_output_bias:
+        b2, w3, output_bias = bumps.b_II, np.ones(N), -R
     else:
-        b2 = np.array([b.b_II for b in bumps] + [R])
-        w3 = np.concatenate([np.ones(NT), [-1.0]])
-        output_bias = None
-        mode = "weak"
-    hull = mesh.domain_hull if hull_bump is not None else None
+        b2 = bumps.b_II if hull is not None else np.append(bumps.b_II, R)
+        w3, output_bias = np.append(np.ones(N), -1.0), None
     provenance = {
-        "mode": mode,
+        "mode": "weak" if hull is None else "compact",
         "mesh_hash": mesh.content_hash(),
         "epsilon": epsilon,
         "R": R,
-        "t0": [b.provenance["t0"] for b in bumps],
-        "s": [b.provenance["s"] for b in bumps],
+        "t0": bumps.t0[:N].tolist(),
+        "s": bumps.s[:N].tolist(),
         "output_bias_mode": bool(use_output_bias),
         "merged": False,
-        "first_layer_tags": mesh.facets(hull)[3],
+        "first_layer_tags": tags,
     }
-    if hull_bump is not None:
-        provenance["t0_hull"] = hull_bump.provenance["t0"]
-    return ReluNet2(np.vstack([b.W_I for b in every]), b1, triplets, b2, w3,
-                    output_bias=output_bias, provenance=provenance)
+    if hull is not None:
+        provenance["t0_hull"] = float(bumps.t0[N])
+    return ReluNet2(W, bumps.b_I, triplets, b2, w3, output_bias=output_bias,
+                    provenance=provenance)
 
 
 def merge_duplicate_neurons(net: ReluNet2,
@@ -243,23 +245,19 @@ def compile_weak_representation(mesh: PolytopeMesh, v: PiecewiseLinear,
     directed hyperplane of the mesh: h1 = 2 H_i + H_b, h2 = N_cells + 1
     (N_cells in output-bias mode).
     """
-    if epsilon <= 0:
-        raise CompileError("epsilon must be > 0")
-    if v.mesh is not mesh:
-        raise CompileError("function is not defined on the given mesh")
-    _check_shrunk_nonempty(mesh, epsilon)
-    R = v.sup_norm()
-    bumps = _compile_bumps(mesh, v, R, epsilon)
-    net = _assemble(mesh, bumps, R, epsilon, use_output_bias)
+    net = _assemble(mesh, v, epsilon, use_output_bias)
     if merge:
         net = merge_duplicate_neurons(net, mesh.registry())
     return net
 
 
 def _check_hull_contains(mesh: PolytopeMesh, hull: ConvexCell):
-    for ci, cell in enumerate(mesh.cells):
-        if np.min(hull.facet_values(cell.vertex_set())) < -1e-9:
-            raise CompileError(f"domain hull does not contain cell {ci}")
+    V = [cell.vertex_set() for cell in mesh.cells]
+    outside = np.min(hull.facet_values(np.concatenate(V)), axis=1) < -1e-9
+    if np.any(outside):
+        owner = np.repeat(np.arange(mesh.n_cells), [len(x) for x in V])
+        raise CompileError(
+            f"domain hull does not contain cell {owner[np.argmax(outside)]}")
 
 
 def compile_compact_support(mesh: PolytopeMesh, v: PiecewiseLinear,
@@ -271,21 +269,11 @@ def compile_compact_support(mesh: PolytopeMesh, v: PiecewiseLinear,
     function R/2, which plateaus at R inside the shrunk hull and vanishes
     outside it.
     """
-    if epsilon <= 0:
-        raise CompileError("epsilon must be > 0")
     if mesh.domain_hull is None:
         raise CompileError("mesh has no domain hull")
-    if v.mesh is not mesh:
-        raise CompileError("function is not defined on the given mesh")
     hull = mesh.domain_hull
     _check_hull_contains(mesh, hull)
-    _check_shrunk_nonempty(mesh, epsilon)
-    R = v.sup_norm()
-    bumps = _compile_bumps(mesh, v, R, epsilon)
-    hull_piece = AffinePiece(np.zeros(mesh.dimension), R / 2.0)
-    hull_bump = compile_cell_bump(hull, hull_piece, R / 2.0, epsilon,
-                                  cell_index=-1)
-    net = _assemble(mesh, bumps, R, epsilon, False, hull_bump=hull_bump)
+    net = _assemble(mesh, v, epsilon, False, hull=hull)
     if merge:
         net = merge_duplicate_neurons(net, build_registry(mesh, hull=hull))
     return net

@@ -2,8 +2,9 @@
 
 Every polytope here is the feasible set {x : W x + b >= 0} with W an
 (m, n) array of facet normals and b the matching offsets. Only
-`mesh.ConvexCell` calls these; every other cell question is derived from
-the facts they return.
+`mesh.ConvexCell` calls these, for cells that are not simplices (a
+simplex's two facts have closed forms) and to prune redundant facets;
+every other cell question is derived from the facts.
 """
 
 from __future__ import annotations

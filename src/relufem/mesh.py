@@ -137,10 +137,11 @@ class ConvexCell:
 
     Every geometric question about a cell is answered from three cached
     facts: the Chebyshev ball, a strictly positive combination of the
-    facet normals summing to zero, and the vertex set. Only the first two
-    need a linear program; the vertex set of a simplex is given and that
-    of an H-cell comes from n-facet intersections. Volumes and samples
-    come from a tiling of the (shrunk) cell by simplices.
+    facet normals summing to zero, and the vertex set. On a simplex
+    (`is_simplex`) the first two have closed forms; on any other cell
+    each costs one linear program. The vertex set of a simplex is given
+    and that of an H-cell comes from n-facet intersections. Volumes and
+    samples come from a tiling of the (shrunk) cell by simplices.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -180,6 +181,12 @@ class ConvexCell:
         return self.W.shape[1]
 
     @property
+    def is_simplex(self) -> bool:
+        """The cell carries its n+1 vertices, one opposite each facet."""
+        return (self.vertices is not None and self.m == self.dim + 1
+                and self.vertices.shape[0] == self.dim + 1)
+
+    @property
     def halfspaces(self):
         return [Halfspace(self.W[i].copy(), self.b[i]) for i in range(self.m)]
 
@@ -206,10 +213,13 @@ class ConvexCell:
         so its interior is non-empty exactly when inradius > eps.
         """
         if self._cheb is None:
-            res = lp.chebyshev_center(self.W, self.b)
-            if res is None:
-                raise MeshError("Chebyshev LP failed (cell unbounded or malformed)")
-            self._cheb = res
+            if self.is_simplex:
+                self._simplex_facts()
+            else:
+                res = lp.chebyshev_center(self.W, self.b)
+                if res is None:
+                    raise MeshError("Chebyshev LP failed (cell unbounded or malformed)")
+                self._cheb = res
         return self._cheb
 
     def inradius(self) -> float:
@@ -218,13 +228,33 @@ class ConvexCell:
     def normal_combination(self):
         """lambda >= 1 with sum_i lambda_i w_i = 0, or None when none exists."""
         if self._lam is _UNSET:
-            self._lam = lp.positive_combination(self.W)
+            if self.is_simplex:
+                self._simplex_facts()
+            else:
+                self._lam = lp.positive_combination(self.W)
         return self._lam
+
+    def _simplex_facts(self):
+        """Both LP facts in closed form. h_i, facet i's largest value over
+        the vertices, is its value at the opposite vertex v_i, and the
+        barycentric coordinates h_i(x) / h_i sum to 1. So lambda = max(h) / h
+        (min 1, as the LP pins it), r = 1 / sum_i |w_i| / h_i, and the
+        incentre is r sum_i (|w_i| / h_i) v_i."""
+        H = self.facet_values(self.vertices)  # (vertex, facet)
+        opposite = np.argmax(H, axis=0)
+        h = H[opposite, np.arange(self.m)]
+        if not np.all(h > 0.0):
+            raise MeshError("degenerate simplex (flat)")
+        g = self.norms / h
+        r = 1.0 / np.sum(g)
+        self._lam = np.max(h) / h
+        self._cheb = (r * (g @ self.vertices[opposite]), r)
 
     def is_bounded(self) -> bool:
         """Bounded iff the normals have full rank and a positive zero-sum
-        combination (Stiemke: no direction d with W d >= 0, W d != 0)."""
-        return (np.linalg.matrix_rank(self.W) == self.dim
+        combination (Stiemke: no direction d with W d >= 0, W d != 0); a
+        simplex that has its combination is not flat, so has full rank."""
+        return ((self.is_simplex or np.linalg.matrix_rank(self.W) == self.dim)
                 and self.normal_combination() is not None)
 
     def vertex_set(self) -> np.ndarray:
@@ -305,7 +335,7 @@ class ConvexCell:
         return ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
 
     def to_doc(self) -> dict:
-        if self.vertices is not None and self.vertices.shape[0] == self.dim + 1:
+        if self.is_simplex:
             return {"vertices": self.vertices}
         return {"halfspaces": [{"w": self.W[i], "b": self.b[i]} for i in range(self.m)]}
 
@@ -460,10 +490,7 @@ class PolytopeMesh:
         return reg.interior_count, reg.boundary_count, self.n_cells
 
     def is_simplicial(self) -> bool:
-        return all(
-            c.vertices is not None and c.vertices.shape[0] == self.dimension + 1
-            for c in self.cells
-        )
+        return all(c.is_simplex for c in self.cells)
 
     def vertex_table(self):
         """Global vertex array plus per-cell vertex indices (simplicial meshes).

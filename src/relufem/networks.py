@@ -165,10 +165,10 @@ class ReluNet2:
         if trip.size and (trip.ndim != 2 or trip.shape[1] != 3):
             raise DocumentError("W2 triplets must be [row, col, value]")
         ob = doc.get("output_bias")
-        net = cls(W1, b1, trip, b2, w3,
-                  output_bias=None if ob is None else float(ob),
-                  provenance=doc.get("provenance") or {})
-        return net
+        return cls(W1, b1, trip, b2, w3,
+                   output_bias=None if ob is None
+                   else docio.as_float(ob, "output_bias"),
+                   provenance=doc.get("provenance") or {})
 
 
 class TensorNet:

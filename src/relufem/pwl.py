@@ -9,7 +9,6 @@ point as a boundary point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,18 +18,6 @@ from .errors import DocumentError, MeshError
 from .mesh import PolytopeMesh
 
 KINDS = ("general", "constant", "nodal-linear")
-
-
-@dataclass
-class AffinePiece:
-    """One affine piece x -> gradient @ x + constant."""
-
-    gradient: np.ndarray
-    constant: float
-
-    def value(self, x):
-        return float(np.asarray(self.gradient) @ np.asarray(x, dtype=float)
-                     + self.constant)
 
 
 class EvalResult(NamedTuple):
@@ -70,14 +57,6 @@ class PiecewiseLinear:
         values = np.asarray(values, dtype=float).reshape(-1)
         grads = np.zeros((mesh.n_cells, mesh.dimension))
         return cls(mesh, grads, values, kind="constant")
-
-    @property
-    def pieces(self):
-        return [AffinePiece(self.gradients[i].copy(), float(self.constants[i]))
-                for i in range(self.mesh.n_cells)]
-
-    def piece(self, i: int) -> AffinePiece:
-        return AffinePiece(self.gradients[i].copy(), float(self.constants[i]))
 
     def eval_cells(self, X, cells):
         """Evaluate at points with known cell indices (vectorized)."""

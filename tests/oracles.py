@@ -6,8 +6,15 @@ code they check.
 """
 
 import itertools
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
+from relufem.errors import CompileError, ConditioningWarning
+from relufem.mesh import ConvexCell
+from relufem.networks import relu
 
 
 def positive_combination_bruteforce(cell):
@@ -119,3 +126,120 @@ def dict_merge(rows, cols, vals, entry, scale):
         key = (int(r), int(entry[c]))
         merged[key] = merged.get(key, 0.0) + v * scale[c]
     return [(r, c, v) for (r, c), v in merged.items()]
+
+
+@dataclass
+class AffinePiece:
+    """One affine piece x -> gradient @ x + constant."""
+
+    gradient: np.ndarray
+    constant: float
+
+    def value(self, x):
+        return float(np.asarray(self.gradient) @ np.asarray(x, dtype=float)
+                     + self.constant)
+
+
+# --- the one-cell bump: the compiler's arrays, one cell at a time ------------
+
+def positive_normal_combination(cell: ConvexCell) -> np.ndarray:
+    """Strictly positive lambda with sum_i lambda_i w_i = 0 and lambda >= 1.
+
+    This is the cell's cached combination, checked; its absence means the
+    cell is unbounded or degenerate.
+    """
+    lam = cell.normal_combination()
+    if lam is None:
+        raise CompileError(
+            "no positive zero-sum combination of facet normals exists "
+            "(cell unbounded or degenerate)")
+    combo = cell.W.T @ lam
+    if np.linalg.norm(combo) > 1e-10 * float(lam @ cell.norms):
+        raise CompileError("facet-normal combination residual too large")
+    if lam.min() < 1.0 - 1e-9:
+        raise CompileError("LP returned lambda below 1")
+    return lam
+
+
+def solve_mu(cell: ConvexCell, gradient) -> np.ndarray:
+    """Least-norm mu with (w_1^T ... w_m^T) mu = -gradient^T."""
+    a = np.asarray(gradient, dtype=float).reshape(-1)
+    A = cell.W.T  # (n, m)
+    mu, _, rank, _ = np.linalg.lstsq(A, -a, rcond=None)
+    if rank < cell.dim:
+        raise CompileError(
+            f"facet normal matrix is rank deficient ({rank} < {cell.dim})")
+    if np.linalg.norm(A @ mu + a) > 1e-10 * (1.0 + np.linalg.norm(a)):
+        raise CompileError("mu residual too large")
+    return mu
+
+
+def shift_t0(cell: ConvexCell, mu, lam, c: float, R: float, epsilon: float):
+    """(s, t0): s makes mu + s*lam positive, t0 kills the bump outside.
+
+    t0 is the closed-form value
+    max((|sum (mu_i + s lam_i) b_i + c + R| + sum eps |mu_i||w_i|)
+        / min_i eps lam_i |w_i|, s + 1).
+    """
+    if epsilon <= 0:
+        raise CompileError("epsilon must be > 0 (t0 divides by eps*lam*|w|)")
+    mu = np.asarray(mu, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    s = float(np.max(np.abs(mu / lam))) + 1.0
+    numerator = abs(float((mu + s * lam) @ cell.b) + c + R) \
+        + epsilon * float(np.abs(mu) @ cell.norms)
+    denominator = epsilon * float(np.min(lam * cell.norms))
+    t0 = max(numerator / denominator, s + 1.0)
+    return s, t0
+
+
+@dataclass
+class CellBump:
+    """One-cell subnetwork x -> relu(w_II @ relu(W_I x + b_I) + b_II)."""
+
+    W_I: np.ndarray
+    b_I: np.ndarray
+    w_II: np.ndarray
+    b_II: float
+    provenance: dict = field(default_factory=dict)
+
+    def value(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return relu(relu(X @ self.W_I.T + self.b_I) @ self.w_II + self.b_II)
+
+
+def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
+                      epsilon: float, cell_index: int = 0) -> CellBump:
+    """Bump equal to v + R on the shrunk cell, in [0, 2R] on the collar,
+    zero outside the cell."""
+    lam = positive_normal_combination(cell)
+    mu = solve_mu(cell, piece.gradient)
+    c = float(piece.constant)
+    s, t0 = shift_t0(cell, mu, lam, c, R, epsilon)
+    t_used = t0 * T0_SAFETY
+    coeff = mu + t_used * lam
+    if coeff.min() <= 0.0:
+        raise CompileError(f"cell {cell_index}: shifted weights not positive")
+    b_I = cell.b - epsilon * cell.norms
+    w_II = -coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_II = float(coeff @ b_I) + c + R
+    if not (np.all(np.isfinite(w_II)) and np.isfinite(b_II)):
+        raise CompileError(
+            f"cell {cell_index}: weights overflow the float range for "
+            f"R = sup|v| = {R:.3e}")
+    if np.max(np.abs(w_II)) > WEIGHT_GUARD:
+        warnings.warn(
+            f"cell {cell_index}: second-layer weight magnitude "
+            f"{np.max(np.abs(w_II)):.3e} exceeds {WEIGHT_GUARD:.0e}; tiny "
+            f"epsilon relative to the cell makes the construction "
+            f"ill-conditioned", ConditioningWarning)
+    return CellBump(
+        W_I=cell.W.copy(),
+        b_I=b_I,
+        w_II=w_II,
+        b_II=b_II,
+        provenance={"cell_index": cell_index, "t0": t_used, "t0_formula": t0,
+                    "s": s, "mu": mu, "lam": lam, "epsilon": epsilon,
+                    "R": R, "c": c},
+    )

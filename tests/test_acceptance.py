@@ -10,8 +10,7 @@ import pytest
 
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation,
-                              merge_duplicate_neurons,
-                              positive_normal_combination)
+                              merge_duplicate_neurons)
 from relufem.mesh import freudenthal_mesh, min_inradius
 from relufem.meshgen import (demo_polygon_mesh, demo_simplex_mesh,
                              random_bounded_polytope, random_partition_mesh_1d,
@@ -20,7 +19,8 @@ from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import TensorFE, TensorMesh, compile_1d_hat, compile_tnn
 from relufem.verify import check_weak_representation, convergence_experiment
 
-from oracles import positive_combination_bruteforce
+from oracles import (positive_combination_bruteforce,
+                     positive_normal_combination)
 
 
 def criterion(num, passed, description):

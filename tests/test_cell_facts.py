@@ -1,6 +1,7 @@
 """Cell questions derived from the three cached cell facts (Chebyshev ball,
 positive normal combination, vertex set), checked against linear programs
-that live only here as oracles."""
+that live only here as oracles, and the closed forms that give a simplex's
+facts checked against the linear programs the other cells still use."""
 
 import itertools
 
@@ -8,11 +9,16 @@ import numpy as np
 import pytest
 
 from relufem import lp
+from relufem.compiler import compile_weak_representation
 from relufem.errors import MeshError
-from relufem.mesh import ConvexCell, PolytopeMesh, freudenthal_mesh
+from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
+                          validate_mesh)
 from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import PiecewiseLinear
+from relufem.verify import check_weak_representation
+
+from test_cli import slot_docs
 
 UNBOUNDED = 3  # scipy's linprog status code
 
@@ -169,3 +175,60 @@ def test_vertex_set_keeps_simplex_vertices_out_of_the_document():
 def test_unbounded_cell_has_no_vertex_set():
     with pytest.raises(MeshError, match="unbounded"):
         ConvexCell(*UNBOUNDED_CELLS["wedge"]).bounding_box()
+
+
+# --- closed-form simplex facts ------------------------------------------------
+
+def slivers():
+    """Thin simplices in 2D and 3D, given by their vertices."""
+    return [ConvexCell.from_simplex(V) for V in (
+        [[0.0, 0.0], [1.0, 1.0], [1.0, 1.001]],
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 1e-4]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.3, 1e-3]],
+        [[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [0.0, 1e-3, 0.0], [0.2, 0.3, 5.0]],
+    )]
+
+
+def test_simplex_facts_match_the_lps(tmp_path):
+    slot_docs(tmp_path, "c", "0.5")
+    mixed = PolytopeMesh.load(tmp_path / "m.json")
+    meshes = [freudenthal_mesh(n, N) for n, N in ((1, 4), (2, 3), (3, 2),
+                                                  (4, 1))]
+    meshes += [random_simplex_mesh(3, N, seed=N) for N in (2, 3, 4)]
+    meshes += [PolytopeMesh(c.dim, [c]) for c in slivers()]
+    # facets in another order than their opposite vertices
+    meshes += [PolytopeMesh(c.dim, [ConvexCell(c.W[::-1], c.b[::-1],
+                                               vertices=c.vertices)])
+               for c in meshes[4].cells[:20] + slivers()]
+    meshes.append(mixed)
+    assert mixed.cells[0].is_simplex and not mixed.cells[1].is_simplex
+    for mesh in meshes:
+        for cell in mesh.cells:
+            lam = cell.normal_combination()
+            center, r = cell.chebyshev()
+            lp_lam = lp.positive_combination(cell.W)
+            lp_center, lp_r = lp.chebyshev_center(cell.W, cell.b)
+            assert lam.min() == 1.0
+            np.testing.assert_allclose(lam, lp_lam, rtol=1e-12, atol=0)
+            assert r == pytest.approx(lp_r, rel=1e-12, abs=0)
+            assert np.max(np.abs(center - lp_center)) <= 1e-12 * lp_r
+
+
+def test_simplex_meshes_call_no_lp(monkeypatch):
+    calls = []
+    linprog = lp.linprog
+    monkeypatch.setattr(lp, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+
+    def pipeline(mesh):
+        validate_mesh(mesh, samples=2000)
+        v = PiecewiseLinear.constant(
+            mesh, np.random.default_rng(0).uniform(-1, 1, mesh.n_cells))
+        eps = 1e-3
+        net = compile_weak_representation(mesh, v, eps)
+        check_weak_representation(net, v, mesh, eps, samples_per_cell=20)
+        return len(calls)
+
+    assert pipeline(freudenthal_mesh(2, 3)) == 0
+    assert pipeline(random_simplex_mesh(3, 2, seed=5)) == 0
+    assert pipeline(random_polygon_mesh(6, n_sites=8)) > 0

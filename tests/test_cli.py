@@ -247,6 +247,23 @@ def test_malformed_w2_triplet_exits_2(tmp_path, capsys, triplet):
     assert "W2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bias", ['"1.5"', "true", "1" * 401],
+                         ids=["string", "bool", "huge-int"])
+def test_malformed_output_bias_exits_2(tmp_path, capsys, bias):
+    """An output bias that is not a float is refused with exit 2 naming
+    output_bias, not read as a number; null stays no bias."""
+    (tmp_path / "net.json").write_text(
+        '{"arch": "fnn2", "n": 1, "h1": 2, "h2": 2, "W1": [[1.0], [-1.0]], '
+        '"b1": [0.0, 0.0], "W2": [[0, 0, 1.0], [1, 1, 1.0]], '
+        '"b2": [0.0, 0.0], "w3": [1.0, 1.0], "output_bias": %s, '
+        '"provenance": {}}' % bias)
+    docio.save({"points": [[0.5]]}, tmp_path / "pts.json")
+    rc = main(["eval", "--network", str(tmp_path / "net.json"),
+               "--points", str(tmp_path / "pts.json")])
+    assert rc == 2
+    assert "output_bias" in capsys.readouterr().err
+
+
 # --- malformed numbers in the input documents ---------------------------------
 
 HUGE_INT = "1" * 401

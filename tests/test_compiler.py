@@ -3,17 +3,19 @@ import time
 import numpy as np
 import pytest
 
-from relufem.compiler import (compile_cell_bump, compile_compact_support,
+from relufem.compiler import (compile_bumps, compile_compact_support,
                               compile_weak_representation,
-                              merge_duplicate_neurons,
-                              positive_normal_combination, shift_t0, solve_mu)
+                              merge_duplicate_neurons)
 from relufem.errors import CompileError, ConditioningWarning
 from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
                           min_inradius, sample_cells)
-from relufem.meshgen import random_simplex_mesh
-from relufem.pwl import AffinePiece, PiecewiseLinear, nodal_linear
+from relufem.meshgen import (demo_polygon_mesh, random_polygon_mesh,
+                             random_simplex_mesh)
+from relufem.pwl import PiecewiseLinear, nodal_linear
 
-from oracles import positive_combination_bruteforce
+from oracles import (AffinePiece, compile_cell_bump,
+                     positive_combination_bruteforce,
+                     positive_normal_combination, shift_t0, solve_mu)
 
 INTERVAL = ConvexCell([[1.0], [-1.0]], [0.0, 1.0])
 SQUARE = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -350,6 +352,16 @@ def test_compact_support_rejects_halfspace_cell_outside_hull():
         compile_compact_support(mesh, v, 0.01)
 
 
+def test_compact_support_names_the_first_cell_outside_hull():
+    # the upper of two stacked unit squares lies outside the unit-square hull
+    upper = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       [0.0, 1.0, -1.0, 2.0])
+    mesh = PolytopeMesh(2, [SQUARE, upper, upper], domain_hull=SQUARE)
+    v = PiecewiseLinear.constant(mesh, [1.0, 1.0, 1.0])
+    with pytest.raises(CompileError, match="does not contain cell 1$"):
+        compile_compact_support(mesh, v, 0.01)
+
+
 def test_compact_support_bound_2R():
     mesh = freudenthal_mesh(2, 2)
     verts, _ = mesh.vertex_table()
@@ -379,3 +391,79 @@ def test_compile_time_scales_about_linearly_in_cells():
         compile_weak_representation(mesh, v, 1e-3 / N)
         times[N] = time.perf_counter() - t0
     assert times[8] <= 8.0 * times[4] + 0.1
+
+
+# --- the batched compile against the one-cell oracle -------------------------
+
+@pytest.fixture(scope="module")
+def batched_corpus():
+    """(mesh, general affine function, epsilon) on one-cell meshes (each
+    cell its own hull), Freudenthal 1-3D, jittered 3D, 20-site Voronoi and
+    the demo polygon mesh."""
+    rng = np.random.default_rng(40)
+    corpus = []
+    meshes = [PolytopeMesh(c.dim, [c], domain_hull=c)
+              for c in (INTERVAL, SQUARE, TRIANGLE)]
+    meshes += [freudenthal_mesh(n, N) for n, N in ((1, 3), (2, 2), (3, 1))]
+    meshes += [random_simplex_mesh(3, 2, seed=41),
+               random_polygon_mesh(42, n_sites=20), demo_polygon_mesh()]
+    for mesh in meshes:
+        v = PiecewiseLinear(mesh,
+                            rng.uniform(-1, 1, (mesh.n_cells, mesh.dimension)),
+                            rng.uniform(-1, 1, mesh.n_cells))
+        corpus.append((mesh, v, 1e-2 * min_inradius(mesh)))
+    return corpus
+
+
+def assert_close(got, want):
+    """Within 1e-12 of the largest entry of the oracle's value."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mode", ["weak", "output-bias", "compact"])
+def test_batched_compile_matches_one_cell_oracle(batched_corpus, mode):
+    for mesh, v, eps in batched_corpus:
+        R = v.sup_norm()
+        N = mesh.n_cells
+        hull = mesh.domain_hull if mode == "compact" else None
+        if hull is None:
+            net = compile_weak_representation(
+                mesh, v, eps, use_output_bias=mode == "output-bias",
+                merge=False)
+        else:
+            net = compile_compact_support(mesh, v, eps, merge=False)
+        bumps = compile_bumps(mesh, v, R, eps, hull)
+        oracle = [compile_cell_bump(cell, AffinePiece(v.gradients[ci],
+                                                      v.constants[ci]),
+                                    R, eps, cell_index=ci)
+                  for ci, cell in enumerate(mesh.cells)]
+        if hull is not None:
+            oracle.append(compile_cell_bump(
+                hull, AffinePiece(np.zeros(mesh.dimension), R / 2.0),
+                R / 2.0, eps, cell_index=-1))
+        W, b, starts, tags = mesh.facets(hull)
+        for c, rows in enumerate(np.split(np.arange(len(b)), starts[1:])):
+            bump = oracle[c]
+            assert_close(bumps.lam[rows], bump.provenance["lam"])
+            assert_close(bumps.mu[rows], bump.provenance["mu"])
+            assert_close(bumps.s[c], bump.provenance["s"])
+            assert_close(bumps.t0[c], bump.provenance["t0"])
+            assert_close(bumps.b_I[rows], bump.b_I)
+            assert_close(bumps.w_II[rows], bump.w_II)
+            assert_close(bumps.b_II[c], bump.b_II)
+        # the unmerged net is those arrays, placed: row r of the facet
+        # table feeds its cell's second-layer row (the hull's is row N)
+        np.testing.assert_array_equal(net.W1, W)
+        np.testing.assert_array_equal(net.b1, bumps.b_I)
+        np.testing.assert_array_equal(net.W2_rows,
+                                      np.where(tags[:, 0] < 0, N, tags[:, 0]))
+        np.testing.assert_array_equal(net.W2_cols, np.arange(len(b)))
+        np.testing.assert_array_equal(net.W2_vals, bumps.w_II)
+        np.testing.assert_array_equal(
+            net.b2, np.append(bumps.b_II, R) if mode == "weak" else bumps.b_II)
+        assert net.provenance["t0"] == bumps.t0[:N].tolist()
+        assert net.provenance["s"] == bumps.s[:N].tolist()
+        if hull is not None:
+            assert net.provenance["t0_hull"] == bumps.t0[N]
