@@ -1,22 +1,16 @@
 """Thin wrappers around scipy's HiGHS linear programming for H-polytopes.
 
 Every polytope here is the feasible set {x : W x + b >= 0} with W an
-(m, n) array of facet normals and b the matching offsets. Only
-`mesh.ConvexCell` calls these, for cells that are not simplices (a
-simplex's two facts have closed forms) and to prune redundant facets;
-every other cell question is derived from the facts.
+(m, n) array of facet normals and b the matching offsets. These are the
+two cell facts with no closed form on a general polytope, called only by
+`ConvexCell.normal_combination` and `ConvexCell.chebyshev` for cells
+that are not simplices; every other cell question reads the vertex set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
-
-
-def linear_minimum_raw(W: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Minimize cost @ x over {x : W x + b >= 0}; returns the OptimizeResult."""
-    return linprog(cost, A_ub=-W, b_ub=b, bounds=[(None, None)] * W.shape[1],
-                   method="highs")
 
 
 def positive_combination(W: np.ndarray):

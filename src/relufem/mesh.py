@@ -17,14 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial.distance import cdist
 
 from . import docio, lp
 from .errors import DocumentError, MeshError
 
 DEDUP_TOL = 1e-9
+VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
 
-# containment tests run in point chunks so each (points, facets) temporary
-# holds about this many floats
+# containment tests and the vertex merge run in point chunks so each
+# temporary holds about this many floats
 CHUNK_ELEMENTS = 2 ** 18
 
 _UNSET = object()
@@ -112,21 +114,33 @@ def _simplex_halfspaces(vertices: np.ndarray):
     return W, b
 
 
-def _halfspace_vertices(W, b, norms, tol=1e-9):
-    """Vertices of a bounded {W x + b >= 0}: the feasible solutions of
-    every nonsingular n-facet subsystem, coincident ones merged; shape
-    (0, n) when the set is empty."""
+def _feasible_intersections(W, b):
+    """Feasible solutions of the nonsingular n-facet subsystems of
+    {W x + b >= 0} and their magnitudes max_j |x_j|; feasibility allows
+    VERTEX_RTOL of the magnitude, the scale of a solved point's rounding."""
     m, n = W.shape
+    norms = np.linalg.norm(W, axis=1)
     subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int)
     A = W[subsets]
     regular = np.abs(np.linalg.det(A)) >= 1e-12 * np.prod(norms[subsets], axis=1)
     X = np.linalg.solve(A[regular], -b[subsets[regular]][..., None])[..., 0]
-    X = X[np.min((X @ W.T + b) / norms, axis=1) >= -tol]
-    keep = []
-    for p in X:
-        if not any(np.linalg.norm(p - q) < 1e-10 for q in keep):
-            keep.append(p)
-    return np.array(keep).reshape(-1, n)
+    size = np.max(np.abs(X), axis=1, initial=0.0)
+    feasible = np.min((X @ W.T + b) / norms, axis=1) >= -VERTEX_RTOL * size
+    return X[feasible], size[feasible]
+
+
+def _halfspace_vertices(W, b):
+    """Vertices of a bounded {W x + b >= 0}, shape (0, n) when empty: the
+    feasible intersections not within VERTEX_RTOL of an earlier one."""
+    X, size = _feasible_intersections(W, b)
+    first = np.ones(len(X), dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // max(len(X), 1))
+    for lo in range(0, len(X), step):
+        hi = lo + step
+        close = (cdist(X[lo:hi], X[:hi], "chebyshev")
+                 <= VERTEX_RTOL * np.maximum.outer(size[lo:hi], size[:hi]))
+        first[lo:hi] = ~np.tril(close, lo - 1).any(axis=1)
+    return X[first]
 
 
 class ConvexCell:
@@ -135,13 +149,13 @@ class ConvexCell:
     The cell is {x : W @ x + b >= 0}. Simplex cells keep their vertex
     array as well, which enables nodal interpolation.
 
-    Every geometric question about a cell is answered from three cached
-    facts: the Chebyshev ball, a strictly positive combination of the
-    facet normals summing to zero, and the vertex set. On a simplex
-    (`is_simplex`) the first two have closed forms; on any other cell
-    each costs one linear program. The vertex set of a simplex is given
-    and that of an H-cell comes from n-facet intersections. Volumes and
-    samples come from a tiling of the (shrunk) cell by simplices.
+    A cell caches three facts: the Chebyshev ball, a strictly positive
+    combination of the facet normals summing to zero, and the vertex set.
+    On a simplex (`is_simplex`) the first two have closed forms; on any
+    other cell each costs one linear program. The vertex set (given for a
+    simplex, else from n-facet intersections) answers every other
+    question, boundedness and pruning included. Volumes and samples come
+    from a tiling of the (shrunk) cell by simplices.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -158,6 +172,7 @@ class ConvexCell:
         self.vertices = None if vertices is None else np.asarray(vertices, dtype=float)
         self._cheb = None
         self._lam = _UNSET
+        self._bounded = None
         self._vertex_set = None
 
     @classmethod
@@ -251,11 +266,19 @@ class ConvexCell:
         self._cheb = (r * (g @ self.vertices[opposite]), r)
 
     def is_bounded(self) -> bool:
-        """Bounded iff the normals have full rank and a positive zero-sum
-        combination (Stiemke: no direction d with W d >= 0, W d != 0); a
-        simplex that has its combination is not flat, so has full rank."""
-        return ((self.is_simplex or np.linalg.matrix_rank(self.W) == self.dim)
-                and self.normal_combination() is not None)
+        """Bounded iff the normals have full rank and no d != 0 has
+        W d >= 0: {d : W d >= 0, |d|_inf <= 1} has no vertex but the origin
+        (any other has some |d_j| = 1). A simplex that has its combination
+        is not flat, so it is bounded."""
+        if self._bounded is None and self.is_simplex:
+            self._bounded = self.normal_combination() is not None
+        elif self._bounded is None:
+            _, size = _feasible_intersections(
+                np.vstack([self.W, np.eye(self.dim), -np.eye(self.dim)]),
+                np.append(np.zeros(self.m), np.ones(2 * self.dim)))
+            self._bounded = bool(np.linalg.matrix_rank(self.W) == self.dim
+                                 and np.all(size < 0.5))
+        return self._bounded
 
     def vertex_set(self) -> np.ndarray:
         """Vertices of the cell, shape (k, n): the given ones for simplices,
@@ -265,7 +288,7 @@ class ConvexCell:
         if self._vertex_set is None:
             if not self.is_bounded():
                 raise MeshError("cell is unbounded")
-            V = _halfspace_vertices(self.W, self.b, self.norms)
+            V = _halfspace_vertices(self.W, self.b)
             if len(V) == 0:
                 raise MeshError("cell has no vertices (empty interior)")
             self._vertex_set = V
@@ -287,7 +310,7 @@ class ConvexCell:
         n = self.dim
         if epsilon > 0:
             b = self.b - epsilon * self.norms
-            V = _halfspace_vertices(self.W, b, self.norms)
+            V = _halfspace_vertices(self.W, b)
             if len(V) <= n or np.min(_affine(V.mean(axis=0)[None], self.W, b)) <= 0.0:
                 return np.zeros((0, n + 1, n))
         if len(V) == n + 1:
@@ -299,39 +322,21 @@ class ConvexCell:
         return float(np.sum(_simplex_volumes(self.simplices())))
 
     def prune_redundant(self, tol=1e-9) -> "ConvexCell":
-        """Drop halfspaces that do not support a facet of the cell."""
-        keep = list(range(self.m))
-        # first remove positive multiples inside the cell, keeping the tightest
-        i = 0
-        while i < len(keep):
-            j = i + 1
-            while j < len(keep):
-                a, c = keep[i], keep[j]
-                ua = self.W[a] / self.norms[a]
-                uc = self.W[c] / self.norms[c]
-                if np.max(np.abs(ua - uc)) <= tol:
-                    # same direction: tighter offset wins
-                    if self.b[a] / self.norms[a] <= self.b[c] / self.norms[c]:
-                        keep.pop(j)
-                        continue
-                    keep.pop(i)
-                    j = i + 1
-                    continue
-                j += 1
-            i += 1
-        # then LP-prune non-supporting halfspaces; an unbounded test LP means
-        # the candidate is essential for boundedness, hence not redundant
-        changed = True
-        while changed:
-            changed = False
-            for idx in list(keep):
-                others = [k for k in keep if k != idx]
-                if len(others) < self.dim + 1:
-                    continue
-                res = lp.linear_minimum_raw(self.W[others], self.b[others], self.W[idx])
-                if res.success and res.fun + self.b[idx] >= -tol:
-                    keep.remove(idx)
-                    changed = True
+        """Keep the halfspaces that support a facet of the bounded cell:
+        those whose tight vertices span an (n-1)-flat, and of rows whose
+        unit normals agree within tol only the one with the smallest unit
+        offset (the first on a tie)."""
+        V = self.vertex_set()
+        size = np.max(np.abs(V), axis=1)
+        tight = (np.abs(self.facet_values(V) / self.norms)
+                 <= VERTEX_RTOL * size[:, None])
+        supports = np.array([len(T) >= self.dim and np.linalg.matrix_rank(
+            T[1:] - T[0], tol=VERTEX_RTOL * np.max(size)) == self.dim - 1
+            for T in (V[t] for t in tight.T)], dtype=bool)
+        U = self.W / self.norms[:, None]
+        same = np.max(np.abs(U[:, None] - U[None]), axis=2) <= tol
+        place = np.argsort(np.argsort(self.b / self.norms, kind="stable"))
+        keep = supports & ~(same & (place[None] < place[:, None])).any(axis=1)
         return ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
 
     def to_doc(self) -> dict:
@@ -479,8 +484,8 @@ class PolytopeMesh:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def registry(self, rebuild=False) -> DirectedHyperplaneRegistry:
-        if self._registry is None or rebuild:
+    def registry(self) -> DirectedHyperplaneRegistry:
+        if self._registry is None:
             self._registry = build_registry(self)
         return self._registry
 

@@ -111,8 +111,8 @@ def random_bounded_polytope(n: int, m: int, seed: int) -> ConvexCell:
     outward directions u_i drawn until they positively span R^n.
 
     A direction probe prefilters candidates; boundedness is then confirmed
-    by ConvexCell.is_bounded (full-rank normals with a positive zero-sum
-    combination)."""
+    by ConvexCell.is_bounded (full-rank normals and no direction d != 0
+    with W d >= 0, read off a vertex enumeration)."""
     rng = np.random.default_rng(seed)
     for _ in range(500):
         U = rng.standard_normal((m, n))

@@ -10,11 +10,56 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
 from relufem.errors import CompileError, ConditioningWarning
 from relufem.mesh import ConvexCell
 from relufem.networks import relu
+
+
+def linear_minimum_raw(W, b, cost):
+    """Minimize cost @ x over {x : W x + b >= 0}; returns the OptimizeResult."""
+    return linprog(cost, A_ub=-W, b_ub=b, bounds=[(None, None)] * W.shape[1],
+                   method="highs")
+
+
+def prune_redundant_lp(cell, tol=1e-9):
+    """Row indices of the halfspaces that support a facet, by linear
+    programs: first, of rows whose unit normals agree within tol, the one
+    with the tighter unit offset stays (the earlier on a tie); then a row
+    goes when the others already keep its value >= -tol, until no row
+    goes. An unbounded test LP means the row is essential for
+    boundedness, hence stays."""
+    keep = list(range(cell.m))
+    i = 0
+    while i < len(keep):
+        j = i + 1
+        while j < len(keep):
+            a, c = keep[i], keep[j]
+            ua = cell.W[a] / cell.norms[a]
+            uc = cell.W[c] / cell.norms[c]
+            if np.max(np.abs(ua - uc)) <= tol:
+                if cell.b[a] / cell.norms[a] <= cell.b[c] / cell.norms[c]:
+                    keep.pop(j)
+                    continue
+                keep.pop(i)
+                j = i + 1
+                continue
+            j += 1
+        i += 1
+    changed = True
+    while changed:
+        changed = False
+        for idx in list(keep):
+            others = [k for k in keep if k != idx]
+            if len(others) < cell.dim + 1:
+                continue
+            res = linear_minimum_raw(cell.W[others], cell.b[others], cell.W[idx])
+            if res.success and res.fun + cell.b[idx] >= -tol:
+                keep.remove(idx)
+                changed = True
+    return keep
 
 
 def positive_combination_bruteforce(cell):

@@ -1,23 +1,27 @@
-"""Cell questions derived from the three cached cell facts (Chebyshev ball,
-positive normal combination, vertex set), checked against linear programs
-that live only here as oracles, and the closed forms that give a simplex's
-facts checked against the linear programs the other cells still use."""
+"""Cell questions answered from the vertex set (sup norm, bounding box,
+boundedness, facet pruning), checked against linear programs kept in
+`oracles.py`; the closed forms that give a simplex's two LP facts (the
+normal combination and the Chebyshev ball), checked against the linear
+programs the other cells still use; and the number of linear programs
+each pipeline pays."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from relufem import lp
-from relufem.compiler import compile_weak_representation
+from relufem import docio, lp
+from relufem.compiler import (compile_compact_support,
+                              compile_weak_representation)
 from relufem.errors import MeshError
 from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
                           validate_mesh)
-from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
-                             random_simplex_mesh)
+from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
+                             random_polygon_mesh, random_simplex_mesh)
 from relufem.pwl import PiecewiseLinear
 from relufem.verify import check_weak_representation
 
+from oracles import linear_minimum_raw, prune_redundant_lp
 from test_cli import slot_docs
 
 UNBOUNDED = 3  # scipy's linprog status code
@@ -45,8 +49,8 @@ CELLS = corpus()
 
 def lp_extremes(cell, cost):
     """(min, max) of cost @ x over the cell by two LPs."""
-    lo = lp.linear_minimum_raw(cell.W, cell.b, cost)
-    hi = lp.linear_minimum_raw(cell.W, cell.b, -cost)
+    lo = linear_minimum_raw(cell.W, cell.b, cost)
+    hi = linear_minimum_raw(cell.W, cell.b, -cost)
     assert lo.success and hi.success
     return lo.fun, -hi.fun
 
@@ -56,7 +60,7 @@ def sweep_bounded(W, b):
     bounded cells pass the same sweep in the bounding-box test)."""
     n = W.shape[1]
     for j, sign in itertools.product(range(n), (1.0, -1.0)):
-        res = lp.linear_minimum_raw(W, b, sign * np.eye(n)[j])
+        res = linear_minimum_raw(W, b, sign * np.eye(n)[j])
         if res.status == UNBOUNDED:
             return False
         assert res.success
@@ -214,12 +218,17 @@ def test_simplex_facts_match_the_lps(tmp_path):
             assert np.max(np.abs(center - lp_center)) <= 1e-12 * lp_r
 
 
-def test_simplex_meshes_call_no_lp(monkeypatch):
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per linear program the program solves through `relufem.lp`."""
     calls = []
     linprog = lp.linprog
     monkeypatch.setattr(lp, "linprog",
                         lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    return calls
 
+
+def test_simplex_meshes_call_no_lp(lp_calls):
     def pipeline(mesh):
         validate_mesh(mesh, samples=2000)
         v = PiecewiseLinear.constant(
@@ -227,8 +236,98 @@ def test_simplex_meshes_call_no_lp(monkeypatch):
         eps = 1e-3
         net = compile_weak_representation(mesh, v, eps)
         check_weak_representation(net, v, mesh, eps, samples_per_cell=20)
-        return len(calls)
+        return len(lp_calls)
 
     assert pipeline(freudenthal_mesh(2, 3)) == 0
     assert pipeline(random_simplex_mesh(3, 2, seed=5)) == 0
     assert pipeline(random_polygon_mesh(6, n_sites=8)) > 0
+
+
+def test_voronoi_meshes_pay_lps_only_for_the_two_facts(lp_calls):
+    # pruning, boundedness, sup norm and sampling come from vertex sets
+    demo_polygon_mesh()
+    mesh = random_polygon_mesh(7, n_sites=12)
+    assert len(lp_calls) == 0
+    rng = np.random.default_rng(2)
+    v = PiecewiseLinear(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)),
+                        rng.uniform(-1, 1, mesh.n_cells))
+    eps = 1e-3
+    # a Chebyshev ball per cell, a combination per cell and one for the hull
+    validate_mesh(mesh, samples=2000)
+    compile_compact_support(mesh, v, eps)
+    assert len(lp_calls) == 2 * mesh.n_cells + 1
+    net = compile_weak_representation(mesh, v, eps)
+    # verification on a fresh copy, with no fact cached
+    fresh = PolytopeMesh.from_doc(docio.loads(docio.dumps(mesh.to_doc())))
+    del lp_calls[:]
+    rep = check_weak_representation(
+        net, PiecewiseLinear(fresh, v.gradients, v.constants), fresh, eps,
+        samples_per_cell=20)
+    assert rep.passed, rep.as_text()
+    assert len(lp_calls) == 0
+
+
+# --- facet pruning from the vertex set ----------------------------------------
+
+def assert_prunes_like_lp(cell, pruned):
+    keep = prune_redundant_lp(cell)
+    assert np.array_equal(pruned.W, cell.W[keep])
+    assert np.array_equal(pruned.b, cell.b[keep])
+
+
+def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
+    seen = []
+    prune = ConvexCell.prune_redundant
+
+    def spy(cell):
+        seen.append((cell, prune(cell)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    demo_polygon_mesh()
+    for seed in range(30):
+        random_polygon_mesh(seed)
+    for seed in range(5):
+        random_polygon_mesh(seed, n_sites=20)
+    assert len(seen) > 300
+    for cell, pruned in seen:
+        assert_prunes_like_lp(cell, pruned)
+
+
+SQUARE = ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+          [0.0, 1.0, 0.0, 1.0])
+CUBE = (np.vstack([np.eye(3), -np.eye(3)]), np.r_[np.zeros(3), np.ones(3)])
+
+PRUNE_CASES = {
+    # name: (W, b, rows that support a facet)
+    "exact duplicate row": (SQUARE[0] + [[0.0, 1.0]], SQUARE[1] + [0.0],
+                            [0, 1, 2, 3]),
+    "looser parallel copy": (SQUARE[0] + [[2.0, 0.0]], SQUARE[1] + [1.0],
+                             [0, 1, 2, 3]),
+    "looser copy listed first": ([[2.0, 0.0]] + SQUARE[0], [0.5] + SQUARE[1],
+                                 [1, 2, 3, 4]),
+    "touches at one vertex": (SQUARE[0] + [[-1.0, -1.0]], SQUARE[1] + [2.0],
+                              [0, 1, 2, 3]),
+    "interval with a loose bound": ([[1.0], [-1.0], [1.0]], [0.0, 1.0, 3.0],
+                                    [0, 1]),
+    "box with a redundant corner cut": (
+        np.vstack([CUBE[0], [[-1.0, -1.0, -1.0]]]), np.r_[CUBE[1], 3.0],
+        [0, 1, 2, 3, 4, 5]),
+    "box with a corner cut off": (
+        np.vstack([CUBE[0], [[-1.0, -1.0, -1.0]]]), np.r_[CUBE[1], 2.5],
+        [0, 1, 2, 3, 4, 5, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_CASES))
+def test_prune_matches_the_lp_rule(name):
+    W, b, rows = PRUNE_CASES[name]
+    cell = ConvexCell(W, b)
+    pruned = cell.prune_redundant()
+    assert_prunes_like_lp(cell, pruned)
+    assert np.array_equal(pruned.W, cell.W[rows])
+
+
+def test_prune_refuses_an_unbounded_cell():
+    with pytest.raises(MeshError, match="unbounded"):
+        ConvexCell(*UNBOUNDED_CELLS["open triangle"]).prune_redundant()

@@ -123,7 +123,7 @@ def test_registry_idempotent():
     mesh = freudenthal_mesh(2, 3)
     first = mesh.registry()
     counts1 = (first.interior_count, first.boundary_count, first.size)
-    second = mesh.registry(rebuild=True)
+    second = build_registry(mesh)
     assert counts1 == (second.interior_count, second.boundary_count, second.size)
 
 

@@ -78,13 +78,27 @@ def test_samples_follow_tile_volumes():
 
 
 def test_cell_shrunk_just_past_its_inradius_gets_no_points():
-    # the shrunk vertices still pass the 1e-9 vertex tolerance, but the
-    # shrunk cell is empty
+    # 1e-10 past the inradius the shrunk cell is empty
     mesh = freudenthal_mesh(2, 1)
     eps = mesh.cells[0].inradius() + 1e-10
     assert len(mesh.cells[0].simplices(eps)) == 0
     X, tags = sample_cells(mesh, 10, seed=0, epsilon=eps)
     assert X.shape == (0, 2) and tags.size == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_thin_box_keeps_its_vertices_and_quota(n):
+    # a 1 x 1e-9 box shrunk by 0.49e-9 has an interior 2e-11 wide: vertex
+    # tolerances that follow the points' magnitude keep its shrunk
+    # corners apart
+    hi = np.ones(n)
+    hi[-1] = 1e-9
+    box = ConvexCell(np.vstack([np.eye(n), -np.eye(n)]),
+                     np.concatenate([np.zeros(n), hi]))
+    eps = 0.49e-9
+    X, tags = sample_cells(PolytopeMesh(n, [box]), 50, seed=0, epsilon=eps)
+    assert X.shape == (50, n) and np.all(tags == 0)
+    assert np.all(box.shrink(eps).contains(X, tol=0.0))
 
 
 def containing_oracle(mesh, X, tol):
