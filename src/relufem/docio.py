@@ -22,7 +22,7 @@ from .errors import DocumentError
 def jsonable(obj: Any) -> Any:
     """Convert numpy containers/scalars into plain Python structures."""
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):

@@ -67,50 +67,44 @@ def _simplex_volumes(T):
     return np.abs(np.linalg.det(T[:, 1:] - T[:, :1])) / float(math.factorial(n))
 
 
-def _facet_normal(points: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to the affine hull of n points in R^n.
+def _simplex_halfspaces(V, names=None):
+    """Inward facet halfspaces (W, b) of a stack of simplices V, shape
+    (k, n+1, n), with facet j opposite vertex j: W (k, n+1, n), b (k, n+1).
 
-    Uses closed forms for n <= 3 so that exact zero coordinates in the
-    input propagate exactly (important for facets lying on box faces);
-    higher dimensions fall back to an SVD nullspace.
+    Each facet's points are sorted lexicographically (the facet id is the
+    last lexsort key), so two cells sharing a facet derive it from the same
+    input. Normals have closed forms for n <= 3, so exact zero coordinates
+    stay exact on box faces, and come from a stacked SVD nullspace above.
+    A flat simplex raises MeshError naming it by names[i] (default
+    "cell i").
     """
-    n = points.shape[1]
+    k, m, n = V.shape
+    if m != n + 1:
+        raise MeshError(f"simplex in R^{n} needs {n + 1} vertices, got {m}")
+    omit = np.array([np.delete(np.arange(m), j) for j in range(m)])
+    F = V[:, omit].reshape(-1, n)
+    F = F[np.lexsort((*F.T[::-1], np.arange(F.shape[0]) // n))].reshape(k, m, n, n)
+    E = F[:, :, 1:] - F[:, :, :1]
     if n == 1:
-        return np.array([1.0])
-    edges = points[1:] - points[0]
-    if n == 2:
-        d = edges[0]
-        return np.array([-d[1], d[0]])
-    if n == 3:
-        return np.cross(edges[0], edges[1])
-    _, _, vt = np.linalg.svd(edges)
-    return vt[-1]
-
-
-def _simplex_halfspaces(vertices: np.ndarray):
-    """Inward facet halfspaces of a nondegenerate simplex."""
-    n = vertices.shape[1]
-    if vertices.shape[0] != n + 1:
-        raise MeshError(f"simplex in R^{n} needs {n + 1} vertices, got {len(vertices)}")
-    W = np.zeros((n + 1, n))
-    b = np.zeros(n + 1)
-    for k in range(n + 1):
-        facet = np.delete(vertices, k, axis=0)
-        # sort facet points so both cells sharing this facet see identical input
-        order = np.lexsort(facet.T[::-1])
-        facet = facet[order]
-        w = _facet_normal(facet)
-        if np.linalg.norm(w) <= 0.0:
-            raise MeshError("degenerate simplex facet")
-        off = -float(w @ facet[0])
-        # orient inward: the omitted vertex must be strictly on the >= side
-        side = float(w @ vertices[k] + off)
-        if side < 0.0:
-            w, off, side = -w, -off, -side
-        if side == 0.0:
-            raise MeshError("degenerate simplex (flat)")
-        W[k] = w
-        b[k] = off
+        W = np.ones((k, m, 1))
+    elif n == 2:
+        W = np.stack([-E[:, :, 0, 1], E[:, :, 0, 0]], axis=-1)
+    elif n == 3:
+        W = np.cross(E[:, :, 0], E[:, :, 1])
+    else:
+        W = np.ascontiguousarray(np.linalg.svd(E)[2][:, :, -1])
+    # stacked matmul: the same dot kernel as one facet's w @ x
+    b = -(W[..., None, :] @ F[:, :, 0, :, None])[..., 0, 0]
+    # orient inward: the opposite vertex must be strictly on the >= side
+    side = (W[..., None, :] @ V[..., None])[..., 0, 0] + b
+    flip = side < 0.0
+    W[flip] = -W[flip]
+    b[flip] = -b[flip]
+    # a zero normal gives side 0 too
+    flat = np.flatnonzero((side == 0.0).any(axis=1))
+    if flat.size:
+        name = f"cell {flat[0]}" if names is None else names[flat[0]]
+        raise MeshError(f"{name}: degenerate simplex (flat)")
     return W, b
 
 
@@ -183,9 +177,16 @@ class ConvexCell:
 
     @classmethod
     def from_simplex(cls, vertices):
-        vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        W, b = _simplex_halfspaces(vertices)
-        return cls(W, b, vertices=vertices)
+        V = np.atleast_2d(np.asarray(vertices, dtype=float))
+        return cls.from_simplices(V[None])[0]
+
+    @classmethod
+    def from_simplices(cls, V, names=None):
+        """One simplex cell per (n+1, n) vertex array of the stack V, all
+        from one derivation; errors name simplex i names[i] (default
+        "cell i")."""
+        W, b = _simplex_halfspaces(V, names)
+        return [cls(W[i], b[i], vertices=V[i]) for i in range(len(V))]
 
     @property
     def m(self) -> int:
@@ -345,23 +346,42 @@ class ConvexCell:
         return {"halfspaces": [{"w": self.W[i], "b": self.b[i]} for i in range(self.m)]}
 
     @classmethod
-    def from_doc(cls, doc: dict, dimension: int) -> "ConvexCell":
-        if "vertices" in doc:
-            verts = docio.as_float_array(doc["vertices"], "vertices")
-            if verts.ndim != 2 or verts.shape[1] != dimension:
-                raise DocumentError("cell vertices have wrong shape")
-            return cls.from_simplex(verts)
-        if "halfspaces" in doc:
-            hs = doc["halfspaces"]
-            if not isinstance(hs, list) or not hs:
-                raise DocumentError("field 'halfspaces' must be a non-empty list")
-            W = np.zeros((len(hs), dimension))
-            b = np.zeros(len(hs))
-            for i, h in enumerate(hs):
-                W[i] = docio.as_float_array(docio.get(h, "w"), "w", (dimension,))
-                b[i] = docio.as_float(docio.get(h, "b"), "b")
-            return cls(W, b)
-        raise DocumentError("cell needs either 'vertices' or 'halfspaces'")
+    def from_docs(cls, docs, dimension: int, names=None) -> list:
+        """Cells from their documents, errors naming doc i names[i]
+        (default "cell i"). Shapes are checked per cell; every simplex
+        goes through one derivation."""
+        names = names or [f"cell {i}" for i in range(len(docs))]
+        cells = [None] * len(docs)
+        simplex = []
+        for i, doc in enumerate(docs):
+            if not isinstance(doc, dict):
+                raise DocumentError(f"{names[i]} must be an object")
+            if "vertices" in doc:
+                verts = docio.as_float_array(doc["vertices"], "vertices")
+                if verts.ndim != 2 or verts.shape[1] != dimension:
+                    raise DocumentError(f"{names[i]} vertices have wrong shape")
+                if len(verts) != dimension + 1:
+                    raise MeshError(f"{names[i]}: simplex in R^{dimension} needs "
+                                    f"{dimension + 1} vertices, got {len(verts)}")
+                simplex.append((i, verts))
+            elif "halfspaces" in doc:
+                hs = doc["halfspaces"]
+                if not isinstance(hs, list) or not hs:
+                    raise DocumentError("field 'halfspaces' must be a non-empty list")
+                W = np.zeros((len(hs), dimension))
+                b = np.zeros(len(hs))
+                for r, h in enumerate(hs):
+                    W[r] = docio.as_float_array(docio.get(h, "w"), "w", (dimension,))
+                    b[r] = docio.as_float(docio.get(h, "b"), "b")
+                cells[i] = cls(W, b)
+            else:
+                raise DocumentError(f"{names[i]} needs 'vertices' or 'halfspaces'")
+        if simplex:
+            ids, V = zip(*simplex)
+            made = cls.from_simplices(np.array(V), [names[i] for i in ids])
+            for i, cell in zip(ids, made):
+                cells[i] = cell
+        return cells
 
 
 def shrink_cell(cell: ConvexCell, epsilon: float) -> ConvexCell:
@@ -595,10 +615,10 @@ class PolytopeMesh:
         cell_docs = docio.get(doc, "cells", list)
         if not cell_docs:
             raise DocumentError("field 'cells' must be non-empty")
-        cells = [ConvexCell.from_doc(cd, dim) for cd in cell_docs]
+        cells = ConvexCell.from_docs(cell_docs, dim)
         hull = None
         if doc.get("domain_hull") is not None:
-            hull = ConvexCell.from_doc(doc["domain_hull"], dim)
+            hull = ConvexCell.from_docs([doc["domain_hull"]], dim, ["domain hull"])[0]
         return cls(dim, cells, domain_hull=hull)
 
     def save(self, path):
@@ -620,27 +640,13 @@ def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
     """
     if n < 1 or N < 1:
         raise MeshError("freudenthal_mesh requires n >= 1 and N >= 1")
-    cells = []
-    perms = list(itertools.permutations(range(n)))
-    for idx in itertools.product(range(N), repeat=n):
-        for sigma in perms:
-            verts = np.zeros((n + 1, n))
-            steps = np.zeros(n, dtype=int)
-            verts[0] = [idx[d] / N for d in range(n)]
-            for k in range(n):
-                steps[sigma[k]] += 1
-                verts[k + 1] = [(idx[d] + steps[d]) / N for d in range(n)]
-            W = np.zeros((n + 1, n))
-            b = np.zeros(n + 1)
-            W[0, sigma[0]] = -1.0
-            b[0] = (idx[sigma[0]] + 1) / N
-            for k in range(n - 1):
-                W[k + 1, sigma[k]] = 1.0
-                W[k + 1, sigma[k + 1]] = -1.0
-                b[k + 1] = -((idx[sigma[k]] - idx[sigma[k + 1]]) / N)
-            W[n, sigma[n - 1]] = 1.0
-            b[n] = -(idx[sigma[n - 1]] / N)
-            cells.append(ConvexCell(W, b, vertices=verts))
+    # corner of each subcube, then per coordinate ordering sigma the walk
+    # that steps +1 along sigma[0], ..., sigma[n-1]
+    corners = np.array(list(itertools.product(range(N), repeat=n)), dtype=int)
+    steps = np.eye(n, dtype=int)[list(itertools.permutations(range(n)))]
+    walks = np.cumsum(np.pad(steps, ((0, 0), (1, 0), (0, 0))), axis=1)
+    V = (corners[:, None, None] + walks[None]).reshape(-1, n + 1, n) / N
+    cells = ConvexCell.from_simplices(V)
     hull_W = np.vstack([np.eye(n), -np.eye(n)])
     hull_b = np.concatenate([np.zeros(n), np.ones(n)])
     hull = ConvexCell(hull_W, hull_b)

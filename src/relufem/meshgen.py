@@ -77,18 +77,10 @@ def random_simplex_mesh(n: int, N: int, seed: int, jitter: float = 0.15
     amount = jitter / N
     min_vol = 0.02 / np.prod([N] * n) if n else 0.0
     for _ in range(20):
-        moved = verts + amount * offsets
-        cells = []
-        ok = True
-        for ids in cell_ids:
-            V = moved[ids]
-            vol = abs(np.linalg.det(V[1:] - V[0]))
-            if vol < min_vol:
-                ok = False
-                break
-            cells.append(ConvexCell.from_simplex(V))
-        if ok:
-            return PolytopeMesh(n, cells, domain_hull=base.domain_hull)
+        V = (verts + amount * offsets)[np.array(cell_ids)]
+        if np.min(np.abs(np.linalg.det(V[:, 1:] - V[:, :1]))) >= min_vol:
+            return PolytopeMesh(n, ConvexCell.from_simplices(V),
+                                domain_hull=base.domain_hull)
         amount *= 0.5
     raise MeshError("could not build a nondegenerate perturbed mesh")
 
@@ -100,8 +92,8 @@ def random_partition_mesh_1d(seed: int, n_cells: int = 4) -> PolytopeMesh:
     while np.any(np.diff(np.concatenate([[0.0], inner, [1.0]])) < 0.03):
         inner = np.sort(rng.uniform(0.1, 0.9, size=n_cells - 1))
     nodes = np.concatenate([[0.0], inner, [1.0]])
-    cells = [ConvexCell.from_simplex([[nodes[i]], [nodes[i + 1]]])
-             for i in range(n_cells)]
+    cells = ConvexCell.from_simplices(
+        np.stack([nodes[:-1], nodes[1:]], axis=1)[..., None])
     hull = ConvexCell([[1.0], [-1.0]], [0.0, 1.0])
     return PolytopeMesh(1, cells, domain_hull=hull)
 

@@ -14,16 +14,22 @@ from scipy import sparse
 from . import docio
 from .errors import DocumentError
 
-# forward passes run in row chunks so each (chunk, width) temporary holds
-# at most this many floats: 64 MB for the tensor net; 2 MB for the fully
-# connected net, whose next layer re-reads each temporary while it is
-# still in cache
-CHUNK_ELEMENTS = 2 ** 23
-FNN_CHUNK_ELEMENTS = 2 ** 18
+# forward passes run in point chunks so each (width, chunk) temporary
+# holds at most this many floats (2 MB), which the next layer re-reads
+# while it is still in cache
+CHUNK_ELEMENTS = 2 ** 18
 
 
 def relu(x):
     return np.maximum(x, 0.0)
+
+
+# scipy's sparse maximum, minimum and abs sort a matrix's indices in place,
+# which would reorder the terms of a row and change the output bits;
+# read-only CSR arrays make such a call fail instead
+def _freeze(layers, *arrays):
+    for a in arrays + tuple(x for m in layers for x in (m.data, m.indices, m.indptr)):
+        a.flags.writeable = False
 
 
 class ReluNet2:
@@ -63,15 +69,9 @@ class ReluNet2:
             sparse.csr_matrix((self.W2_vals, self.W2_cols, indptr),
                               shape=(self.h2, self.h1)),
             sparse.csr_matrix(self.w3[None, :]))
-        # scipy's sparse maximum, minimum and abs sort a matrix's indices in
-        # place, which would reorder the terms of a row and change the
-        # output bits; read-only arrays make such a call fail instead. The
-        # triplet arrays are frozen too: W2_vals is the layer's data.
-        for a in (self.W2_rows, self.W2_cols, self.W2_vals):
-            a.flags.writeable = False
-        for layer in self._layers:
-            for a in (layer.data, layer.indices, layer.indptr):
-                a.flags.writeable = False
+        # the triplet arrays are frozen with the layers: W2_vals is the
+        # second layer's data
+        _freeze(self._layers, self.W2_rows, self.W2_cols, self.W2_vals)
 
     def _validate(self, T):
         if self.h1 < 1 or self.h2 < 1:
@@ -111,7 +111,7 @@ class ReluNet2:
         W1, W2, w3 = self._layers
         b1 = self.b1[:, None]
         b2 = self.b2[:, None]
-        chunk = max(1, FNN_CHUNK_ELEMENTS // max(self.h1, self.h2))
+        chunk = max(1, CHUNK_ELEMENTS // max(self.h1, self.h2))
         for lo in range(0, X.shape[0], chunk):
             # transposed layout: one column per point
             Z1 = W1 @ X[lo:lo + chunk].T
@@ -175,7 +175,9 @@ class TensorNet:
     """Sum over the rank index of products of per-axis branch nets.
 
     Branch k holds (W_k, b_k, weights_k); its contribution for rank p is
-    weights_k[p] @ relu(W_k * x_k + b_k).
+    weights_k[p] @ relu(W_k * x_k + b_k). The forward pass contracts each
+    branch, then sums over the rank, through frozen CSR matrices with points
+    in columns, so every sum runs in storage order whatever the batch.
     """
 
     def __init__(self, branches, provenance=None):
@@ -184,7 +186,7 @@ class TensorNet:
         for W, b, weights in branches:
             W = np.asarray(W, dtype=float).reshape(-1, 1)
             b = np.asarray(b, dtype=float).reshape(-1)
-            weights = np.atleast_2d(np.asarray(weights, dtype=float))
+            weights = np.atleast_2d(np.array(weights, dtype=float))
             if W.shape[0] != b.shape[0] or weights.shape[1] != W.shape[0]:
                 raise DocumentError("inconsistent branch shapes")
             if rank is None:
@@ -196,6 +198,10 @@ class TensorNet:
             raise DocumentError("tensor net needs at least one branch")
         self.rank = int(rank)
         self.provenance = provenance or {}
+        self._layers = tuple(sparse.csr_matrix(w) for _, _, w in self.branches) \
+            + (sparse.csr_matrix(np.ones((1, self.rank))),)
+        # the weights are frozen with their CSR copies, so the two agree
+        _freeze(self._layers, *(w for _, _, w in self.branches))
 
     @property
     def n(self) -> int:
@@ -211,16 +217,17 @@ class TensorNet:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
         chunk = max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank]))
+        *contract, total = self._layers
         for lo in range(0, X.shape[0], chunk):
             Xc = X[lo:lo + chunk]
-            prod = np.ones((Xc.shape[0], self.rank))
-            for k, (W, b, weights) in enumerate(self.branches):
+            prod = np.ones((self.rank, Xc.shape[0]))
+            for k, ((W, b, _), weights) in enumerate(zip(self.branches, contract)):
                 # one rounded product per entry, as the k=1 matmul gave
-                Z = Xc[:, k:k + 1] * W[:, 0]
-                Z += b
+                Z = W * Xc[:, k]
+                Z += b[:, None]
                 np.maximum(Z, 0.0, out=Z)
-                prod *= Z @ weights.T
-            out[lo:lo + chunk] = prod.sum(axis=1)
+                prod *= weights @ Z
+            out[lo:lo + chunk] = (total @ prod)[0]
         return out
 
     def forward(self, x) -> float:

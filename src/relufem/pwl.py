@@ -152,7 +152,8 @@ class PiecewiseLinear:
 def nodal_linear(mesh: PolytopeMesh, nodal_values) -> PiecewiseLinear:
     """Continuous interpolant with the given value at every mesh vertex.
 
-    Per cell, solves the (n+1)x(n+1) system [vertices | 1] (a; c) = values.
+    Solves every cell's (n+1)x(n+1) system [vertices | 1] (a; c) = values
+    in one stacked call.
     Accepts either an array aligned with the mesh vertex table or a mapping
     vertex index -> value.
     """
@@ -168,19 +169,16 @@ def nodal_linear(mesh: PolytopeMesh, nodal_values) -> PiecewiseLinear:
         if values.shape[0] != len(verts):
             raise MeshError(
                 f"{values.shape[0]} nodal values for {len(verts)} vertices")
-    n = mesh.dimension
-    grads = np.zeros((mesh.n_cells, n))
-    consts = np.zeros(mesh.n_cells)
-    for i, ids in enumerate(cell_ids):
-        V = verts[ids]
-        M = np.hstack([V, np.ones((n + 1, 1))])
-        det = np.linalg.det(M)
-        scale = max(float(np.prod(np.linalg.norm(M, axis=1))), 1.0)
-        if abs(det) < 1e-12 * scale:
-            raise MeshError(f"cell {i} is a degenerate simplex")
-        sol = np.linalg.solve(M, values[ids])
-        grads[i] = sol[:n]
-        consts[i] = sol[n]
+    ids = np.array(cell_ids)
+    V = verts[ids]
+    M = np.concatenate([V, np.ones(V.shape[:2] + (1,))], axis=2)
+    det = np.linalg.det(M)
+    scale = np.maximum(np.prod(np.linalg.norm(M, axis=2), axis=1), 1.0)
+    degenerate = np.abs(det) < 1e-12 * scale
+    if degenerate.any():
+        raise MeshError(f"cell {int(np.argmax(degenerate))} is a degenerate simplex")
+    sol = np.linalg.solve(M, values[ids][..., None])[..., 0]
+    grads, consts = sol[:, :-1].copy(), sol[:, -1].copy()
     return PiecewiseLinear(mesh, grads, consts, kind="nodal-linear",
                            nodal_values=values)
 

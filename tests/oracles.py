@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
-from relufem.errors import CompileError, ConditioningWarning
+from relufem.errors import CompileError, ConditioningWarning, MeshError
 from relufem.mesh import ConvexCell
 from relufem.networks import relu
 
@@ -89,6 +89,55 @@ def positive_combination_bruteforce(cell):
                 np.linalg.norm(A @ lam) <= 1e-9 * float(lam @ cell.norms):
             return lam
     return None
+
+
+# --- simplex facets: one cell and one facet at a time ------------------------
+
+def _facet_normal(points: np.ndarray) -> np.ndarray:
+    """Vector orthogonal to the affine hull of n points in R^n.
+
+    Uses closed forms for n <= 3 so that exact zero coordinates in the
+    input propagate exactly (important for facets lying on box faces);
+    higher dimensions fall back to an SVD nullspace.
+    """
+    n = points.shape[1]
+    if n == 1:
+        return np.array([1.0])
+    edges = points[1:] - points[0]
+    if n == 2:
+        d = edges[0]
+        return np.array([-d[1], d[0]])
+    if n == 3:
+        return np.cross(edges[0], edges[1])
+    _, _, vt = np.linalg.svd(edges)
+    return vt[-1]
+
+
+def simplex_halfspaces(vertices: np.ndarray):
+    """Inward facet halfspaces of a nondegenerate simplex."""
+    n = vertices.shape[1]
+    if vertices.shape[0] != n + 1:
+        raise MeshError(f"simplex in R^{n} needs {n + 1} vertices, got {len(vertices)}")
+    W = np.zeros((n + 1, n))
+    b = np.zeros(n + 1)
+    for k in range(n + 1):
+        facet = np.delete(vertices, k, axis=0)
+        # sort facet points so both cells sharing this facet see identical input
+        order = np.lexsort(facet.T[::-1])
+        facet = facet[order]
+        w = _facet_normal(facet)
+        if np.linalg.norm(w) <= 0.0:
+            raise MeshError("degenerate simplex facet")
+        off = -float(w @ facet[0])
+        # orient inward: the omitted vertex must be strictly on the >= side
+        side = float(w @ vertices[k] + off)
+        if side < 0.0:
+            w, off, side = -w, -off, -side
+        if side == 0.0:
+            raise MeshError("degenerate simplex (flat)")
+        W[k] = w
+        b[k] = off
+    return W, b
 
 
 class ScanRegistry:

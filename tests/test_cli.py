@@ -144,6 +144,20 @@ def test_unbounded_mesh_exits_3(workdir):
     assert rc == 3
 
 
+def test_flat_simplex_exits_3_naming_its_cell(workdir, capsys):
+    docio.save({"dimension": 2, "cells": [
+        {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
+        {"vertices": [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]}]},
+        workdir / "flat.json")
+    docio.save({"kind": "constant", "pieces": [{"a": [0.0, 0.0], "c": 1.0}] * 2},
+               workdir / "cfn.json")
+    rc = main(["build", "--mesh", str(workdir / "flat.json"),
+               "--function", str(workdir / "cfn.json"),
+               "--epsilon", "0.01", "--output", str(workdir / "x.json")])
+    assert rc == 3
+    assert "cell 1: degenerate simplex" in capsys.readouterr().err
+
+
 def test_verify_zero_network_exits_5(workdir):
     docio.save({"arch": "fnn2", "n": 2, "h1": 1, "h2": 1,
                 "W1": [[0.0, 0.0]], "b1": [0.0], "W2": [], "b2": [0.0],

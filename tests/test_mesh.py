@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
+from relufem import docio
+from relufem.compiler import compile_weak_representation
 from relufem.errors import DocumentError, MeshError
-from relufem.mesh import (ConvexCell, Halfspace, PolytopeMesh, build_registry,
-                          freudenthal_mesh, sample_shrunk_domain, shrink_cell,
-                          validate_mesh)
+from relufem.mesh import (ConvexCell, Halfspace, PolytopeMesh, _simplex_halfspaces,
+                          build_registry, freudenthal_mesh,
+                          sample_shrunk_domain, shrink_cell, validate_mesh)
+from relufem.meshgen import random_simplex_mesh
+from relufem.networks import serialize
+from relufem.pwl import nodal_linear
 
 
 def unit_square_cell():
@@ -209,6 +215,66 @@ def test_simplex_cell_from_vertices_inward():
 def test_degenerate_simplex_rejected():
     with pytest.raises(MeshError):
         ConvexCell.from_simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
+
+def simplex_corpus():
+    """Vertex stacks of Freudenthal 1-4D, jittered 2-4D and 500 random
+    4D and 5D simplices."""
+    meshes = [freudenthal_mesh(n, N) for n, N in ((1, 5), (2, 4), (3, 3), (4, 2))]
+    meshes += [random_simplex_mesh(n, N, 1) for n, N in ((2, 4), (3, 3), (4, 2))]
+    stacks = [np.array([c.vertices for c in m.cells]) for m in meshes]
+    rng = np.random.default_rng(5)
+    return stacks + [rng.standard_normal((500, n + 1, n)) for n in (4, 5)]
+
+
+def test_batched_simplex_halfspaces_equal_the_per_cell_oracle():
+    for V in simplex_corpus():
+        W, b = _simplex_halfspaces(V)
+        for i, verts in enumerate(V):
+            Wo, bo = oracles.simplex_halfspaces(verts)
+            np.testing.assert_array_equal(W[i], Wo)
+            np.testing.assert_array_equal(b[i], bo)
+            assert np.array_equal(np.signbit(W[i]), np.signbit(Wo))
+            assert np.array_equal(np.signbit(b[i]), np.signbit(bo))
+
+
+@pytest.mark.parametrize("mesh", [
+    *(freudenthal_mesh(n, N) for n, N in ((1, 4), (2, 3), (3, 2), (4, 1))),
+    random_simplex_mesh(2, 4, 3), random_simplex_mesh(3, 2, 3)],
+    ids=["freudenthal-1d", "freudenthal-2d", "freudenthal-3d",
+         "freudenthal-4d", "jittered-2d", "jittered-3d"])
+def test_generated_simplex_mesh_equals_its_document(mesh):
+    again = PolytopeMesh.from_doc(docio.loads(docio.dumps(mesh.to_doc())))
+    for a, b in zip(mesh.cells, again.cells):
+        np.testing.assert_array_equal(a.W, b.W)
+        np.testing.assert_array_equal(a.b, b.b)
+    verts, _ = mesh.vertex_table()
+    values = np.sin(3.0 * verts.sum(axis=1))
+    nets = [serialize(compile_weak_representation(m, nodal_linear(m, values), 1e-3))
+            for m in (mesh, again)]
+    assert nets[0] == nets[1]
+
+
+def test_flat_simplex_is_named_by_its_document_cell():
+    square = {"halfspaces": [{"w": [1.0, 0.0], "b": 0.0}, {"w": [-1.0, 0.0], "b": 1.0},
+                             {"w": [0.0, 1.0], "b": 0.0}, {"w": [0.0, -1.0], "b": 1.0}]}
+    doc = {"dimension": 2, "cells": [
+        square, {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]},
+        {"vertices": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]}]}
+    with pytest.raises(MeshError, match="cell 2: degenerate simplex"):
+        PolytopeMesh.from_doc(doc)
+    with pytest.raises(MeshError, match="cell 0: degenerate simplex"):
+        ConvexCell.from_simplex([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    doc["cells"][2]["vertices"].pop()
+    with pytest.raises(MeshError, match="cell 2: simplex in R.2 needs 3 vertices"):
+        PolytopeMesh.from_doc(doc)
+    doc["cells"][2] = 7
+    with pytest.raises(DocumentError, match="cell 2 must be an object"):
+        PolytopeMesh.from_doc(doc)
+    doc = {"dimension": 1, "cells": [{"vertices": [[0.0], [1.0]]}],
+           "domain_hull": {"vertices": [[0.5], [0.5]]}}
+    with pytest.raises(MeshError, match="domain hull: degenerate simplex"):
+        PolytopeMesh.from_doc(doc)
 
 
 def test_vertex_table_shares_vertices():

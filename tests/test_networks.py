@@ -6,8 +6,8 @@ from relufem.compiler import (compile_compact_support,
 from relufem.errors import DocumentError
 from relufem.mesh import freudenthal_mesh
 from relufem.meshgen import random_polygon_mesh
-from relufem.networks import (CHUNK_ELEMENTS, FNN_CHUNK_ELEMENTS, ReluNet2,
-                              TensorNet, deserialize, fnn_forward, serialize,
+from relufem.networks import (CHUNK_ELEMENTS, ReluNet2, TensorNet,
+                              deserialize, fnn_forward, serialize,
                               tnn_forward)
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import compile_1d_hat
@@ -177,7 +177,7 @@ def test_nonfinite_weights_rejected():
 
 
 def test_tnn_forward_in_chunks_is_bitwise_piecewise():
-    # width 4096 makes one chunk 2048 rows, so 5000 points span three
+    # width 4096 makes one chunk 64 points, so 5000 points span many
     rng = np.random.default_rng(7)
     grid = np.sort(rng.uniform(0, 1, 4096))
     grid[0], grid[-1] = 0.0, 1.0
@@ -188,6 +188,31 @@ def test_tnn_forward_in_chunks_is_bitwise_piecewise():
     X = rng.uniform(0, 1, (5000, 2))
     pieces = np.concatenate([net(X[lo:lo + 1000]) for lo in range(0, 5000, 1000)])
     np.testing.assert_array_equal(net(X), pieces)
+
+
+def test_tnn_forward_does_not_depend_on_the_batch():
+    # rank 6 on 300-node branches: a dgemm over the branch width would
+    # round differently for 5-point pieces and single points
+    rng = np.random.default_rng(17)
+    branches = []
+    for _ in range(2):
+        grid = np.sort(rng.uniform(0, 1, 300))
+        grid[0], grid[-1] = 0.0, 1.0
+        W, b, _ = compile_1d_hat(grid, np.zeros(300))
+        weights = np.vstack([compile_1d_hat(grid, rng.standard_normal(300))[2]
+                             for _ in range(6)])
+        branches.append((W, b, weights))
+    net = TensorNet(branches)
+    X = rng.uniform(0, 1, (2000, 2))
+    y = net(X)
+    pieces = np.concatenate([net(X[lo:lo + 5]) for lo in range(0, 2000, 5)])
+    np.testing.assert_array_equal(y, pieces)
+    np.testing.assert_array_equal(y[:100], [tnn_forward(net, x) for x in X[:100]])
+    # the weights and their CSR copies are read-only, so they cannot part
+    with pytest.raises(ValueError):
+        net.branches[0][2][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        net._layers[0].data[0] = 1.0
 
 
 def compiled_nets():
@@ -249,7 +274,7 @@ def test_fnn_forward_in_chunks_is_bitwise_piecewise():
     for net, n in compiled_nets():
         # 12000 points span three or more chunks, whose boundaries fall
         # inside the 1000-point pieces
-        assert FNN_CHUNK_ELEMENTS // max(net.h1, net.h2) < 6000
+        assert CHUNK_ELEMENTS // max(net.h1, net.h2) < 6000
         X = rng.uniform(-0.1, 1.1, (12000, n))
         pieces = np.concatenate([net(X[lo:lo + 1000])
                                  for lo in range(0, 12000, 1000)])
