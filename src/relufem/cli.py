@@ -46,6 +46,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _resolutions(text: str) -> list[int]:
+    try:
+        Ns = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        Ns = []
+    if not Ns:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated integers, got {text!r}")
+    return Ns
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relufem",
@@ -89,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="mesh refinement error study")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--Ns", default="2,4,8,16",
+    p.add_argument("--Ns", type=_resolutions, default="2,4,8,16",
                    help="comma separated resolutions")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--target", choices=sorted(TARGETS), default="sinpi")
@@ -191,8 +202,7 @@ def cmd_freudenthal(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    Ns = [int(tok) for tok in args.Ns.split(",") if tok.strip()]
-    table = convergence_experiment(TARGETS[args.target], args.p, Ns, args.n,
+    table = convergence_experiment(TARGETS[args.target], args.p, args.Ns, args.n,
                                    samples=args.samples, seed=args.seed)
     sys.stdout.write(table.as_text())
     if args.output:
@@ -230,7 +240,7 @@ def cmd_tnn_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net = networks.load(args.network)
+    net = networks.from_doc(_load_doc(args.network))
     doc = _load_doc(args.points)
     X = docio.as_float_array(docio.get(doc, "points"), "points")
     X = np.atleast_2d(X)

@@ -52,12 +52,12 @@ class Halfspace:
 
 
 def _affine(X, W, b):
-    """X @ W.T + b summed coordinate by coordinate, so an entry has the same
-    bits whatever batch or facet stack it is computed in."""
-    out = X[:, :1] * W[:, 0]
-    for d in range(1, W.shape[1]):
-        out += X[:, d:d + 1] * W[:, d]
-    out += b
+    """X @ W.T + b over any leading stack axes, summed coordinate by
+    coordinate, so an entry has the same bits in whatever stack it is."""
+    out = X[..., :, None, 0] * W[..., None, :, 0]
+    for d in range(1, W.shape[-1]):
+        out += X[..., :, None, d] * W[..., None, :, d]
+    out += b[..., None, :]
     return out
 
 
@@ -108,6 +108,26 @@ def _simplex_halfspaces(V, names=None):
     return W, b
 
 
+def _simplex_facts(V, W, b, names=None):
+    """(lambda (k, n+1), incentres (k, n), inradii (k,)) of simplices V
+    (k, n+1, n) with facets W, b. h_i, facet i's largest vertex value, is
+    its value at the opposite vertex v_i, and the barycentric coordinates
+    h_i(x) / h_i sum to 1: lambda = max(h) / h (min 1, as the LP pins it),
+    r = 1 / sum_i |w_i| / h_i, incentre r sum_i (|w_i| / h_i) v_i. A flat
+    simplex raises MeshError naming it by names[i] (default "cell i")."""
+    H = _affine(V, W, b)  # (cell, vertex, facet)
+    opposite = np.argmax(H, axis=1)
+    h = np.take_along_axis(H, opposite[:, None], axis=1)[:, 0]
+    flat = np.flatnonzero(~np.all(h > 0.0, axis=1))
+    if flat.size:
+        name = f"cell {flat[0]}" if names is None else names[flat[0]]
+        raise MeshError(f"{name}: degenerate simplex (flat)")
+    g = np.linalg.norm(W, axis=-1) / h
+    r = 1.0 / np.sum(g, axis=-1)
+    centre = (g[:, None] @ np.take_along_axis(V, opposite[..., None], axis=1))[:, 0]
+    return np.max(h, axis=-1, keepdims=True) / h, r[:, None] * centre, r
+
+
 def _feasible_intersections(W, b):
     """Feasible solutions of the nonsingular n-facet subsystems of
     {W x + b >= 0} and their magnitudes max_j |x_j|; feasibility allows
@@ -145,11 +165,11 @@ class ConvexCell:
 
     A cell caches three facts: the Chebyshev ball, a strictly positive
     combination of the facet normals summing to zero, and the vertex set.
-    On a simplex (`is_simplex`) the first two have closed forms; on any
-    other cell each costs one linear program. The vertex set (given for a
-    simplex, else from n-facet intersections) answers every other
-    question, boundedness and pruning included. Volumes and samples come
-    from a tiling of the (shrunk) cell by simplices.
+    On a simplex (`is_simplex`) the first two have closed forms, set at
+    birth by from_simplices; on any other cell each costs one LP. The
+    vertex set (given for a simplex, else from n-facet intersections)
+    answers every other question, boundedness and pruning included.
+    Volumes and samples come from a tiling of the (shrunk) cell.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -170,12 +190,6 @@ class ConvexCell:
         self._vertex_set = None
 
     @classmethod
-    def from_halfspaces(cls, halfspaces):
-        W = np.array([h.normal for h in halfspaces], dtype=float)
-        b = np.array([h.offset for h in halfspaces], dtype=float)
-        return cls(W, b)
-
-    @classmethod
     def from_simplex(cls, vertices):
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         return cls.from_simplices(V[None])[0]
@@ -186,7 +200,10 @@ class ConvexCell:
         from one derivation; errors name simplex i names[i] (default
         "cell i")."""
         W, b = _simplex_halfspaces(V, names)
-        return [cls(W[i], b[i], vertices=V[i]) for i in range(len(V))]
+        cells = [cls(W[i], b[i], vertices=V[i]) for i in range(len(V))]
+        for cell, facts in zip(cells, zip(*_simplex_facts(V, W, b, names))):
+            cell._take_simplex_facts(facts)
+        return cells
 
     @property
     def m(self) -> int:
@@ -201,10 +218,6 @@ class ConvexCell:
         """The cell carries its n+1 vertices, one opposite each facet."""
         return (self.vertices is not None and self.m == self.dim + 1
                 and self.vertices.shape[0] == self.dim + 1)
-
-    @property
-    def halfspaces(self):
-        return [Halfspace(self.W[i].copy(), self.b[i]) for i in range(self.m)]
 
     def facet_values(self, X):
         """h_i(x) for every facet, shape (S, m)."""
@@ -230,7 +243,7 @@ class ConvexCell:
         """
         if self._cheb is None:
             if self.is_simplex:
-                self._simplex_facts()
+                self._take_simplex_facts()
             else:
                 res = lp.chebyshev_center(self.W, self.b)
                 if res is None:
@@ -245,34 +258,25 @@ class ConvexCell:
         """lambda >= 1 with sum_i lambda_i w_i = 0, or None when none exists."""
         if self._lam is _UNSET:
             if self.is_simplex:
-                self._simplex_facts()
+                self._take_simplex_facts()
             else:
                 self._lam = lp.positive_combination(self.W)
         return self._lam
 
-    def _simplex_facts(self):
-        """Both LP facts in closed form. h_i, facet i's largest value over
-        the vertices, is its value at the opposite vertex v_i, and the
-        barycentric coordinates h_i(x) / h_i sum to 1. So lambda = max(h) / h
-        (min 1, as the LP pins it), r = 1 / sum_i |w_i| / h_i, and the
-        incentre is r sum_i (|w_i| / h_i) v_i."""
-        H = self.facet_values(self.vertices)  # (vertex, facet)
-        opposite = np.argmax(H, axis=0)
-        h = H[opposite, np.arange(self.m)]
-        if not np.all(h > 0.0):
-            raise MeshError("degenerate simplex (flat)")
-        g = self.norms / h
-        r = 1.0 / np.sum(g)
-        self._lam = np.max(h) / h
-        self._cheb = (r * (g @ self.vertices[opposite]), r)
+    def _take_simplex_facts(self, facts=None):
+        """Store (lambda, incentre, inradius) from _simplex_facts, derived
+        alone (k = 1) unless the cell's stack gave them."""
+        lam, c, r = facts or [a[0] for a in _simplex_facts(
+            self.vertices[None], self.W[None], self.b[None])]
+        self._lam, self._cheb, self._bounded = lam, (c, r), True
 
     def is_bounded(self) -> bool:
         """Bounded iff the normals have full rank and no d != 0 has
         W d >= 0: {d : W d >= 0, |d|_inf <= 1} has no vertex but the origin
-        (any other has some |d_j| = 1). A simplex that has its combination
-        is not flat, so it is bounded."""
+        (any other has some |d_j| = 1). A simplex whose closed-form facts
+        exist is not flat, so it is bounded."""
         if self._bounded is None and self.is_simplex:
-            self._bounded = self.normal_combination() is not None
+            self._take_simplex_facts()
         elif self._bounded is None:
             _, size = _feasible_intersections(
                 np.vstack([self.W, np.eye(self.dim), -np.eye(self.dim)]),
@@ -302,13 +306,19 @@ class ConvexCell:
     def simplices(self, epsilon: float = 0.0) -> np.ndarray:
         """Simplices tiling the epsilon-shrunk cell, shape (k, n+1, n).
 
-        A cell with n+1 vertices is a simplex and shrinks to one; any other
-        cell is tiled by a Delaunay triangulation of its shrunk vertex set.
-        An empty shrunk cell, one whose vertex mean is not strictly inside
-        it, gives k = 0.
+        A simplex cell shrinks to its homothety about the incentre c, ratio
+        (r - eps) / r, empty (k = 0) unless r > eps as the compiler rules.
+        Any other cell is a Delaunay tiling of its shrunk vertex set (or its
+        own tile with n+1 vertices), empty when the vertex mean is not
+        strictly inside.
         """
         V = self.vertex_set()
         n = self.dim
+        if epsilon > 0 and self.is_simplex:
+            c, r = self.chebyshev()
+            if not r > epsilon:
+                return np.zeros((0, n + 1, n))
+            return (c + ((r - epsilon) / r) * (V - c))[None]
         if epsilon > 0:
             b = self.b - epsilon * self.norms
             V = _halfspace_vertices(self.W, b)
@@ -499,6 +509,7 @@ class PolytopeMesh:
         self._registry = None
         self._vertex_table = None
         self._facets = None
+        self._hash = None
 
     @property
     def n_cells(self) -> int:
@@ -520,25 +531,20 @@ class PolytopeMesh:
     def vertex_table(self):
         """Global vertex array plus per-cell vertex indices (simplicial meshes).
 
-        Vertices are matched exactly (bit for bit); generators and the file
-        round trip produce identical floats for shared vertices.
+        Vertices are matched by bit pattern (so -0.0 is not 0.0) and numbered
+        in order of first appearance; generators and the file round trip
+        produce identical floats for shared vertices.
         """
         if self._vertex_table is None:
             if not self.is_simplicial():
                 raise MeshError("vertex table requires a simplicial mesh")
-            index: dict[bytes, int] = {}
-            verts: list[np.ndarray] = []
-            cell_ids = []
-            for c in self.cells:
-                ids = []
-                for v in c.vertices:
-                    key = v.tobytes()
-                    if key not in index:
-                        index[key] = len(verts)
-                        verts.append(v.copy())
-                    ids.append(index[key])
-                cell_ids.append(ids)
-            self._vertex_table = (np.array(verts), cell_ids)
+            V = np.array([c.vertices for c in self.cells])
+            flat = V.reshape(-1, self.dimension)
+            bits = flat.view(np.dtype((np.void, flat.itemsize * self.dimension)))
+            _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            self._vertex_table = (flat[first[order]],
+                                  np.argsort(order)[inverse].reshape(V.shape[:2]))
         return self._vertex_table
 
     def bounding_box(self):
@@ -595,16 +601,10 @@ class PolytopeMesh:
             "dimension": self.dimension,
             "cells": [c.to_doc() for c in self.cells],
         }
-        if self.domain_hull is not None:
-            hull_doc = self.domain_hull.to_doc()
-            if "vertices" in hull_doc:
-                hull_doc = {
-                    "halfspaces": [
-                        {"w": self.domain_hull.W[i], "b": self.domain_hull.b[i]}
-                        for i in range(self.domain_hull.m)
-                    ]
-                }
-            doc["domain_hull"] = hull_doc
+        hull = self.domain_hull
+        if hull is not None:  # always as halfspaces
+            doc["domain_hull"] = {"halfspaces": [{"w": hull.W[i], "b": hull.b[i]}
+                                                 for i in range(hull.m)]}
         return doc
 
     @classmethod
@@ -629,7 +629,9 @@ class PolytopeMesh:
         return cls.from_doc(docio.load(path))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(docio.dumps(self.to_doc()).encode()).hexdigest()
+        if self._hash is None:
+            self._hash = hashlib.sha256(docio.dumps(self.to_doc()).encode()).hexdigest()
+        return self._hash
 
 
 def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
@@ -658,19 +660,19 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample(mesh: PolytopeMesh, epsilon: float, quotas, rng: np.random.Generator):
-    """quotas[c] uniform points of each epsilon-shrunk cell c, tagged by cell.
+def _sample(tiles, quotas, rng: np.random.Generator):
+    """quotas[c] uniform points of each cell c, tagged by cell, from the
+    tiling tiles[c] (k_c, n+1, n) of its (shrunk) interior.
 
     Exact, with no rejection: each point picks a tile of its cell with
     probability proportional to the tile's volume, then barycentric weights
     from normalised exponentials, which are uniform on a simplex (Devroye
-    1986, ch. XI). A cell whose shrunk interior is empty gets no points.
+    1986, ch. XI). A cell with no tiles or no quota gets no points.
     """
-    n = mesh.dimension
-    tiles = [cell.simplices(epsilon) if q else np.zeros((0, n + 1, n))
-             for cell, q in zip(mesh.cells, quotas)]
+    tiles = [t if q else t[:0] for t, q in zip(tiles, quotas)]
+    n = tiles[0].shape[2]
     k = np.array([len(t) for t in tiles], dtype=int)
-    tags = np.repeat(np.arange(mesh.n_cells), np.where(k > 0, quotas, 0))
+    tags = np.repeat(np.arange(len(tiles)), np.where(k > 0, quotas, 0))
     T = np.concatenate(tiles)
     vol = _simplex_volumes(T)
     cum = np.cumsum(vol)
@@ -695,27 +697,30 @@ def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: i
         raise MeshError("epsilon must be > 0")
     if count < 1:
         raise MeshError("count must be >= 1")
-    alive = [ci for ci, c in enumerate(mesh.cells) if len(c.simplices(epsilon))]
-    if not alive:
+    tiles = [c.simplices(epsilon) for c in mesh.cells]
+    alive = np.flatnonzero([len(t) for t in tiles])
+    if not alive.size:
         raise MeshError("epsilon too large: every shrunk cell is empty")
-    base, extra = divmod(count, len(alive))
+    base, extra = divmod(count, alive.size)
     quotas = np.zeros(mesh.n_cells, dtype=int)
-    quotas[alive] = base + (np.arange(len(alive)) < extra)
-    return _sample(mesh, epsilon, quotas, _rng(seed, 0))
+    quotas[alive] = base + (np.arange(alive.size) < extra)
+    return _sample(tiles, quotas, _rng(seed, 0))
 
 
 def sample_cells(mesh: PolytopeMesh, per_cell: int, seed: int, epsilon: float = 0.0):
     """Per-cell uniform samples (optionally of the shrunk cells), tagged;
     per_cell points in every cell whose shrunk interior is non-empty."""
-    return _sample(mesh, epsilon, [per_cell] * mesh.n_cells, _rng(seed, 0))
+    return _sample([c.simplices(epsilon) for c in mesh.cells],
+                   [per_cell] * mesh.n_cells, _rng(seed, 0))
 
 
 def sample_mesh(mesh: PolytopeMesh, count: int, seed: int) -> np.ndarray:
     """count uniform points of the whole mesh: cell counts drawn
     multinomially by cell volume, then sampled cell by cell."""
     rng = _rng(seed, 77)
-    vols = np.array([c.volume() for c in mesh.cells])
-    return _sample(mesh, 0.0, rng.multinomial(count, vols / vols.sum()), rng)[0]
+    tiles = [c.simplices() for c in mesh.cells]
+    vols = np.array([np.sum(_simplex_volumes(t)) for t in tiles])
+    return _sample(tiles, rng.multinomial(count, vols / vols.sum()), rng)[0]
 
 
 def sample_exterior(mesh: PolytopeMesh, count: int, seed: int,

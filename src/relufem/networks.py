@@ -276,8 +276,12 @@ def serialize(net) -> str:
 
 
 def deserialize(text: str):
-    """Inverse of serialize; dispatches on the 'arch' field."""
-    doc = docio.loads(text)
+    """Inverse of serialize."""
+    return from_doc(docio.loads(text))
+
+
+def from_doc(doc: dict):
+    """The network of a document, dispatched on its 'arch' field."""
     arch = docio.get(doc, "arch", str)
     if arch == "fnn2":
         return ReluNet2.from_doc(doc)
@@ -292,5 +296,4 @@ def save(net, path):
 
 
 def load(path):
-    with open(path) as fh:
-        return deserialize(fh.read())
+    return from_doc(docio.load(path))

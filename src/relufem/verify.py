@@ -248,8 +248,9 @@ def convergence_experiment(target, p: float, Ns, n: int,
     from .pwl import nodal_linear
 
     Ns = [int(N) for N in Ns]
-    if any(N < 1 for N in Ns) or sorted(Ns) != Ns:
-        raise VerifyError("Ns must be increasing positive integers")
+    if len(Ns) < 2 or any(N < 1 for N in Ns) or sorted(set(Ns)) != Ns:
+        raise VerifyError("Ns must be at least two strictly increasing "
+                          "positive integers, to fit a slope")
     # checked before any compile, since the default schedule depends on p
     if not (1.0 <= p < np.inf):
         raise VerifyError("p must satisfy 1 <= p < inf")

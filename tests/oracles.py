@@ -140,6 +140,23 @@ def simplex_halfspaces(vertices: np.ndarray):
     return W, b
 
 
+def simplex_facts(cell: ConvexCell):
+    """(lambda, (incentre, inradius)) of one simplex cell in closed form.
+    h_i, facet i's largest value over the vertices, is its value at the
+    opposite vertex v_i, and the barycentric coordinates h_i(x) / h_i sum
+    to 1. So lambda = max(h) / h (min 1, as the LP pins it),
+    r = 1 / sum_i |w_i| / h_i, and the incentre is
+    r sum_i (|w_i| / h_i) v_i."""
+    H = cell.facet_values(cell.vertices)  # (vertex, facet)
+    opposite = np.argmax(H, axis=0)
+    h = H[opposite, np.arange(cell.m)]
+    if not np.all(h > 0.0):
+        raise MeshError("degenerate simplex (flat)")
+    g = cell.norms / h
+    r = 1.0 / np.sum(g)
+    return np.max(h) / h, (r * (g @ cell.vertices[opposite]), r)
+
+
 class ScanRegistry:
     """The directed-hyperplane registry as a linear scan: facets are
     inserted one at a time, in cell order and then the hull's, and each

@@ -2,8 +2,9 @@
 boundedness, facet pruning), checked against linear programs kept in
 `oracles.py`; the closed forms that give a simplex's two LP facts (the
 normal combination and the Chebyshev ball), checked against the linear
-programs the other cells still use; and the number of linear programs
-each pipeline pays."""
+programs the other cells still use and, stacked, against the per-cell
+closed forms in `oracles.py` bit for bit; the number of linear programs
+each pipeline pays; and that simplex meshes never enumerate vertices."""
 
 import itertools
 
@@ -11,17 +12,18 @@ import numpy as np
 import pytest
 
 from relufem import docio, lp
+from relufem import mesh as mesh_module
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation)
 from relufem.errors import MeshError
-from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
-                          validate_mesh)
+from relufem.mesh import (ConvexCell, PolytopeMesh, _simplex_facts,
+                          freudenthal_mesh, validate_mesh)
 from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
                              random_polygon_mesh, random_simplex_mesh)
-from relufem.pwl import PiecewiseLinear
+from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.verify import check_weak_representation
 
-from oracles import linear_minimum_raw, prune_redundant_lp
+from oracles import linear_minimum_raw, prune_redundant_lp, simplex_facts
 from test_cli import slot_docs
 
 UNBOUNDED = 3  # scipy's linprog status code
@@ -193,7 +195,11 @@ def slivers():
     )]
 
 
-def test_simplex_facts_match_the_lps(tmp_path):
+def fact_meshes(tmp_path):
+    """Freudenthal 1-4D, jittered 3D and sliver meshes, simplex cells whose
+    facets come in another order than their opposite vertices (built with
+    `vertices=`, so their facts are derived lazily), and a mesh mixing a
+    simplex with a halfspace cell."""
     slot_docs(tmp_path, "c", "0.5")
     mixed = PolytopeMesh.load(tmp_path / "m.json")
     meshes = [freudenthal_mesh(n, N) for n, N in ((1, 4), (2, 3), (3, 2),
@@ -206,7 +212,11 @@ def test_simplex_facts_match_the_lps(tmp_path):
                for c in meshes[4].cells[:20] + slivers()]
     meshes.append(mixed)
     assert mixed.cells[0].is_simplex and not mixed.cells[1].is_simplex
-    for mesh in meshes:
+    return meshes
+
+
+def test_simplex_facts_match_the_lps(tmp_path):
+    for mesh in fact_meshes(tmp_path):
         for cell in mesh.cells:
             lam = cell.normal_combination()
             center, r = cell.chebyshev()
@@ -216,6 +226,24 @@ def test_simplex_facts_match_the_lps(tmp_path):
             np.testing.assert_allclose(lam, lp_lam, rtol=1e-12, atol=0)
             assert r == pytest.approx(lp_r, rel=1e-12, abs=0)
             assert np.max(np.abs(center - lp_center)) <= 1e-12 * lp_r
+
+
+def test_stacked_simplex_facts_equal_the_per_cell_closed_forms(tmp_path):
+    cells = [c for mesh in fact_meshes(tmp_path) for c in mesh.cells
+             if c.is_simplex]
+    for n in range(1, 5):
+        group = [c for c in cells if c.dim == n]
+        # the whole group as one stack, facts at birth and lazy facts alike
+        stacked = _simplex_facts(*(np.array([getattr(c, a) for c in group])
+                                   for a in ("vertices", "W", "b")))
+        for i, cell in enumerate(group):
+            lam, (center, r) = simplex_facts(cell)
+            assert np.array_equal(cell.normal_combination(), lam)
+            assert np.array_equal(cell.chebyshev()[0], center)
+            assert cell.chebyshev()[1] == r
+            assert np.array_equal(stacked[0][i], lam)
+            assert np.array_equal(stacked[1][i], center)
+            assert stacked[2][i] == r
 
 
 @pytest.fixture
@@ -241,6 +269,25 @@ def test_simplex_meshes_call_no_lp(lp_calls):
     assert pipeline(freudenthal_mesh(2, 3)) == 0
     assert pipeline(random_simplex_mesh(3, 2, seed=5)) == 0
     assert pipeline(random_polygon_mesh(6, n_sites=8)) > 0
+
+
+@pytest.mark.parametrize("mesh", [freudenthal_mesh(3, 2),
+                                  random_simplex_mesh(2, 4, seed=6)],
+                         ids=["freudenthal 3D", "jittered 2D"])
+def test_simplex_meshes_never_enumerate_vertices(monkeypatch, mesh):
+    # facts, tiles and volumes of simplex cells are closed forms
+    def refuse(*args):
+        raise AssertionError("vertex enumeration on a simplex mesh")
+
+    monkeypatch.setattr(mesh_module, "_feasible_intersections", refuse)
+    verts, _ = mesh.vertex_table()
+    v = nodal_linear(mesh, np.random.default_rng(1).uniform(-1, 1, len(verts)))
+    eps = 1e-3
+    validate_mesh(mesh, samples=2000)
+    compile_compact_support(mesh, v, eps)
+    net = compile_weak_representation(mesh, v, eps)
+    rep = check_weak_representation(net, v, mesh, eps, samples_per_cell=20)
+    assert rep.passed, rep.as_text()
 
 
 def test_voronoi_meshes_pay_lps_only_for_the_two_facts(lp_calls):

@@ -202,6 +202,31 @@ def test_convergence_refuses_ill_conditioned(capsys):
     assert "slope" not in captured.out
 
 
+@pytest.mark.parametrize("Ns", ["a", ",", "2,x", "1.5"])
+def test_convergence_malformed_resolutions_exit_2(capsys, Ns):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--n", "1", "--Ns", Ns, "--samples", "100"])
+    assert exc.value.code == 2
+    assert "--Ns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("Ns", ["2", "2,2"])
+def test_convergence_needs_two_resolutions(capsys, Ns):
+    rc = main(["convergence", "--n", "1", "--Ns", Ns, "--samples", "100"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert "at least two" in captured.err
+    assert "slope" not in captured.out
+
+
+def test_eval_missing_network_exits_2(tmp_path, capsys):
+    docio.save({"points": [[0.5]]}, tmp_path / "pts.json")
+    rc = main(["eval", "--network", str(tmp_path / "absent.json"),
+               "--points", str(tmp_path / "pts.json")])
+    assert rc == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_tnn_build_and_verify(tmp_path, capsys):
     rng = np.random.default_rng(1)
     docio.save({

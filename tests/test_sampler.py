@@ -9,12 +9,14 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 from relufem.compiler import compile_weak_representation
-from relufem.mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh,
-                          sample_cells)
+from relufem.mesh import (ConvexCell, PolytopeMesh, _halfspace_vertices,
+                          freudenthal_mesh, sample_cells, sample_shrunk_domain)
 from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import nodal_linear
 from relufem.verify import check_weak_representation
+
+from test_cell_facts import slivers
 
 
 def sliver_mesh():
@@ -84,6 +86,52 @@ def test_cell_shrunk_just_past_its_inradius_gets_no_points():
     assert len(mesh.cells[0].simplices(eps)) == 0
     X, tags = sample_cells(mesh, 10, seed=0, epsilon=eps)
     assert X.shape == (0, 2) and tags.size == 0
+
+
+SLIVERS = slivers()
+MESH_CELLS = freudenthal_mesh(3, 2).cells + random_simplex_mesh(2, 4, seed=6).cells
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.99, 1.0 - 1e-12])
+def test_shrunk_simplex_is_the_homothety_about_the_incentre(fraction):
+    for cell in MESH_CELLS + SLIVERS:
+        eps = fraction * cell.inradius()
+        tiles = cell.simplices(eps)
+        assert tiles.shape == (1, cell.dim + 1, cell.dim)
+        size = np.max(np.abs(tiles[0]), axis=1)
+        assert np.all(cell.boundary_distance(tiles[0]) >= eps - 1e-12 * size)
+        # vertex j lies on every shrunk facet but the opposite one
+        gap = np.abs(cell.facet_values(tiles[0]) / cell.norms - eps)
+        off = ~np.eye(cell.dim + 1, dtype=bool)
+        assert np.all(gap[off] <= 1e-12 * np.repeat(size, cell.dim))
+        # nearer r, the oracle's merge tolerance collapses the vertices;
+        # on the slivers its n-facet solves are ill-conditioned (3.5e-14
+        # off a 50-digit solve, where the homothety is within 2.2e-16)
+        if fraction < 0.999 and not any(cell is s for s in SLIVERS):
+            want = _halfspace_vertices(cell.W, cell.b - eps * cell.norms)
+            assert len(want) == cell.dim + 1
+            dist = np.max(np.abs(tiles[0][:, None] - want[None]), axis=2)
+            assert np.all(dist.min(axis=1) <= 1e-14 * np.max(np.abs(want)))
+            assert len(set(dist.argmin(axis=1))) == cell.dim + 1
+
+
+def test_simplex_shrunk_by_its_inradius_has_no_tiles():
+    # the compiler's rule: a shrunk cell is empty unless r > eps
+    for cell in MESH_CELLS + SLIVERS:
+        assert cell.simplices(cell.inradius()).shape == (0, cell.dim + 1,
+                                                         cell.dim)
+
+
+def test_shrunk_domain_tiles_each_cell_once(monkeypatch):
+    mesh = random_polygon_mesh(3, n_sites=8)
+    calls = []
+    tile = ConvexCell.simplices
+    monkeypatch.setattr(ConvexCell, "simplices",
+                        lambda cell, eps=0.0: calls.append(id(cell))
+                        or tile(cell, eps))
+    X, tags = sample_shrunk_domain(mesh, 1e-3, 100, seed=0)
+    assert sorted(calls) == sorted(id(c) for c in mesh.cells)
+    assert X.shape == (100, 2) and np.all(np.bincount(tags) >= 12)
 
 
 @pytest.mark.parametrize("n", [2, 3])
