@@ -54,7 +54,18 @@ def _resolutions(text: str) -> list[int]:
     if not Ns:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integers, got {text!r}")
+    if len(Ns) < 2 or Ns[0] < 1 or any(a >= b for a, b in zip(Ns, Ns[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected at least two strictly increasing positive "
+            f"resolutions, to fit a slope, got {text!r}")
     return Ns
+
+
+def _norm_exponent(text: str) -> float:
+    p = float(text)
+    if not 1.0 <= p < math.inf:
+        raise argparse.ArgumentTypeError(f"must satisfy 1 <= p < inf, got {text!r}")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--Ns", type=_resolutions, default="2,4,8,16",
                    help="comma separated resolutions")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_norm_exponent, default=2.0)
     p.add_argument("--target", choices=sorted(TARGETS), default="sinpi")
     p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

@@ -25,9 +25,13 @@ from .errors import DocumentError, MeshError
 DEDUP_TOL = 1e-9
 VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
 
-# containment tests and the vertex merge run in point chunks so each
-# temporary holds about this many floats
+# containment tests run in chunks of (box, cell) pairs and the vertex merge
+# in point chunks, so that each float temporary holds about this many floats
 CHUNK_ELEMENTS = 2 ** 18
+# point location: deepest Morton level, and the candidate count at which a
+# box stops splitting
+TREE_LEVELS = 16
+LEAF_CANDIDATES = 4
 
 _UNSET = object()
 
@@ -59,6 +63,120 @@ def _affine(X, W, b):
         out += X[..., :, None, d] * W[..., None, :, d]
     out += b[..., None, :]
     return out
+
+
+def _corner_values(lo, hi, W, b):
+    """Each facet's value at the corner of its box [lo, hi] that maximises
+    it, hi_d where w_d > 0 and lo_d elsewhere, by _affine's operations in
+    _affine's order: fl(...fl(fl(c_0 w_0) + fl(c_1 w_1)) ... + b). lo, hi
+    and W put the coordinate first and broadcast over the rest.
+
+    Every rounded product c_d w_d is monotone in c_d and every rounded sum
+    is nondecreasing in both terms (Higham 2002, ch. 2), so the corner value
+    bounds the value at any point of the box from above: a point whose
+    value is not NaN or -inf has a value <= the corner's, which is not NaN.
+    """
+    C = lo if hi is lo else np.where(W > 0, hi, lo)
+    out = C[0] * W[0]
+    for d in range(1, len(W)):
+        out += C[d] * W[d]
+    return out + b
+
+
+def _pairs_pass(lo, hi, box, cell, W, b, tol):
+    """Per pair i, whether every facet of cell[i] is >= -tol at the corners
+    of the box lo[:, box[i]], hi[:, box[i]]. W (n, m, cells) and b (m,
+    cells) hold each cell's facets, padded with copies; boxes are (n,
+    boxes). On a point (lo = hi = x) this is ConvexCell.contains, with the
+    same bits."""
+    passed = np.empty(box.size, dtype=bool)
+    step = max(1, CHUNK_ELEMENTS // (W.shape[0] * W.shape[1]))
+    for s in range(0, box.size, step):
+        i, c = box[s:s + step], cell[s:s + step]
+        # take keeps the gathered blocks contiguous, unlike fancy indexing
+        lo_i = np.take(lo, i, axis=1)[:, None]
+        hi_i = lo_i if hi is lo else np.take(hi, i, axis=1)[:, None]
+        values = _corner_values(lo_i, hi_i, np.take(W, c, axis=2), np.take(b, c, axis=1))
+        passed[s:s + step] = np.min(values, axis=0) >= -tol
+    return passed
+
+
+def _morton_order(X, levels):
+    """Order of the points X (n, P) by a Morton key (Morton 1966) on a
+    2^levels grid over their bounding box, and the sorted keys: each grid
+    box at each level holds a contiguous run of the sorted points."""
+    n = X.shape[0]
+    lo, hi = X.min(axis=1, keepdims=True), X.max(axis=1, keepdims=True)
+    with np.errstate(all="ignore"):
+        t = np.nan_to_num((X - lo) / (hi - lo), nan=0.0, posinf=0.0)
+    q = np.minimum(t * 2.0 ** levels, 2 ** levels - 1).astype(np.uint64)
+    # spread a byte's bits n apart by table lookup, one byte of q at a time
+    bits = np.arange(8, dtype=np.uint64)
+    spread = np.sum((np.arange(256, dtype=np.uint64)[:, None] >> bits & np.uint64(1))
+                    << (bits * np.uint64(n)), axis=1, dtype=np.uint64)
+    key = np.zeros(X.shape[1], dtype=np.uint64)
+    for d in range(n):
+        for byte in range(0, levels, 8):
+            key |= spread[q[d] >> np.uint64(byte) & np.uint64(255)] \
+                << np.uint64(byte * n + n - 1 - d)
+    order = np.argsort(key)
+    return order, key[order]
+
+
+def _box_tree_leaves(X, W, b, tol):
+    """The (point range, cell) pairs that may pass ConvexCell.contains(tol)
+    for finite points X (n, P); W and b as for _pairs_pass.
+
+    A tree of Morton boxes over the points, walked level by level from the
+    root with every cell a candidate: a (box, cell) pair is dropped when a
+    facet's corner value fails the test, so no point of the box can pass,
+    and a box's children inherit its survivors. A box stops splitting with
+    at most LEAF_CANDIDATES survivors, when it is one point, or at the last
+    level. Returns the Morton order of the points and one (start, end,
+    cell) per leaf and survivor: points order[start:end] may lie in cell.
+    """
+    n, P = X.shape
+    levels = min(TREE_LEVELS, 63 // n)
+    order = np.arange(P)  # sorted when the root splits
+    leaves = []
+    # the nodes holding pairs, as ranges of the sorted points
+    start, end = np.zeros(1, dtype=int), np.full(1, P)
+    box, cell = np.zeros(b.shape[1], dtype=int), np.arange(b.shape[1])
+    for level in range(levels + 1):
+        cuts = np.column_stack([start, end]).ravel()
+        cuts = cuts[:-1] if cuts[-1] == P else cuts
+        lo = np.minimum.reduceat(X, cuts, axis=1)[:, ::2]
+        hi = np.maximum.reduceat(X, cuts, axis=1)[:, ::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            keep = _pairs_pass(lo, hi, box, cell, W, b, tol)
+        box, cell = box[keep], cell[keep]
+        leaf = ((np.bincount(box, minlength=start.size) <= LEAF_CANDIDATES)
+                | np.all(lo == hi, axis=0) | (level == levels))[box]
+        leaves.append((start[box[leaf]], end[box[leaf]], cell[leaf]))
+        box, cell = box[~leaf], cell[~leaf]
+        if not box.size:
+            break
+        if level == 0:
+            order, key = _morton_order(X, levels)
+            X = np.take(X, order, axis=1)
+        # split each node that keeps pairs at the next level's key bits
+        split = np.zeros(start.size, dtype=bool)
+        split[box] = True
+        prefix = key >> np.uint64(n * (levels - level - 1))
+        child_starts = np.concatenate([[0], np.flatnonzero(np.diff(prefix)) + 1])
+        child_ends = np.append(child_starts[1:], P)
+        first = np.searchsorted(child_starts, start[split])
+        children = np.searchsorted(child_starts, end[split]) - first
+        offsets = np.cumsum(children) - children
+        kids = np.repeat(first - offsets, children) + np.arange(children.sum())
+        start, end = child_starts[kids], child_ends[kids]
+        parent = (np.cumsum(split) - 1)[box]
+        per_pair = children[parent]
+        cell = np.repeat(cell, per_pair)
+        box = (np.repeat(offsets[parent] - np.cumsum(per_pair) + per_pair, per_pair)
+               + np.arange(cell.size))
+    start, end, cell = (np.concatenate(a) for a in zip(*leaves))
+    return order, start, end, cell
 
 
 def _simplex_volumes(T):
@@ -509,6 +627,7 @@ class PolytopeMesh:
         self._registry = None
         self._vertex_table = None
         self._facets = None
+        self._blocks = None
         self._hash = None
 
     @property
@@ -529,30 +648,39 @@ class PolytopeMesh:
         return all(c.is_simplex for c in self.cells)
 
     def vertex_table(self):
-        """Global vertex array plus per-cell vertex indices (simplicial meshes).
-
-        Vertices are matched by bit pattern (so -0.0 is not 0.0) and numbered
-        in order of first appearance; generators and the file round trip
-        produce identical floats for shared vertices.
-        """
+        """Global vertex array plus per-cell vertex indices (simplicial
+        meshes), by vertex_table_of."""
         if self._vertex_table is None:
-            if not self.is_simplicial():
+            simplex, V = self._simplex_stack()
+            if not simplex.all():
                 raise MeshError("vertex table requires a simplicial mesh")
-            V = np.array([c.vertices for c in self.cells])
-            flat = V.reshape(-1, self.dimension)
-            bits = flat.view(np.dtype((np.void, flat.itemsize * self.dimension)))
-            _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            self._vertex_table = (flat[first[order]],
-                                  np.argsort(order)[inverse].reshape(V.shape[:2]))
+            self._vertex_table = vertex_table_of(V)
         return self._vertex_table
 
+    def _simplex_stack(self):
+        """Which cells are simplices, and their vertices (k, n+1, n)."""
+        simplex = np.array([c.is_simplex for c in self.cells])
+        V = np.array([c.vertices for c, s in zip(self.cells, simplex) if s])
+        return simplex, V.reshape(-1, self.dimension + 1, self.dimension)
+
     def bounding_box(self):
-        los, his = zip(*(c.bounding_box() for c in self.cells))
+        """Min and max vertex coordinates: one reduction over the simplex
+        cells' vertices, a vertex set per other cell."""
+        simplex, V = self._simplex_stack()
+        V = V.reshape(-1, self.dimension)
+        boxes = [c.bounding_box() for c, s in zip(self.cells, simplex) if not s]
+        boxes.append((V.min(axis=0, initial=np.inf), V.max(axis=0, initial=-np.inf)))
+        los, his = zip(*boxes)
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def volume(self) -> float:
-        return float(sum(c.volume() for c in self.cells))
+        """Sum of the cell volumes in cell order; the simplex cells' come
+        from one stacked determinant."""
+        simplex, V = self._simplex_stack()
+        vols = np.zeros(self.n_cells)
+        vols[simplex] = _simplex_volumes(V)
+        vols[~simplex] = [c.volume() for c, s in zip(self.cells, simplex) if not s]
+        return float(sum(vols.tolist()))
 
     def facets(self, hull: ConvexCell | None = None):
         """The stacked facet table (W, b, starts, tags) by whose rows every
@@ -579,18 +707,52 @@ class PolytopeMesh:
 
     def containing(self, X, tol=1e-12):
         """(first containing cell or -1, number of containing cells) per
-        point; cell c contains x when ConvexCell.contains(x, tol) holds."""
+        point; cell c contains x when ConvexCell.contains(x, tol) holds.
+
+        A Morton box tree over the finite points prunes candidate cells by
+        exact corner bounds (_box_tree_leaves); only the surviving (point,
+        cell) pairs, and every cell for a non-finite point, are tested.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        W, b, starts, _ = self.facets()
-        first = np.empty(X.shape[0], dtype=int)
-        count = np.empty(X.shape[0], dtype=int)
-        step = max(1, CHUNK_ELEMENTS // len(b))
-        for lo in range(0, X.shape[0], step):
-            vals = _affine(X[lo:lo + step], W, b)
-            inside = np.minimum.reduceat(vals, starts, axis=1) >= -tol
-            count[lo:lo + step] = inside.sum(axis=1)
-            first[lo:lo + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-        return first, count
+        if self._blocks is None:  # each cell's facets, padded with its first
+            W, b, starts, _ = self.facets()
+            ends = np.append(starts[1:], b.size)
+            k = np.arange(np.max(ends - starts))[:, None]
+            pad = np.where(starts + k < ends, starts + k, starts)
+            self._blocks = np.ascontiguousarray(W[pad].transpose(2, 0, 1)), b[pad]
+        W, b = self._blocks
+        X = np.ascontiguousarray(X.T)  # (n, P): coordinates first, as W
+        finite = np.isfinite(X).all(axis=0)
+        rows, rest = np.flatnonzero(finite), np.flatnonzero(~finite)
+        start = end = cell = np.zeros(0, dtype=int)
+        if rows.size:
+            order, start, end, cell = _box_tree_leaves(
+                np.take(X, rows, axis=1), W, b, tol)
+            rows = rows[order]
+        if rest.size:  # one leaf, every cell a candidate
+            start = np.append(start, np.full(self.n_cells, rows.size))
+            end = np.append(end, np.full(self.n_cells, X.shape[1]))
+            cell = np.append(cell, np.arange(self.n_cells))
+        rows = np.concatenate([rows, rest])
+        X = np.take(X, rows, axis=1)
+        span = end - start
+        offsets = np.cumsum(span) - span
+        total = int(span.sum())
+        first = np.full(rows.size, self.n_cells)
+        count = np.zeros(rows.size, dtype=int)
+        step = max(1, CHUNK_ELEMENTS // (W.shape[0] * W.shape[1]))
+        for lo in range(0, total, step):
+            t = np.arange(lo, min(lo + step, total))
+            leaf = np.searchsorted(offsets, t, side="right") - 1
+            point, c = start[leaf] + t - offsets[leaf], cell[leaf]
+            inside = _pairs_pass(X, X, point, c, W, b, tol)
+            count += np.bincount(point[inside], minlength=rows.size)
+            np.minimum.at(first, point[inside], c[inside])
+        out_first = np.empty_like(first)
+        out_count = np.empty_like(count)
+        out_first[rows] = np.where(first < self.n_cells, first, -1)
+        out_count[rows] = count
+        return out_first, out_count
 
     def locate(self, X, tol=1e-12):
         """First containing cell index per point, -1 when outside the mesh."""
@@ -634,25 +796,44 @@ class PolytopeMesh:
         return self._hash
 
 
-def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
-    """Standard simplicial mesh of [0,1]^n with grid step 1/N.
+def vertex_table_of(V):
+    """(vertices, indices) of a simplex stack V (k, n+1, n): the distinct
+    vertices in order of first appearance and each simplex's rows of them.
+    Vertices are matched by bit pattern (so -0.0 is not 0.0); generators
+    and the file round trip produce identical floats for shared vertices."""
+    flat = V.reshape(-1, V.shape[2])
+    bits = flat.view(np.dtype((np.void, flat.itemsize * V.shape[2])))
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return flat[first[order]], np.argsort(order)[inverse].reshape(V.shape[:2])
+
+
+def freudenthal_simplices(n: int, N: int) -> np.ndarray:
+    """Vertex stack (N^n n!, n+1, n) of the Freudenthal mesh of [0,1]^n.
 
     Every grid subcube is split into n! simplices, one per coordinate
-    ordering; the mesh has N^n * n! cells.
+    ordering sigma: the walk from its corner that steps +1/N along
+    sigma[0], ..., sigma[n-1].
     """
     if n < 1 or N < 1:
         raise MeshError("freudenthal_mesh requires n >= 1 and N >= 1")
-    # corner of each subcube, then per coordinate ordering sigma the walk
-    # that steps +1 along sigma[0], ..., sigma[n-1]
     corners = np.array(list(itertools.product(range(N), repeat=n)), dtype=int)
     steps = np.eye(n, dtype=int)[list(itertools.permutations(range(n)))]
     walks = np.cumsum(np.pad(steps, ((0, 0), (1, 0), (0, 0))), axis=1)
-    V = (corners[:, None, None] + walks[None]).reshape(-1, n + 1, n) / N
-    cells = ConvexCell.from_simplices(V)
-    hull_W = np.vstack([np.eye(n), -np.eye(n)])
-    hull_b = np.concatenate([np.zeros(n), np.ones(n)])
-    hull = ConvexCell(hull_W, hull_b)
-    return PolytopeMesh(n, cells, domain_hull=hull)
+    return (corners[:, None, None] + walks[None]).reshape(-1, n + 1, n) / N
+
+
+def unit_cube_hull(n: int) -> ConvexCell:
+    """[0,1]^n as the halfspaces x_j >= 0, then 1 - x_j >= 0."""
+    return ConvexCell(np.vstack([np.eye(n), -np.eye(n)]),
+                      np.concatenate([np.zeros(n), np.ones(n)]))
+
+
+def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
+    """Standard simplicial mesh of [0,1]^n with grid step 1/N: N^n n!
+    cells (freudenthal_simplices), hull the unit cube."""
+    return PolytopeMesh(n, ConvexCell.from_simplices(freudenthal_simplices(n, N)),
+                        domain_hull=unit_cube_hull(n))
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:

@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MeshError
-from .mesh import ConvexCell, PolytopeMesh, freudenthal_mesh
+from .mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh, freudenthal_simplices,
+                   unit_cube_hull, vertex_table_of)
 
 
 def polygon_halfspaces(poly):
@@ -68,8 +69,7 @@ def random_simplex_mesh(n: int, N: int, seed: int, jitter: float = 0.15
     boundary faces stay planar. The jitter is halved until every simplex
     is safely nondegenerate.
     """
-    base = freudenthal_mesh(n, N)
-    verts, cell_ids = base.vertex_table()
+    verts, cell_ids = vertex_table_of(freudenthal_simplices(n, N))
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-1.0, 1.0, size=verts.shape)
     free = (verts != 0.0) & (verts != 1.0)
@@ -80,7 +80,7 @@ def random_simplex_mesh(n: int, N: int, seed: int, jitter: float = 0.15
         V = (verts + amount * offsets)[np.array(cell_ids)]
         if np.min(np.abs(np.linalg.det(V[:, 1:] - V[:, :1]))) >= min_vol:
             return PolytopeMesh(n, ConvexCell.from_simplices(V),
-                                domain_hull=base.domain_hull)
+                                domain_hull=unit_cube_hull(n))
         amount *= 0.5
     raise MeshError("could not build a nondegenerate perturbed mesh")
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from relufem import docio
 from relufem.cli import main
+from relufem.errors import VerifyError
 from relufem.mesh import PolytopeMesh
 from relufem.networks import load as load_net
+from relufem.verify import convergence_experiment
 
 
 @pytest.fixture
@@ -202,7 +204,7 @@ def test_convergence_refuses_ill_conditioned(capsys):
     assert "slope" not in captured.out
 
 
-@pytest.mark.parametrize("Ns", ["a", ",", "2,x", "1.5"])
+@pytest.mark.parametrize("Ns", ["a", ",", "2,x", "1.5", "4,2", "0,2"])
 def test_convergence_malformed_resolutions_exit_2(capsys, Ns):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--n", "1", "--Ns", Ns, "--samples", "100"])
@@ -212,11 +214,24 @@ def test_convergence_malformed_resolutions_exit_2(capsys, Ns):
 
 @pytest.mark.parametrize("Ns", ["2", "2,2"])
 def test_convergence_needs_two_resolutions(capsys, Ns):
-    rc = main(["convergence", "--n", "1", "--Ns", Ns, "--samples", "100"])
-    assert rc == 5
+    # a malformed argument to the CLI (exit 2), a VerifyError to the library
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--n", "1", "--Ns", Ns, "--samples", "100"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "at least two" in captured.err
     assert "slope" not in captured.out
+    with pytest.raises(VerifyError, match="at least two"):
+        convergence_experiment(lambda x: 0.0, 2.0, [int(N) for N in Ns.split(",")], 1)
+
+
+@pytest.mark.parametrize("p", ["0.5", "inf", "nan"])
+def test_convergence_malformed_exponent_exit_2(capsys, p):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--n", "1", "--Ns", "1,2", "--p", p,
+              "--samples", "100"])
+    assert exc.value.code == 2
+    assert "1 <= p < inf" in capsys.readouterr().err
 
 
 def test_eval_missing_network_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ from relufem.errors import DocumentError, MeshError
 from relufem.mesh import (ConvexCell, Halfspace, PolytopeMesh, _simplex_halfspaces,
                           build_registry, freudenthal_mesh,
                           sample_shrunk_domain, shrink_cell, validate_mesh)
-from relufem.meshgen import random_simplex_mesh
+from relufem.meshgen import random_polygon_mesh, random_simplex_mesh
 from relufem.networks import serialize
 from relufem.pwl import nodal_linear
 
@@ -148,6 +148,22 @@ def test_freudenthal_counts(n, N, cells, hi, hb):
 def test_freudenthal_volume_sums_to_one(n, N):
     mesh = freudenthal_mesh(n, N)
     assert mesh.volume() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_stacked_volume_and_box_equal_the_per_cell_values():
+    """PolytopeMesh.volume and bounding_box take the simplex cells' values
+    from one stacked pass; they match the per-cell values bit for bit."""
+    cells = (random_simplex_mesh(2, 3, seed=4).cells[:7]
+             + random_polygon_mesh(5, n_sites=6).cells
+             + random_simplex_mesh(2, 2, seed=1).cells[3:])
+    cells[-1] = ConvexCell.from_simplex(cells[-1].vertices - 2.0)
+    mesh = PolytopeMesh(2, cells)
+    assert 0 < sum(c.is_simplex for c in cells) < len(cells)
+    assert mesh.volume() == float(sum(c.volume() for c in cells))
+    los, his = zip(*(c.bounding_box() for c in cells))
+    lo, hi = mesh.bounding_box()
+    assert lo.tobytes() == np.min(los, axis=0).tobytes()
+    assert hi.tobytes() == np.max(his, axis=0).tobytes()
 
 
 def test_freudenthal_bad_args():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relufem.mesh import validate_mesh
+from relufem import docio
+from relufem.mesh import freudenthal_mesh, validate_mesh
 from relufem.meshgen import (demo_polygon_mesh, demo_simplex_mesh,
                              random_bounded_polytope, random_partition_mesh_1d,
                              random_polygon_mesh, random_simplex_mesh,
@@ -24,6 +25,12 @@ def test_demo_simplex_mesh_counts():
     mesh = demo_simplex_mesh()
     assert mesh.n_cells == 32
     assert mesh.counts() == (13, 4, 32)
+
+
+@pytest.mark.parametrize("n,N", [(1, 5), (2, 3), (3, 2), (4, 2)])
+def test_unjittered_simplex_mesh_is_the_freudenthal_mesh(n, N):
+    mesh = random_simplex_mesh(n, N, seed=3, jitter=0.0)
+    assert docio.dumps(mesh.to_doc()) == docio.dumps(freudenthal_mesh(n, N).to_doc())
 
 
 @pytest.mark.parametrize("n,N", [(1, 4), (2, 2), (2, 3), (3, 1), (3, 2)])

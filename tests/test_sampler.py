@@ -9,8 +9,9 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 from relufem.compiler import compile_weak_representation
-from relufem.mesh import (ConvexCell, PolytopeMesh, _halfspace_vertices,
-                          freudenthal_mesh, sample_cells, sample_shrunk_domain)
+from relufem.mesh import (ConvexCell, PolytopeMesh, _affine, _corner_values,
+                          _halfspace_vertices, freudenthal_mesh, sample_cells,
+                          sample_shrunk_domain)
 from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import nodal_linear
@@ -170,22 +171,81 @@ def square(lo, hi):
     random_polygon_mesh(2, n_sites=15),
     random_simplex_mesh(3, 2, seed=1),
     PolytopeMesh(2, [square(0.0, 1.0), square(0.0, 1.0), square(0.5, 2.0)]),
-], ids=["freudenthal", "voronoi", "jittered-3d", "overlapping-squares"])
+    freudenthal_mesh(1, 7),
+    freudenthal_mesh(3, 6),
+    freudenthal_mesh(4, 2),
+    PolytopeMesh(3, [random_bounded_polytope(3, 9, seed=0)]),
+    PolytopeMesh(2, [square(0.0, 1.0), ConvexCell([[1.0, 0.0]], [0.0])]),
+], ids=["freudenthal", "voronoi", "jittered-3d", "overlapping-squares",
+        "freudenthal-1d", "freudenthal-3d-deep", "freudenthal-4d", "one-cell",
+        "square-and-halfplane"])
 def test_containing_matches_per_cell_contains(mesh):
-    lo, hi = mesh.bounding_box()
+    # an unbounded cell holds some non-finite rows; the box is the others'
+    bounded = [c for c in mesh.cells if c.is_bounded()]
+    lo, hi = PolytopeMesh(mesh.dimension, bounded).bounding_box()
     n = mesh.dimension
     rng = np.random.default_rng(5)
-    axes = [np.linspace(lo[d], hi[d], 13) for d in range(n)]
+    # meshes of hundreds of cells get fewer points, so that the per-cell
+    # oracle stays quick
+    big = mesh.n_cells > 200
+    axes = [np.linspace(lo[d], hi[d], 5 if big else 13) for d in range(n)]
     grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n, -1).T
-    vertices = np.vstack([c.vertex_set() for c in mesh.cells])
+    vertices = np.vstack([c.vertex_set() for c in bounded])
+    if big:
+        vertices = np.unique(vertices, axis=0)
+    # non-finite rows, and one point 500 times (a box of zero span)
+    odd = np.array([[np.inf] * n, [-np.inf] * n, [np.nan] * n,
+                    [np.inf] + [0.5] * (n - 1), [np.nan] + [0.5] * (n - 1)])
+    repeated = np.repeat(rng.uniform(lo, hi, (1, n)), 500, axis=0)
     # more random points than one chunk holds
-    X = np.vstack([rng.uniform(lo - 0.2, hi + 0.2, (20000, n)), grid, vertices])
+    X = np.vstack([rng.uniform(lo - 0.2, hi + 0.2, (4000 if big else 20000, n)),
+                   grid, vertices, odd, repeated])
+    order = rng.permutation(len(X))
+    X = X[order]
+    # calls on all rows, none, one, and the repeated point alone
+    parts = [np.arange(len(X)), order[:0], order[:1],
+             np.flatnonzero(order >= len(X) - len(repeated))]
     for tol in (0.0, 1e-12, 1e-9, -1e-12):
-        first, count = mesh.containing(X, tol)
-        expect_first, expect_count = containing_oracle(mesh, X, tol)
-        np.testing.assert_array_equal(first, expect_first)
-        np.testing.assert_array_equal(count, expect_count)
-        np.testing.assert_array_equal(mesh.locate(X, tol), expect_first)
+        with np.errstate(invalid="ignore"):
+            expect_first, expect_count = containing_oracle(mesh, X, tol)
+        for rows in parts:
+            with np.errstate(invalid="ignore"):
+                first, count = mesh.containing(X[rows], tol)
+                located = mesh.locate(X[rows], tol)
+            np.testing.assert_array_equal(first, expect_first[rows])
+            np.testing.assert_array_equal(count, expect_count[rows])
+            np.testing.assert_array_equal(located, expect_first[rows])
+
+
+weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corner_value_bounds_every_point_of_its_box(data):
+    """The fact `containing` prunes by: _corner_values at a box's corner is
+    not below _affine at any point of the box that could pass a test (not
+    NaN or -inf), and on a one-point box it is _affine, bit for bit."""
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 6))
+    W = np.array(data.draw(st.lists(weights, min_size=n * m, max_size=n * m)))
+    b = np.array(data.draw(st.lists(weights, min_size=m, max_size=m)))
+    W = W.reshape(m, n)
+    # per coordinate, k point values between the box's lo and hi
+    C = np.array(data.draw(st.lists(weights, min_size=n * (k + 2),
+                                    max_size=n * (k + 2))))
+    C = np.sort(C.reshape(n, k + 2), axis=1)
+    lo, hi, X = C[:, :1], C[:, -1:], C[:, 1:-1].T
+    with np.errstate(all="ignore"):
+        corner = _corner_values(lo, hi, W.T, b)
+        values = _affine(X, W, b)
+        at_points = _corner_values(X.T[:, :, None], X.T[:, :, None], W.T[:, None], b)
+    assert np.all(np.isnan(values) | (values == -np.inf) | (corner >= values))
+    np.testing.assert_array_equal(at_points, values)
+    np.testing.assert_array_equal(np.signbit(at_points), np.signbit(values))
 
 
 def volume_cases():
