@@ -99,6 +99,7 @@ def compile_bumps(mesh: PolytopeMesh, v: PiecewiseLinear, R: float,
     if v.mesh is not mesh:
         raise CompileError("function is not defined on the given mesh")
     N = mesh.n_cells
+    mesh.solve_facts()
     r = np.array([cell.inradius() for cell in mesh.cells])
     _refuse(~(r > epsilon), f"shrinks to empty: epsilon {epsilon} too large", N)
     W, b, starts, _ = mesh.facets(hull)

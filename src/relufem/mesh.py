@@ -275,6 +275,17 @@ def _halfspace_vertices(W, b):
     return X[first]
 
 
+def _facet_norms(W, b):
+    """|w_i| of halfspaces W (..., m, n), b (..., m), which must be finite
+    with nonzero normals; one check for a whole stack of cells."""
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+        raise MeshError("cell halfspace data must be finite")
+    norms = np.linalg.norm(W, axis=-1)
+    if np.any(norms <= 0.0):
+        raise MeshError("cell has a zero facet normal")
+    return norms
+
+
 class ConvexCell:
     """Closed convex polytope given by facet normals W and offsets b.
 
@@ -284,26 +295,25 @@ class ConvexCell:
     A cell caches three facts: the Chebyshev ball, a strictly positive
     combination of the facet normals summing to zero, and the vertex set.
     On a simplex (`is_simplex`) the first two have closed forms, set at
-    birth by from_simplices; on any other cell each costs one LP. The
-    vertex set (given for a simplex, else from n-facet intersections)
-    answers every other question, boundedness and pruning included.
+    birth by from_simplices; every other cell gets both from its blocks
+    of one LP, shared by all the cells of a mesh (PolytopeMesh.solve_facts)
+    or solved alone for a lone cell. The vertex set (given for a simplex,
+    else from n-facet intersections) answers every other question,
+    boundedness and pruning included.
     Volumes and samples come from a tiling of the (shrunk) cell.
     """
 
     def __init__(self, W, b, vertices=None):
-        self.W = np.atleast_2d(np.asarray(W, dtype=float))
-        self.b = np.asarray(b, dtype=float).reshape(-1)
-        if self.W.shape[0] != self.b.shape[0]:
+        W = np.atleast_2d(np.asarray(W, dtype=float))
+        b = np.asarray(b, dtype=float).reshape(-1)
+        if W.shape[0] != b.shape[0]:
             raise MeshError("normal/offset count mismatch")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
-            raise MeshError("cell halfspace data must be finite")
-        norms = np.linalg.norm(self.W, axis=1)
-        if np.any(norms <= 0.0):
-            raise MeshError("cell has a zero facet normal")
-        self.norms = norms
-        self.vertices = None if vertices is None else np.asarray(vertices, dtype=float)
-        self._cheb = None
-        self._lam = _UNSET
+        self._set(W, b, _facet_norms(W, b),
+                  None if vertices is None else np.asarray(vertices, dtype=float))
+
+    def _set(self, W, b, norms, vertices):
+        self.W, self.b, self.norms, self.vertices = W, b, norms, vertices
+        self._cheb = self._lam = _UNSET  # both set together, None on failure
         self._bounded = None
         self._vertex_set = None
 
@@ -315,12 +325,17 @@ class ConvexCell:
     @classmethod
     def from_simplices(cls, V, names=None):
         """One simplex cell per (n+1, n) vertex array of the stack V, all
-        from one derivation; errors name simplex i names[i] (default
-        "cell i")."""
+        from one derivation and one check of the halfspaces; errors name
+        simplex i names[i] (default "cell i")."""
+        V = np.asarray(V, dtype=float)
         W, b = _simplex_halfspaces(V, names)
-        cells = [cls(W[i], b[i], vertices=V[i]) for i in range(len(V))]
-        for cell, facts in zip(cells, zip(*_simplex_facts(V, W, b, names))):
+        norms = _facet_norms(W, b)
+        cells = []
+        for i, facts in enumerate(zip(*_simplex_facts(V, W, b, names))):
+            cell = cls.__new__(cls)
+            cell._set(W[i], b[i], norms[i], V[i])
             cell._take_simplex_facts(facts)
+            cells.append(cell)
         return cells
 
     @property
@@ -359,14 +374,9 @@ class ConvexCell:
         The eps-shrunk cell has the same incenter and inradius minus eps,
         so its interior is non-empty exactly when inradius > eps.
         """
+        _solve_facts([self])
         if self._cheb is None:
-            if self.is_simplex:
-                self._take_simplex_facts()
-            else:
-                res = lp.chebyshev_center(self.W, self.b)
-                if res is None:
-                    raise MeshError("Chebyshev LP failed (cell unbounded or malformed)")
-                self._cheb = res
+            raise MeshError("Chebyshev LP failed (cell unbounded or malformed)")
         return self._cheb
 
     def inradius(self) -> float:
@@ -374,11 +384,7 @@ class ConvexCell:
 
     def normal_combination(self):
         """lambda >= 1 with sum_i lambda_i w_i = 0, or None when none exists."""
-        if self._lam is _UNSET:
-            if self.is_simplex:
-                self._take_simplex_facts()
-            else:
-                self._lam = lp.positive_combination(self.W)
+        _solve_facts([self])
         return self._lam
 
     def _take_simplex_facts(self, facts=None):
@@ -512,6 +518,35 @@ class ConvexCell:
         return cells
 
 
+def _solve_facts(cells, hull=None):
+    """Give each cell lacking them its normal combination and Chebyshev
+    ball: a simplex its closed forms, every other cell its blocks of one
+    LP (lp.cell_facts), which a hull joins when some cell needs the LP.
+    When that LP fails, each of its cells' two LPs is solved alone, so
+    that every cell gets what it would get if asked alone: None for no
+    combination, None for no ball (which `chebyshev` refuses)."""
+    todo = []
+    for cell in cells:
+        if cell._cheb is not _UNSET:
+            continue
+        if cell.is_simplex:
+            cell._take_simplex_facts()
+        else:
+            todo.append(cell)
+    if not todo:
+        return
+    if hull is not None and hull._cheb is _UNSET and not hull.is_simplex:
+        todo.append(hull)
+    facts = lp.cell_facts([c.W for c in todo], [(c.W, c.b) for c in todo])
+    if facts is None:  # some cell fails a fact: find which, cell by cell
+        lams = [lp.cell_facts([c.W], []) for c in todo]
+        balls = [lp.cell_facts([], [(c.W, c.b)]) for c in todo]
+        facts = ([None if f is None else f[0][0] for f in lams],
+                 [None if f is None else f[1][0] for f in balls])
+    for cell, lam, ball in zip(todo, *facts):
+        cell._lam, cell._cheb = lam, ball
+
+
 def shrink_cell(cell: ConvexCell, epsilon: float) -> ConvexCell:
     """Offsets b_i -> b_i - epsilon * |w_i|; normals unchanged."""
     return cell.shrink(epsilon)
@@ -643,6 +678,13 @@ class PolytopeMesh:
         """(H_interior, H_boundary, N_cells)."""
         reg = self.registry()
         return reg.interior_count, reg.boundary_count, self.n_cells
+
+    def solve_facts(self, upto: int | None = None):
+        """The normal combination and Chebyshev ball of every non-simplex
+        cell below `upto` (by default of every cell, and then of the domain
+        hull too unless no cell needs an LP) from one block LP; cells that
+        have them already are skipped."""
+        _solve_facts(self.cells[:upto], self.domain_hull if upto is None else None)
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplex for c in self.cells)
@@ -963,16 +1005,20 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
     """
     if samples < 1:
         raise MeshError("samples must be >= 1")
-    bounded = []
+    # cell by cell, the first unbounded or empty cell is refused; the
+    # facts of the cells before the first unbounded one come from one LP
+    unbounded = next((ci for ci, cell in enumerate(mesh.cells)
+                      if not cell.is_bounded()), None)
+    mesh.solve_facts(unbounded)
     inradius = []
-    for ci, cell in enumerate(mesh.cells):
-        if not cell.is_bounded():
-            raise MeshError(f"cell {ci} is unbounded")
-        bounded.append(True)
+    for ci, cell in enumerate(mesh.cells[:unbounded]):
         r = cell.inradius()
         if not r > 1e-10:
             raise MeshError(f"cell {ci} has empty interior (inradius {r:.3e})")
         inradius.append(r)
+    if unbounded is not None:
+        raise MeshError(f"cell {unbounded} is unbounded")
+    bounded = [True] * mesh.n_cells
 
     lo, hi = mesh.bounding_box()
     X = _rng(seed).uniform(lo, hi, size=(samples, mesh.dimension))
@@ -1015,4 +1061,5 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
 
 
 def min_inradius(mesh: PolytopeMesh) -> float:
+    mesh.solve_facts()
     return min(cell.inradius() for cell in mesh.cells)

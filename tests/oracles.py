@@ -24,6 +24,38 @@ def linear_minimum_raw(W, b, cost):
                    method="highs")
 
 
+def positive_combination(W: np.ndarray):
+    """lambda >= 1 with W^T lambda = 0 minimizing sum(lambda), or None.
+
+    Solutions form a cone, so `lambda >= 1` pins a representative; the LP
+    is infeasible exactly when some direction d has W d >= 0, W d != 0
+    (Stiemke's alternative).
+    """
+    m, n = W.shape
+    res = linprog(np.ones(m), A_eq=W.T, b_eq=np.zeros(n),
+                  bounds=[(1.0, None)] * m, method="highs")
+    return res.x if res.success else None
+
+
+def chebyshev_center(W: np.ndarray, b: np.ndarray):
+    """Largest inscribed ball of {W x + b >= 0}.
+
+    Returns (center, radius); radius <= 0 means the interior is empty and
+    None is returned when even the relaxed LP is infeasible/unbounded.
+    """
+    m, n = W.shape
+    norms = np.linalg.norm(W, axis=1)
+    # maximize r  s.t.  w_i . x + b_i >= r |w_i|
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    A_ub = np.hstack([-W, norms[:, None]])
+    res = linprog(cost, A_ub=A_ub, b_ub=b,
+                  bounds=[(None, None)] * n + [(None, None)], method="highs")
+    if not res.success:
+        return None
+    return res.x[:n], res.x[-1]
+
+
 def prune_redundant_lp(cell, tol=1e-9):
     """Row indices of the halfspaces that support a facet, by linear
     programs: first, of rows whose unit normals agree within tol, the one

@@ -1,10 +1,12 @@
 """Cell questions answered from the vertex set (sup norm, bounding box,
 boundedness, facet pruning), checked against linear programs kept in
 `oracles.py`; the closed forms that give a simplex's two LP facts (the
-normal combination and the Chebyshev ball), checked against the linear
-programs the other cells still use and, stacked, against the per-cell
-closed forms in `oracles.py` bit for bit; the number of linear programs
-each pipeline pays; and that simplex meshes never enumerate vertices."""
+normal combination and the Chebyshev ball), checked against the per-cell
+linear programs in `oracles.py` and, stacked, against the per-cell closed
+forms there bit for bit; the one block LP that gives every other cell
+both facts, checked against the same per-cell LPs, and the cell that its
+refusals name; the number of linear programs each pipeline pays; and
+that simplex meshes never enumerate vertices."""
 
 import itertools
 
@@ -13,9 +15,9 @@ import pytest
 
 from relufem import docio, lp
 from relufem import mesh as mesh_module
-from relufem.compiler import (compile_compact_support,
+from relufem.compiler import (compile_bumps, compile_compact_support,
                               compile_weak_representation)
-from relufem.errors import MeshError
+from relufem.errors import CompileError, MeshError
 from relufem.mesh import (ConvexCell, PolytopeMesh, _simplex_facts,
                           freudenthal_mesh, validate_mesh)
 from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
@@ -23,7 +25,8 @@ from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.verify import check_weak_representation
 
-from oracles import linear_minimum_raw, prune_redundant_lp, simplex_facts
+from oracles import (chebyshev_center, linear_minimum_raw, positive_combination,
+                     prune_redundant_lp, simplex_facts)
 from test_cli import slot_docs
 
 UNBOUNDED = 3  # scipy's linprog status code
@@ -139,7 +142,7 @@ def test_shrink_check_matches_shrunk_chebyshev_lp():
         r = cell.inradius()
         for factor in (0.25, 0.9, 1.1, 3.0):
             eps = factor * r
-            res = lp.chebyshev_center(cell.W, cell.b - eps * cell.norms)
+            res = chebyshev_center(cell.W, cell.b - eps * cell.norms)
             shrunk_r = res[1] if res is not None else -np.inf
             assert (shrunk_r > 0.0) == (r > eps)
             if res is not None:
@@ -220,8 +223,8 @@ def test_simplex_facts_match_the_lps(tmp_path):
         for cell in mesh.cells:
             lam = cell.normal_combination()
             center, r = cell.chebyshev()
-            lp_lam = lp.positive_combination(cell.W)
-            lp_center, lp_r = lp.chebyshev_center(cell.W, cell.b)
+            lp_lam = positive_combination(cell.W)
+            lp_center, lp_r = chebyshev_center(cell.W, cell.b)
             assert lam.min() == 1.0
             np.testing.assert_allclose(lam, lp_lam, rtol=1e-12, atol=0)
             assert r == pytest.approx(lp_r, rel=1e-12, abs=0)
@@ -299,10 +302,10 @@ def test_voronoi_meshes_pay_lps_only_for_the_two_facts(lp_calls):
     v = PiecewiseLinear(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)),
                         rng.uniform(-1, 1, mesh.n_cells))
     eps = 1e-3
-    # a Chebyshev ball per cell, a combination per cell and one for the hull
+    # every cell's Chebyshev ball and combination, and the hull's, in one LP
     validate_mesh(mesh, samples=2000)
     compile_compact_support(mesh, v, eps)
-    assert len(lp_calls) == 2 * mesh.n_cells + 1
+    assert len(lp_calls) == 1
     net = compile_weak_representation(mesh, v, eps)
     # verification on a fresh copy, with no fact cached
     fresh = PolytopeMesh.from_doc(docio.loads(docio.dumps(mesh.to_doc())))
@@ -312,6 +315,140 @@ def test_voronoi_meshes_pay_lps_only_for_the_two_facts(lp_calls):
         samples_per_cell=20)
     assert rep.passed, rep.as_text()
     assert len(lp_calls) == 0
+
+
+# --- the two facts of every non-simplex cell from one block LP --------------
+
+def mixed_mesh():
+    """Freudenthal 2D triangles, every other one given by halfspaces only,
+    with the unit square as domain hull."""
+    base = freudenthal_mesh(2, 2)
+    cells = [c if i % 2 else ConvexCell(c.W, c.b)
+             for i, c in enumerate(base.cells)]
+    return PolytopeMesh(2, cells, domain_hull=base.domain_hull)
+
+
+def batch_meshes():
+    """Clipped Voronoi meshes with their hulls, random bounded polytopes in
+    2D and 3D gathered as meshes, and a mesh of simplex and halfspace
+    cells."""
+    meshes = [demo_polygon_mesh()] + [random_polygon_mesh(s) for s in range(10)]
+    meshes += [PolytopeMesh(n, [random_bounded_polytope(n, m, seed=300 + m)
+                                for m in (n + 1, n + 3, 2 * n + 2, 3 * n + 4)])
+               for n in (2, 3)]
+    return meshes + [mixed_mesh()]
+
+
+def test_batched_facts_match_the_per_cell_lps():
+    for mesh in batch_meshes():
+        mesh.solve_facts()
+        hull = [] if mesh.domain_hull is None else [mesh.domain_hull]
+        for cell in mesh.cells + hull:
+            lam = cell.normal_combination()
+            center, r = cell.chebyshev()
+            lp_lam = positive_combination(cell.W)
+            _, lp_r = chebyshev_center(cell.W, cell.b)
+            assert r == pytest.approx(lp_r, rel=1e-12, abs=0)
+            assert np.min(cell.boundary_distance(center)) == pytest.approx(
+                r, rel=1e-12, abs=0)
+            assert lam.min() >= 1.0 - 1e-9
+            assert (np.linalg.norm(cell.W.T @ lam)
+                    <= 1e-10 * float(lam @ cell.norms))
+            # a degenerate LP has several optimal lambdas: compare the sums
+            assert lam.sum() == pytest.approx(lp_lam.sum(), rel=1e-12, abs=0)
+
+
+def test_simplex_cells_keep_their_closed_forms_and_add_no_lp_blocks(
+        monkeypatch):
+    blocks = []
+    cell_facts = lp.cell_facts
+
+    def spy(combinations, balls):
+        blocks.append((len(combinations), len(balls)))
+        return cell_facts(combinations, balls)
+
+    monkeypatch.setattr(lp, "cell_facts", spy)
+    mesh = mixed_mesh()
+    simplex = [c for c in mesh.cells if c.is_simplex]
+    assert 0 < len(simplex) < mesh.n_cells
+    mesh.solve_facts()
+    # every halfspace cell and the hull, each with both facts
+    assert blocks == [(mesh.n_cells - len(simplex) + 1,) * 2]
+    for cell in simplex:
+        lam, (center, r) = simplex_facts(cell)
+        assert np.array_equal(cell.normal_combination(), lam)
+        assert np.array_equal(cell.chebyshev()[0], center)
+        assert cell.chebyshev()[1] == r
+    mesh.solve_facts()  # nothing left to solve
+    # no cell of a simplex mesh needs the LP, so its hull waits to be asked
+    freudenthal_mesh(2, 2).solve_facts()
+    assert len(blocks) == 1
+
+
+BOX_NORMALS = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+BAD_CELLS = {
+    "wedge": ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+    "half-strip": ([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, 0.0, 1.0]),
+    "empty": (BOX_NORMALS, [-0.6, 0.4, 0.0, 1.0]),
+    "flat": (BOX_NORMALS, [-0.5, 0.5, 0.0, 1.0]),
+}
+
+# how each check names the bad cell at index {i}: validate_mesh, the weak
+# compile without validation (the sup norm reads vertex sets first), and
+# compile_bumps, which reaches the two facts directly
+REFUSALS = {
+    "wedge": [(MeshError, "cell {i} is unbounded"),
+              (MeshError, "cell is unbounded"),
+              (MeshError, "Chebyshev LP failed (cell unbounded or malformed)")],
+    "half-strip": [(MeshError, "cell {i} is unbounded"),
+                   (MeshError, "cell is unbounded"),
+                   (CompileError, "cell {i}: no positive zero-sum combination "
+                    "of facet normals exists (cell unbounded or degenerate)")],
+    "empty": [(MeshError, "cell {i} has empty interior (inradius -1.000e-01)"),
+              (MeshError, "cell has no vertices (empty interior)"),
+              (CompileError, "cell {i}: shrinks to empty: epsilon 0.001 too "
+               "large")],
+    "flat": [(MeshError, "cell {i} has empty interior (inradius -0.000e+00)"),
+             (CompileError, "cell {i}: shrinks to empty: epsilon 0.001 too "
+              "large"),
+             (CompileError, "cell {i}: shrinks to empty: epsilon 0.001 too "
+              "large")],
+}
+
+
+@pytest.mark.parametrize("where", [0, 2, 7])
+@pytest.mark.parametrize("name", sorted(BAD_CELLS))
+def test_a_bad_cell_among_good_ones_is_named(name, where):
+    base = random_polygon_mesh(3)
+    cells = list(base.cells)
+    cells.insert(where, ConvexCell(*BAD_CELLS[name]))
+    checks = [lambda mesh, v: validate_mesh(mesh, samples=1000),
+              lambda mesh, v: compile_weak_representation(mesh, v, 1e-3),
+              lambda mesh, v: compile_bumps(mesh, v, 1.0, 1e-3)]
+    for check, (error, message) in zip(checks, REFUSALS[name]):
+        mesh = PolytopeMesh(2, cells, domain_hull=base.domain_hull)
+        v = PiecewiseLinear(mesh, np.ones((mesh.n_cells, 2)),
+                            np.zeros(mesh.n_cells))
+        with pytest.raises(error) as info:
+            check(mesh, v)
+        assert str(info.value) == message.format(i=where)
+    # after a failed block LP every good cell still has both facts
+    for cell in cells[:where] + cells[where + 1:]:
+        assert cell.inradius() == pytest.approx(
+            chebyshev_center(cell.W, cell.b)[1], rel=1e-12)
+        assert cell.normal_combination().min() >= 1.0 - 1e-9
+
+
+def test_stacked_cell_checks_keep_norms_and_messages():
+    for mesh in (freudenthal_mesh(3, 2), random_simplex_mesh(3, 2, seed=9)):
+        for cell in mesh.cells:
+            alone = ConvexCell(cell.W, cell.b, vertices=cell.vertices)
+            assert np.array_equal(cell.norms, alone.norms)
+            assert np.array_equal(cell.norms, np.linalg.norm(cell.W, axis=1))
+    V = freudenthal_mesh(2, 1).cells[0].vertices[None].repeat(3, axis=0)
+    V[1, 0, 0] = np.nan
+    with pytest.raises(MeshError, match="^cell halfspace data must be finite$"):
+        ConvexCell.from_simplices(V)
 
 
 # --- facet pruning from the vertex set ----------------------------------------
