@@ -6,6 +6,7 @@ meshes with hand-picked hyperplane/cell counts.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import MeshError
 from .mesh import (ConvexCell, PolytopeMesh, freudenthal_mesh, freudenthal_simplices,
@@ -26,26 +27,45 @@ def polygon_halfspaces(poly):
     return W, b
 
 
+def bisector_candidates(sites) -> list:
+    """For each site, the ascending indices of the sites whose bisectors
+    may bound its clipped Voronoi cell.
+
+    These are its Delaunay neighbours: two Voronoi cells share an edge
+    only across a Delaunay edge, and clipping only removes edges. When no
+    triangulation holds every site (fewer than three, non-finite or
+    collinear sites, or sites Qhull leaves out as coincident), every
+    other site is a candidate.
+    """
+    k = len(sites)
+    if k >= 3 and np.all(np.isfinite(sites)):
+        try:
+            tri = Delaunay(sites)
+        except QhullError:
+            tri = None
+        if tri is not None and not len(tri.coplanar):
+            start, neighbours = tri.vertex_neighbor_vertices
+            return [np.sort(neighbours[start[i]:start[i + 1]]) for i in range(k)]
+    return [np.delete(np.arange(k), i) for i in range(k)]
+
+
 def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
     """Voronoi cells of the sites clipped to a convex polygon.
 
     Every cell is the intersection of the polygon with the bisector
-    halfspaces against all other sites, pruned to its supporting facets,
-    so the registry sees exactly the true facet hyperplanes.
+    halfspaces against its candidate sites (`bisector_candidates`, in
+    ascending order), pruned to its supporting facets, so the registry
+    sees exactly the true facet hyperplanes.
     """
     sites = np.asarray(sites, dtype=float)
     hull_W, hull_b = polygon_halfspaces(boundary_polygon)
+    # one dot product per site: a stacked sum of squares may round otherwise
+    sq_norms = np.array([q @ q for q in sites])
     cells = []
-    for i, p in enumerate(sites):
-        rows = [hull_W]
-        offs = [hull_b]
-        for j, q in enumerate(sites):
-            if j == i:
-                continue
-            rows.append((2.0 * (p - q))[None, :])
-            offs.append([float(q @ q - p @ p)])
-        cell = ConvexCell(np.vstack(rows), np.concatenate(offs)).prune_redundant()
-        cells.append(cell)
+    for i, others in enumerate(bisector_candidates(sites)):
+        W = np.vstack([hull_W, 2.0 * (sites[i] - sites[others])])
+        b = np.concatenate([hull_b, sq_norms[others] - sq_norms[i]])
+        cells.append(ConvexCell(W, b).prune_redundant())
     hull = ConvexCell(hull_W, hull_b)
     return PolytopeMesh(2, cells, domain_hull=hull)
 

@@ -12,6 +12,7 @@ weights are the differences of consecutive interval slopes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +69,28 @@ class TensorFE:
         n = self.mesh.n
         if X.shape[1] != n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {n}")
-        idx = []
-        loc = []
+        # one C-order flat index per point and each axis's (1 - loc, loc),
+        # so each grid corner is one take; w multiplies axis by axis
+        flat = np.zeros(X.shape[0], dtype=np.intp)
+        factors = []
         for k, g in enumerate(self.mesh.grids):
             x = X[:, k]
             if np.any(x < g[0] - 1e-12) or np.any(x > g[-1] + 1e-12):
                 raise VerifyError(f"point outside the grid box on axis {k}")
             i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
-            idx.append(i)
-            loc.append((x - g[i]) / (g[i + 1] - g[i]))
+            flat = flat * g.size + i
+            loc = (x - g[i]) / (g[i + 1] - g[i])
+            factors.append((1.0 - loc, loc))
+        counts = self.mesh.node_counts
+        strides = [math.prod(counts[k + 1:]) for k in range(n)]
+        coefficients = self.coefficients.ravel()
         out = np.zeros(X.shape[0])
         for corner in itertools.product((0, 1), repeat=n):
-            w = np.ones(X.shape[0])
-            pos = []
-            for k, c in enumerate(corner):
-                w *= loc[k] if c else (1.0 - loc[k])
-                pos.append(idx[k] + c)
-            out += w * self.coefficients[tuple(pos)]
+            w = factors[0][corner[0]] if n else np.ones(X.shape[0])
+            for k in range(1, n):
+                w = w * factors[k][corner[k]]
+            shift = sum(c * s for c, s in zip(corner, strides))
+            out += w * coefficients.take(flat + shift)
         return out
 
     def eval(self, x) -> float:

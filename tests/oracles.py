@@ -14,7 +14,8 @@ from scipy.optimize import linprog
 
 from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
 from relufem.errors import CompileError, ConditioningWarning, MeshError
-from relufem.mesh import ConvexCell
+from relufem.mesh import ConvexCell, PolytopeMesh
+from relufem.meshgen import polygon_halfspaces
 from relufem.networks import relu
 
 
@@ -386,3 +387,47 @@ def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
                     "s": s, "mu": mu, "lam": lam, "epsilon": epsilon,
                     "R": R, "c": c},
     )
+
+
+def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
+    """Voronoi cells of the sites clipped to a convex polygon, each the
+    polygon cut by the bisector halfspaces against all other sites,
+    pruned to its supporting facets."""
+    sites = np.asarray(sites, dtype=float)
+    hull_W, hull_b = polygon_halfspaces(boundary_polygon)
+    cells = []
+    for i, p in enumerate(sites):
+        rows = [hull_W]
+        offs = [hull_b]
+        for j, q in enumerate(sites):
+            if j == i:
+                continue
+            rows.append((2.0 * (p - q))[None, :])
+            offs.append([float(q @ q - p @ p)])
+        cell = ConvexCell(np.vstack(rows), np.concatenate(offs)).prune_redundant()
+        cells.append(cell)
+    hull = ConvexCell(hull_W, hull_b)
+    return PolytopeMesh(2, cells, domain_hull=hull)
+
+
+def tensor_eval_batch(u, X):
+    """Multilinear interpolant of TensorFE u at the rows of X, one grid
+    corner at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = u.mesh.n
+    idx = []
+    loc = []
+    for k, g in enumerate(u.mesh.grids):
+        x = X[:, k]
+        i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+        idx.append(i)
+        loc.append((x - g[i]) / (g[i + 1] - g[i]))
+    out = np.zeros(X.shape[0])
+    for corner in itertools.product((0, 1), repeat=n):
+        w = np.ones(X.shape[0])
+        pos = []
+        for k, c in enumerate(corner):
+            w *= loc[k] if c else (1.0 - loc[k])
+            pos.append(idx[k] + c)
+        out += w * u.coefficients[tuple(pos)]
+    return out

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from relufem import docio, lp
+from relufem import docio, lp, meshgen
 from relufem import mesh as mesh_module
 from relufem.compiler import (compile_bumps, compile_compact_support,
                               compile_weak_representation)
@@ -25,6 +25,7 @@ from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.verify import check_weak_representation
 
+import oracles
 from oracles import (chebyshev_center, linear_minimum_raw, positive_combination,
                      prune_redundant_lp, simplex_facts)
 from test_cli import slot_docs
@@ -468,6 +469,10 @@ def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    # the all-sites construction hands every cell every bisector, so the
+    # spy sees the redundant rows that Delaunay candidates leave out
+    monkeypatch.setattr(meshgen, "voronoi_polygon_mesh",
+                        oracles.voronoi_polygon_mesh)
     demo_polygon_mesh()
     for seed in range(30):
         random_polygon_mesh(seed)

@@ -1,12 +1,18 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
-from relufem import docio
-from relufem.mesh import freudenthal_mesh, validate_mesh
-from relufem.meshgen import (demo_polygon_mesh, demo_simplex_mesh,
-                             random_bounded_polytope, random_partition_mesh_1d,
-                             random_polygon_mesh, random_simplex_mesh,
-                             voronoi_polygon_mesh)
+from relufem import docio, meshgen
+from relufem.errors import MeshError
+from relufem.mesh import ConvexCell, freudenthal_mesh, validate_mesh
+from relufem.meshgen import (bisector_candidates, demo_polygon_mesh,
+                             demo_simplex_mesh, random_bounded_polytope,
+                             random_partition_mesh_1d, random_polygon_mesh,
+                             random_simplex_mesh, voronoi_polygon_mesh)
+
+import oracles
 
 
 def test_demo_polygon_mesh_counts():
@@ -86,3 +92,104 @@ def test_random_bounded_polytope_properties():
         assert cell.is_bounded()
         assert cell.inradius() > 0.1
         assert cell.m == n + 2
+
+
+# --- clipped Voronoi cells from Delaunay neighbours ---------------------------
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def mesh_bytes(build):
+    """The document bytes of the mesh build() returns, or the message of
+    the MeshError it raises."""
+    try:
+        return docio.dumps(build().to_doc())
+    except MeshError as err:
+        return f"MeshError: {err}"
+
+
+GENERATED = {
+    "demo": demo_polygon_mesh,
+    **{f"seed {s}": partial(random_polygon_mesh, s) for s in range(30)},
+    **{f"20 sites, seed {s}": partial(random_polygon_mesh, s, n_sites=20)
+       for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_voronoi_mesh_equals_the_all_sites_reference(name, monkeypatch):
+    made = mesh_bytes(GENERATED[name])
+    monkeypatch.setattr(meshgen, "voronoi_polygon_mesh",
+                        oracles.voronoi_polygon_mesh)
+    assert made == mesh_bytes(GENERATED[name])
+    assert not made.startswith("MeshError")
+
+
+_GRID = np.linspace(0.1, 0.9, 5)
+_HEXAGON = 0.5 + 0.3 * np.stack([np.cos(np.arange(6) * np.pi / 3),
+                                 np.sin(np.arange(6) * np.pi / 3)], axis=1)
+
+SITES = {
+    # name: (sites, True if each site's candidates are its Delaunay
+    # neighbours, False if they are every other site, None if not pinned)
+    "cocircular grid": (np.stack(np.meshgrid(_GRID, _GRID), -1).reshape(-1, 2), True),
+    "hexagon and centre": (np.vstack([_HEXAGON, [[0.5, 0.5]]]), True),
+    "sites outside the square": (
+        [[-0.2, 0.5], [0.3, 1.1], [0.5, 0.5], [1.15, 0.2], [0.7, 0.8]], True),
+    "2 sites": ([[0.3, 0.4], [0.7, 0.6]], False),
+    "3 sites": ([[0.2, 0.2], [0.8, 0.3], [0.4, 0.9]], True),
+    "collinear sites": ([[0.1 + 0.2 * k, 0.5] for k in range(5)], False),
+    "3 collinear sites": ([[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]], False),
+    "duplicate site": ([[0.2, 0.2], [0.8, 0.3], [0.4, 0.9], [0.8, 0.3]], False),
+    "sites 1e-14 apart": (
+        [[0.2, 0.2], [0.8, 0.3], [0.4, 0.9], [0.4, 0.9 + 1e-14]], None),
+}
+
+
+@pytest.mark.parametrize("name", SITES)
+def test_voronoi_mesh_equals_the_all_sites_reference(name):
+    sites, _ = SITES[name]
+    assert (mesh_bytes(lambda: voronoi_polygon_mesh(sites, SQUARE))
+            == mesh_bytes(lambda: oracles.voronoi_polygon_mesh(sites, SQUARE)))
+
+
+def test_duplicate_sites_are_refused():
+    sites, _ = SITES["duplicate site"]
+    with pytest.raises(MeshError, match="zero facet normal"):
+        voronoi_polygon_mesh(sites, SQUARE)
+
+
+@pytest.mark.parametrize("name", SITES)
+def test_degenerate_sites_get_every_other_site(name):
+    """Sites no triangulation holds get every other site as a candidate,
+    never an empty neighbour list."""
+    sites, neighbours_only = SITES[name]
+    sites = np.asarray(sites, dtype=float)
+    k = len(sites)
+    got = bisector_candidates(sites)
+    assert all(np.all(np.diff(c) > 0) and i not in c for i, c in enumerate(got))
+    if neighbours_only is False:
+        assert all(len(c) == k - 1 for c in got)
+    if neighbours_only:
+        start, nb = Delaunay(sites).vertex_neighbor_vertices
+        assert all(np.array_equal(c, np.sort(nb[start[i]:start[i + 1]]))
+                   for i, c in enumerate(got))
+
+
+def test_large_voronoi_mesh_is_valid_and_cells_get_only_neighbour_rows(monkeypatch):
+    sites = np.random.default_rng(500).uniform(0.08, 0.92, size=(500, 2))
+    handed = []
+    prune = ConvexCell.prune_redundant
+
+    def spy(cell):
+        handed.append(cell.m)
+        return prune(cell)
+
+    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    mesh = voronoi_polygon_mesh(sites, SQUARE)
+    start, _ = Delaunay(sites).vertex_neighbor_vertices
+    assert handed == list(len(SQUARE) + np.diff(start))
+    assert mesh.n_cells == 500
+    assert mesh.volume() == pytest.approx(1.0, abs=1e-9)
+    report = validate_mesh(mesh, samples=20000, seed=0)
+    assert report.ok, report.issues

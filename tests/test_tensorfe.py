@@ -6,6 +6,8 @@ from relufem.tensorfe import (TensorFE, TensorMesh, compile_1d_hat,
                               compile_tnn, cp_decompose, eval_tensor_fe,
                               matricization_rank_bound)
 
+from oracles import tensor_eval_batch
+
 
 def grid_mesh(*counts, spans=None):
     spans = spans or [(0.0, 1.0)] * len(counts)
@@ -40,6 +42,24 @@ def test_eval_hits_nodal_values():
     for i, ti in enumerate(mesh.grids[0]):
         for j, tj in enumerate(mesh.grids[1]):
             assert u.eval([ti, tj]) == pytest.approx(c[i, j], abs=1e-14)
+
+
+@pytest.mark.parametrize("counts", [(), (5,), (2, 2), (7, 4), (2, 5, 10),
+                                    (3, 4, 2, 3)])
+def test_eval_batch_matches_the_corner_loop_bit_for_bit(counts):
+    rng = np.random.default_rng(len(counts))
+    grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, c - 2), 1.0]) for c in counts]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal(counts))
+    X = rng.uniform(0, 1, (5000, len(counts)))
+    # grid nodes, the box's faces, and just inside and outside its tolerance
+    X[:100] = rng.choice([0.0, 1.0, 1e-13, 1 + 1e-13, -1e-13], (100, len(counts)))
+    if counts:
+        X[100:200, 0] = rng.choice(grids[0], 100)
+    got = u.eval_batch(X)
+    assert np.array_equal(got.view(np.int64), tensor_eval_batch(u, X).view(np.int64))
+    # a Fortran-ordered coefficient array reads the same
+    v = TensorFE(u.mesh, np.array(u.coefficients, order="F"))
+    assert np.array_equal(v.eval_batch(X).view(np.int64), got.view(np.int64))
 
 
 def test_eval_outside_box_errors():
