@@ -3,39 +3,119 @@
 All documents are plain JSON. Floats are written with Python's shortest
 round-trip representation (at most 17 significant digits), so a written
 document re-read with `loads` reproduces every stored value bit for bit.
-Keys are sorted and a trailing newline is appended, which makes repeated
+
+`dumps` writes `json.dumps(doc, sort_keys=True, indent=1)` plus a trailing
+newline, byte for byte, after numpy arrays (`tolist()`) and numpy scalars
+have become Python values and dict keys strings. It lays out dicts and
+lists itself and hands every run of plain numbers (a list whose items are
+all exactly `int` or `float`, or a matrix of such non-empty lists) to the
+stdlib's C encoder in one call, because `json.dumps` with an indent always
+takes the pure-Python encoder. Keys are sorted, which makes repeated
 writes of the same object byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from typing import Any
 
 import numpy as np
 
 from .errors import DocumentError
 
 
-def jsonable(obj: Any) -> Any:
-    """Convert numpy containers/scalars into plain Python structures."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+_NUMBERS = {int, float}
+_ROWS = {list, tuple}
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+# kept, one per line break: json.dumps with separators builds a new
+# JSONEncoder on every call, which costs more than a short run
+@functools.cache
+def _run_encoder(newline: str):
+    return json.JSONEncoder(separators=("," + newline, ": ")).encode
+
+
+def _number_run(items, newline: str) -> str:
+    """The items of a list of plain numbers, one per `newline`."""
+    return _run_encoder(newline)(items)[1:-1]
+
+
+def _float_text(x: float) -> str:
+    """A float as the stdlib encoder writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _write(obj, newline: str, out: list) -> None:
+    """Append the text of `obj` nested at line break `newline` to `out`."""
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + " "
+        kinds = set(map(type, obj))
+        if kinds <= _NUMBERS:
+            out += ("[", inner, _number_run(obj, inner), newline, "]")
+        elif (kinds <= _ROWS and all(obj)
+              and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS):
+            # a matrix is one run too, its row breaks re-laid: no number
+            # text holds a bracket
+            deeper = inner + " "
+            rows = _number_run(obj, deeper)[1:-1].replace(
+                "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+            out += ("[", inner, "[", deeper, rows, inner, "]", newline, "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                sep = "," + inner
+                _write(item, inner, out)
+            out += (newline, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + " "
+        items = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(items):
+            out += (sep, _encode_string(key), ": ")
+            sep = "," + inner
+            _write(items[key], inner, out)
+        out += (newline, "}")
+    elif isinstance(obj, str):
+        out.append(_encode_string(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), newline, out)
+    elif isinstance(obj, np.floating):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, indent=1) + "\n"
+    """The document's text: see the module docstring for the byte contract."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str) -> dict:

@@ -458,9 +458,10 @@ class ConvexCell:
 
     def prune_redundant(self, tol=1e-9) -> "ConvexCell":
         """Keep the halfspaces that support a facet of the bounded cell:
-        those whose tight vertices span an (n-1)-flat, and of rows whose
-        unit normals agree within tol only the one with the smallest unit
-        offset (the first on a tie)."""
+        those whose tight vertices span an (n-1)-flat. Of supporting rows
+        whose unit normals agree within tol only the one with the smallest
+        unit offset is kept (the first on a tie); a row that supports no
+        facet shadows none."""
         V = self.vertex_set()
         size = np.max(np.abs(V), axis=1)
         tight = (np.abs(self.facet_values(V) / self.norms)
@@ -471,7 +472,8 @@ class ConvexCell:
         U = self.W / self.norms[:, None]
         same = np.max(np.abs(U[:, None] - U[None]), axis=2) <= tol
         place = np.argsort(np.argsort(self.b / self.norms, kind="stable"))
-        keep = supports & ~(same & (place[None] < place[:, None])).any(axis=1)
+        keep = supports & ~(same & supports[None]
+                            & (place[None] < place[:, None])).any(axis=1)
         return ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
 
     def to_doc(self) -> dict:
@@ -996,12 +998,32 @@ class ValidationReport:
         return not self.issues
 
 
+def _hull_volume(hull: ConvexCell) -> float:
+    """Volume of a domain hull, inf when it is unbounded. A box (every row
+    bounds one coordinate, as the generators' hulls do) is the product of
+    its sides, so a simplex mesh enumerates no vertices; any other hull
+    sums its tiles."""
+    W, b = hull.W, hull.b
+    if not np.all(np.count_nonzero(W, axis=1) == 1):
+        return hull.volume() if hull.is_bounded() else math.inf
+    axis = np.argmax(W != 0, axis=1)
+    w = W[np.arange(hull.m), axis]
+    lo = np.full(hull.dim, -np.inf)
+    hi = np.full(hull.dim, np.inf)
+    np.maximum.at(lo, axis[w > 0], -b[w > 0] / w[w > 0])
+    np.minimum.at(hi, axis[w < 0], -b[w < 0] / w[w < 0])
+    sides = hi - lo
+    return 0.0 if np.any(sides <= 0) else float(np.prod(sides))
+
+
 def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
                   ) -> ValidationReport:
     """Check boundedness, nonempty interiors, disjointness and coverage.
 
     Unbounded or empty-interior cells raise MeshError naming the cell;
-    overlap/coverage findings are reported for the caller to judge.
+    overlap/coverage findings are reported for the caller to judge: by
+    sampling, and, when the mesh has a domain hull, exactly, as summed cell
+    volumes more than 1e-9 relative away from the hull's volume.
     """
     if samples < 1:
         raise MeshError("samples must be >= 1")
@@ -1047,6 +1069,13 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
             )
     if hull_uncovered is not None and hull_uncovered > 3 * mc_sigma + 1e-3:
         issues.append(f"domain hull not covered on ~{hull_uncovered:.2%} of its samples")
+    # the exact test sampling cannot make: tiled cells fill the hull
+    # exactly when their volumes add up to its volume
+    if mesh.domain_hull is not None:
+        hull_vol = _hull_volume(mesh.domain_hull)
+        if hull_vol == math.inf or abs(vol_sum - hull_vol) > 1e-9 * hull_vol:
+            issues.append(f"summed cell volumes {vol_sum:.12g} vs domain hull "
+                          f"volume {hull_vol:.12g}")
 
     return ValidationReport(
         bounded=bounded,

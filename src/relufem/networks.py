@@ -141,12 +141,13 @@ class ReluNet2:
             "h2": self.h2,
             "W1": self.W1,
             "b1": self.b1,
-            "W2": [[int(self.W2_rows[i]), int(self.W2_cols[i]),
-                    float(self.W2_vals[i])] for i in range(self.W2_vals.size)],
+            "W2": [list(t) for t in zip(self.W2_rows.tolist(),
+                                        self.W2_cols.tolist(),
+                                        self.W2_vals.tolist())],
             "b2": self.b2,
             "w3": self.w3,
             "output_bias": self.output_bias,
-            "provenance": docio.jsonable(self.provenance),
+            "provenance": self.provenance,
         }
         return doc
 
@@ -238,7 +239,7 @@ class TensorNet:
 
     def to_doc(self) -> dict:
         doc = {"arch": "tnn", "rank": self.rank, "n": self.n,
-               "provenance": docio.jsonable(self.provenance)}
+               "provenance": self.provenance}
         for k, (W, b, weights) in enumerate(self.branches):
             doc[f"branch_{k + 1}"] = {"W": W.reshape(-1), "b": b, "weights": weights}
         return doc

@@ -6,8 +6,10 @@ code they check.
 """
 
 import itertools
+import json
 import warnings
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
@@ -431,3 +433,24 @@ def tensor_eval_batch(u, X):
             pos.append(idx[k] + c)
         out += w * u.coefficients[tuple(pos)]
     return out
+
+
+def jsonable(obj: Any) -> Any:
+    """Convert numpy containers/scalars into plain Python structures."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
+
+
+def dumps(doc: dict) -> str:
+    """Document text through the stdlib writer, which takes its
+    pure-Python encoder whenever an indent is set."""
+    return json.dumps(jsonable(doc), sort_keys=True, indent=1) + "\n"

@@ -8,7 +8,8 @@ from relufem.errors import DocumentError, MeshError
 from relufem.mesh import (ConvexCell, Halfspace, PolytopeMesh, _simplex_halfspaces,
                           build_registry, freudenthal_mesh,
                           sample_shrunk_domain, shrink_cell, validate_mesh)
-from relufem.meshgen import random_polygon_mesh, random_simplex_mesh
+from relufem.meshgen import (demo_polygon_mesh, random_polygon_mesh,
+                             random_simplex_mesh, voronoi_polygon_mesh)
 from relufem.networks import serialize
 from relufem.pwl import nodal_linear
 
@@ -48,6 +49,60 @@ def test_identical_cells_report_overlap():
     assert not report.ok
     assert any("overlap" in issue for issue in report.issues)
     assert report.overlap_fraction > 0.9
+
+
+def box_cell(lo, hi):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = lo.size
+    return ConvexCell(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([-lo, hi]))
+
+
+@pytest.mark.parametrize("split", [0.5 + 1e-3, 0.5 - 1e-3], ids=["overlap", "gap"])
+def test_cells_missing_the_hull_volume_are_reported(split):
+    """Two boxes that overlap or leave a gap on 0.1% of the square: sampling
+    misses it, the summed volumes against the hull's do not."""
+    cells = [box_cell([0.0, 0.0], [split, 1.0]), box_cell([0.5, 0.0], [1.0, 1.0])]
+    mesh = PolytopeMesh(2, cells, domain_hull=box_cell([0.0, 0.0], [1.0, 1.0]))
+    report = validate_mesh(mesh, samples=200_000, seed=0)
+    assert report.issues == [
+        f"summed cell volumes {mesh.volume():.12g} vs domain hull volume 1"]
+
+
+@pytest.mark.parametrize("W, b", [([[1.0, 0.0]], [0.0]),
+                                  ([[1.0, 0.0], [1.0, 1.0]], [0.0, 0.0])],
+                         ids=["halfplane", "wedge"])
+def test_unbounded_hull_is_reported(W, b):
+    mesh = PolytopeMesh(2, [unit_square_cell()], domain_hull=ConvexCell(W, b))
+    report = validate_mesh(mesh, samples=2000, seed=0)
+    assert report.issues == ["summed cell volumes 1 vs domain hull volume inf"]
+
+
+def test_near_coincident_site_overlap_is_reported():
+    """The mesh an earlier pruning rule made from 13 sites, two of them 1e-9
+    apart: site 0's cell was cut as if that pair were absent, so it overlaps
+    its neighbours on 0.14% of the square and the volumes sum to 1.00137."""
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    sites = np.random.default_rng(18).uniform(0.1, 0.9, (12, 2))
+    sites = np.vstack([sites, sites[3] + 1e-9 * np.array([np.cos(2.3606),
+                                                          np.sin(2.3606)])])
+    mesh = voronoi_polygon_mesh(sites, square)
+    assert validate_mesh(mesh, samples=20000, seed=0).ok
+    grown = voronoi_polygon_mesh(np.delete(sites, [3, 12], axis=0), square).cells[0]
+    bad = PolytopeMesh(2, [grown] + mesh.cells[1:], domain_hull=mesh.domain_hull)
+    assert bad.volume() == pytest.approx(1.00137, abs=1e-5)
+    report = validate_mesh(bad, samples=200_000, seed=0)
+    assert report.issues == [
+        f"summed cell volumes {bad.volume():.12g} vs domain hull volume 1"]
+
+
+@pytest.mark.parametrize("mesh", [
+    demo_polygon_mesh(), *(random_polygon_mesh(s) for s in range(5)),
+    freudenthal_mesh(2, 4), freudenthal_mesh(3, 3), random_simplex_mesh(3, 2, 1)])
+def test_generated_meshes_fill_their_hull(mesh):
+    hull = mesh.domain_hull.volume()
+    assert abs(mesh.volume() - hull) <= 1e-13 * hull
+    report = validate_mesh(mesh, samples=2000, seed=0)
+    assert report.ok, report.issues
 
 
 def test_shrink_interval():

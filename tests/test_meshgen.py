@@ -8,7 +8,8 @@ from relufem import docio, meshgen
 from relufem.errors import MeshError
 from relufem.mesh import ConvexCell, freudenthal_mesh, validate_mesh
 from relufem.meshgen import (bisector_candidates, demo_polygon_mesh,
-                             demo_simplex_mesh, random_bounded_polytope,
+                             demo_simplex_mesh, polygon_halfspaces,
+                             random_bounded_polytope,
                              random_partition_mesh_1d, random_polygon_mesh,
                              random_simplex_mesh, voronoi_polygon_mesh)
 
@@ -191,5 +192,23 @@ def test_large_voronoi_mesh_is_valid_and_cells_get_only_neighbour_rows(monkeypat
     assert handed == list(len(SQUARE) + np.diff(start))
     assert mesh.n_cells == 500
     assert mesh.volume() == pytest.approx(1.0, abs=1e-9)
+    report = validate_mesh(mesh, samples=20000, seed=0)
+    assert report.ok, report.issues
+
+
+def test_a_row_that_supports_no_facet_shadows_no_row():
+    """Sites 1e-9 apart give another cell two near-parallel bisectors; the
+    tighter one supports no facet, and pruning once dropped both, so cell 3
+    grew from 0.1066 to 0.1323 and the cells summed to 1.0258."""
+    sites = np.random.default_rng(24).uniform(0.1, 0.9, (8, 2))
+    sites = np.vstack([sites, sites[0] + [1e-9, 0.0]])
+    mesh = voronoi_polygon_mesh(sites, SQUARE)
+    p, others = sites[3], np.delete(sites, 3, axis=0)
+    W, b = polygon_halfspaces(SQUARE)
+    unpruned = ConvexCell(np.vstack([W, 2.0 * (p - others)]),
+                          np.concatenate([b, np.sum(others ** 2, axis=1) - p @ p]))
+    assert mesh.cells[3].volume() == pytest.approx(unpruned.volume(), rel=1e-12)
+    assert mesh.cells[3].volume() == pytest.approx(0.10657, abs=1e-5)
+    assert mesh.volume() == pytest.approx(1.0, rel=1e-12)
     report = validate_mesh(mesh, samples=20000, seed=0)
     assert report.ok, report.issues
