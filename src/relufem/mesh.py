@@ -20,14 +20,11 @@ from scipy.spatial import Delaunay, cKDTree
 from scipy.spatial.distance import cdist
 
 from . import docio, lp
+from ._chunks import CHUNK_ELEMENTS
 from .errors import DocumentError, MeshError
 
 DEDUP_TOL = 1e-9
 VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
-
-# containment tests run in chunks of (box, cell) pairs and the vertex merge
-# in point chunks, so that each float temporary holds about this many floats
-CHUNK_ELEMENTS = 2 ** 18
 # point location: deepest Morton level, and the candidate count at which a
 # box stops splitting
 TREE_LEVELS = 16

@@ -12,12 +12,8 @@ import numpy as np
 from scipy import sparse
 
 from . import docio
+from ._chunks import CHUNK_ELEMENTS, run_chunks
 from .errors import DocumentError
-
-# forward passes run in point chunks so each (width, chunk) temporary
-# holds at most this many floats (2 MB), which the next layer re-reads
-# while it is still in cache
-CHUNK_ELEMENTS = 2 ** 18
 
 
 def relu(x):
@@ -41,10 +37,13 @@ class ReluNet2:
     row. The forward pass multiplies by each layer as a CSR matrix built
     in that storage order (W1 and w3 row by row, W2 from the triplets as
     they stand), and scipy's CSR product sums each row's terms left to
-    right in storage order. Every output is
-    therefore the same float whatever batch or chunk its point falls in,
-    and evaluation stays bit-stable under serialization and under the
-    duplicate-neuron merge.
+    right in storage order. Every output is therefore the same float
+    whatever batch or chunk its point falls in, and evaluation stays
+    bit-stable under serialization and under the duplicate-neuron merge.
+    The point chunks, of about CHUNK_ELEMENTS floats per layer temporary,
+    go through relufem._chunks.run_chunks, which spreads them over the
+    usable CPUs; each writes its own slice of the output, so the thread
+    count changes no bit either.
     """
 
     def __init__(self, W1, b1, W2_triplets, b2, w3, output_bias=None,
@@ -111,16 +110,19 @@ class ReluNet2:
         W1, W2, w3 = self._layers
         b1 = self.b1[:, None]
         b2 = self.b2[:, None]
-        chunk = max(1, CHUNK_ELEMENTS // max(self.h1, self.h2))
-        for lo in range(0, X.shape[0], chunk):
+
+        def body(lo, hi):
             # transposed layout: one column per point
-            Z1 = W1 @ X[lo:lo + chunk].T
+            Z1 = W1 @ X[lo:hi].T
             Z1 += b1
             np.maximum(Z1, 0.0, out=Z1)
             Z2 = W2 @ Z1
             Z2 += b2
             np.maximum(Z2, 0.0, out=Z2)
-            out[lo:lo + chunk] = (w3 @ Z2)[0]
+            out[lo:hi] = (w3 @ Z2)[0]
+
+        run_chunks(body, X.shape[0],
+                   max(1, CHUNK_ELEMENTS // max(self.h1, self.h2)))
         if self.output_bias is not None:
             out += self.output_bias
         return out
@@ -178,7 +180,8 @@ class TensorNet:
     Branch k holds (W_k, b_k, weights_k); its contribution for rank p is
     weights_k[p] @ relu(W_k * x_k + b_k). The forward pass contracts each
     branch, then sums over the rank, through frozen CSR matrices with points
-    in columns, so every sum runs in storage order whatever the batch.
+    in columns, so every sum runs in storage order whatever the batch. Its
+    point chunks go through the same runner as ReluNet2's.
     """
 
     def __init__(self, branches, provenance=None):
@@ -217,18 +220,21 @@ class TensorNet:
         if X.shape[1] != self.n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
-        chunk = max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank]))
         *contract, total = self._layers
-        for lo in range(0, X.shape[0], chunk):
-            Xc = X[lo:lo + chunk]
-            prod = np.ones((self.rank, Xc.shape[0]))
+
+        def body(lo, hi):
+            Xc = X[lo:hi]
+            prod = np.ones((self.rank, hi - lo))
             for k, ((W, b, _), weights) in enumerate(zip(self.branches, contract)):
                 # one rounded product per entry, as the k=1 matmul gave
                 Z = W * Xc[:, k]
                 Z += b[:, None]
                 np.maximum(Z, 0.0, out=Z)
                 prod *= weights @ Z
-            out[lo:lo + chunk] = (total @ prod)[0]
+            out[lo:hi] = (total @ prod)[0]
+
+        run_chunks(body, X.shape[0],
+                   max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank])))
         return out
 
     def forward(self, x) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import docio
+from ._chunks import CHUNK_ELEMENTS, run_chunks
 from .errors import CompileError, DocumentError, VerifyError
 from .networks import TensorNet
 
@@ -43,10 +44,6 @@ class TensorMesh:
     def node_counts(self):
         return tuple(g.size for g in self.grids)
 
-    @property
-    def cell_counts(self):
-        return tuple(g.size - 1 for g in self.grids)
-
     def to_doc(self) -> dict:
         return {"grids": [g for g in self.grids]}
 
@@ -65,32 +62,51 @@ class TensorFE:
             raise DocumentError("coefficients must be finite")
 
     def eval_batch(self, X):
+        """Values at the rows of X, point by point.
+
+        Each point's value is its grid cell's corner coefficients weighted
+        by the products of its per-axis (1 - loc, loc), summed corner by
+        corner. The batch is evaluated in fixed point chunks through the
+        chunk runner (see relufem._chunks), each chunk writing its own
+        slice of the output, so a value does not depend on the batch, the
+        chunk or the thread it is evaluated in. A point outside the grid
+        box raises VerifyError naming the first such axis.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = self.mesh.n
         if X.shape[1] != n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {n}")
-        # one C-order flat index per point and each axis's (1 - loc, loc),
-        # so each grid corner is one take; w multiplies axis by axis
-        flat = np.zeros(X.shape[0], dtype=np.intp)
-        factors = []
         for k, g in enumerate(self.mesh.grids):
             x = X[:, k]
             if np.any(x < g[0] - 1e-12) or np.any(x > g[-1] + 1e-12):
                 raise VerifyError(f"point outside the grid box on axis {k}")
-            i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
-            flat = flat * g.size + i
-            loc = (x - g[i]) / (g[i + 1] - g[i])
-            factors.append((1.0 - loc, loc))
         counts = self.mesh.node_counts
         strides = [math.prod(counts[k + 1:]) for k in range(n)]
         coefficients = self.coefficients.ravel()
         out = np.zeros(X.shape[0])
-        for corner in itertools.product((0, 1), repeat=n):
-            w = factors[0][corner[0]] if n else np.ones(X.shape[0])
-            for k in range(1, n):
-                w = w * factors[k][corner[k]]
-            shift = sum(c * s for c, s in zip(corner, strides))
-            out += w * coefficients.take(flat + shift)
+
+        def body(lo, hi):
+            # one C-order flat index per point and each axis's (1 - loc,
+            # loc), so each grid corner is one take; w multiplies axis by axis
+            flat = np.zeros(hi - lo, dtype=np.intp)
+            factors = []
+            for k, g in enumerate(self.mesh.grids):
+                x = X[lo:hi, k]
+                i = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+                flat = flat * g.size + i
+                loc = (x - g[i]) / (g[i + 1] - g[i])
+                factors.append((1.0 - loc, loc))
+            o = out[lo:hi]
+            for corner in itertools.product((0, 1), repeat=n):
+                w = factors[0][corner[0]] if n else np.ones(hi - lo)
+                for k in range(1, n):
+                    w = w * factors[k][corner[k]]
+                shift = sum(c * s for c, s in zip(corner, strides))
+                o += w * coefficients.take(flat + shift)
+
+        # a chunk's per-axis factors, w and gathered coefficients together
+        # hold about CHUNK_ELEMENTS floats
+        run_chunks(body, X.shape[0], max(1, CHUNK_ELEMENTS // (2 * n + 2)))
         return out
 
     def eval(self, x) -> float:

@@ -1,14 +1,21 @@
+import contextlib
+import os
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from relufem import _chunks
+from relufem._chunks import CHUNK_ELEMENTS
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation)
 from relufem.errors import DocumentError
 from relufem.mesh import freudenthal_mesh
 from relufem.meshgen import random_polygon_mesh
-from relufem.networks import (CHUNK_ELEMENTS, ReluNet2, TensorNet,
-                              deserialize, fnn_forward, serialize,
-                              tnn_forward)
+from relufem.networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
+                              serialize, tnn_forward)
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import compile_1d_hat
 
@@ -190,10 +197,8 @@ def test_tnn_forward_in_chunks_is_bitwise_piecewise():
     np.testing.assert_array_equal(net(X), pieces)
 
 
-def test_tnn_forward_does_not_depend_on_the_batch():
-    # rank 6 on 300-node branches: a dgemm over the branch width would
-    # round differently for 5-point pieces and single points
-    rng = np.random.default_rng(17)
+def hat_tensor_net(rng):
+    """A rank-6 tensor net of two 300-node branches."""
     branches = []
     for _ in range(2):
         grid = np.sort(rng.uniform(0, 1, 300))
@@ -202,7 +207,14 @@ def test_tnn_forward_does_not_depend_on_the_batch():
         weights = np.vstack([compile_1d_hat(grid, rng.standard_normal(300))[2]
                              for _ in range(6)])
         branches.append((W, b, weights))
-    net = TensorNet(branches)
+    return TensorNet(branches)
+
+
+def test_tnn_forward_does_not_depend_on_the_batch():
+    # rank 6 on 300-node branches: a dgemm over the branch width would
+    # round differently for 5-point pieces and single points
+    rng = np.random.default_rng(17)
+    net = hat_tensor_net(rng)
     X = rng.uniform(0, 1, (2000, 2))
     y = net(X)
     pieces = np.concatenate([net(X[lo:lo + 5]) for lo in range(0, 2000, 5)])
@@ -303,3 +315,137 @@ def test_fnn_layers_are_frozen():
             with pytest.raises(ValueError):
                 a[0] *= 2
         np.testing.assert_array_equal(net(X), y)
+
+
+def with_non_finite_rows(X, rng):
+    X = X.copy()
+    rows = rng.choice(len(X), 12, replace=False)
+    X[rows[:4], 0] = np.inf
+    X[rows[4:8], -1] = -np.inf
+    X[rows[8:], rng.integers(X.shape[1])] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forward_passes_keep_their_bits_on_any_worker_count(monkeypatch, workers):
+    rng = np.random.default_rng(23)
+    nets = [(net, rng.uniform(-0.1, 1.1, (40000, n))) for net, n in compiled_nets()]
+    tnn = hat_tensor_net(rng)
+    nets.append((tnn, rng.uniform(0, 1, (8000, 2))))
+    for net, X in nets:
+        widths = [net.h1, net.h2] if isinstance(net, ReluNet2) else net.widths
+        assert len(X) > 3 * (CHUNK_ELEMENTS // max(widths))
+        X = with_non_finite_rows(X, rng)
+        # 0 * inf in a tensor branch's first layer is an invalid operation
+        with np.errstate(invalid="ignore"):
+            monkeypatch.setattr(_chunks, "_workers", 1)
+            serial = net(X)
+            monkeypatch.setattr(_chunks, "_workers", workers)
+            pooled = net(X)
+        assert np.isnan(serial).any()
+        assert pooled.tobytes() == serial.tobytes()
+    assert _chunks._pool[0] == workers
+
+
+def test_a_worker_keeps_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(_chunks, "_workers", 2)
+    rng = np.random.default_rng(29)
+    net = hat_tensor_net(rng)
+    X = rng.uniform(0, 1, (8000, 2))
+    # one inf coordinate in a late chunk: the branch's constant neuron
+    # has weight 0, and 0 * inf is invalid
+    X[7000, 1] = np.inf
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError, match="invalid"):
+            net(X)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(net(X)[7000])
+    assert _chunks._pool is not None
+
+
+def test_small_batches_start_no_thread(monkeypatch):
+    monkeypatch.setattr(_chunks, "_workers", 3)
+    monkeypatch.setattr(_chunks, "_pool", None)
+    rng = np.random.default_rng(31)
+    threads = threading.active_count()
+    for net, n in compiled_nets():
+        chunk = CHUNK_ELEMENTS // max(net.h1, net.h2)
+        for count in (0, 1, chunk, 2 * chunk):
+            assert len(net(rng.uniform(0, 1, (count, n)))) == count
+    tnn = hat_tensor_net(rng)
+    tnn(rng.uniform(0, 1, (2 * (CHUNK_ELEMENTS // 300), 2)))
+    assert _chunks._pool is None
+    assert threading.active_count() == threads
+    # one usable CPU runs every batch inline
+    monkeypatch.setattr(_chunks, "_workers", 1)
+    tnn(rng.uniform(0, 1, (8000, 2)))
+    assert _chunks._pool is None
+    assert threading.active_count() == threads
+
+
+def test_concurrent_callers_get_the_serial_bits(monkeypatch):
+    # more workers than cores, callers racing to make the pool, and a short
+    # switch interval so that their threads interleave finely
+    net, n = compiled_nets()[0]
+    X = np.random.default_rng(47).uniform(-0.1, 1.1, (40000, n))
+    monkeypatch.setattr(_chunks, "_workers", 1)
+    expect = net(X).tobytes()
+    monkeypatch.setattr(_chunks, "_workers", 3)
+    monkeypatch.setattr(_chunks, "_pool", None)
+    results = [None] * 6
+
+    def call(i):
+        results[i] = net(X).tobytes()
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [expect] * 6
+
+
+def test_the_worker_count_is_the_usable_cpu_count():
+    if hasattr(os, "sched_getaffinity"):
+        assert _chunks._workers == len(os.sched_getaffinity(0))
+    else:
+        assert _chunks._workers == (os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_the_pool_started_keeps_the_bits(monkeypatch):
+    monkeypatch.setattr(_chunks, "_workers", 2)
+    net, n = compiled_nets()[0]
+    X = np.random.default_rng(37).uniform(-0.1, 1.1, (20000, n))
+    y = net(X)
+    assert _chunks._pool is not None
+    read, write = os.pipe()
+    # Python 3.12 warns when a process with threads forks
+    forking = (pytest.warns(DeprecationWarning, match="multi-threaded")
+               if sys.version_info >= (3, 12) else contextlib.nullcontext())
+    with forking:
+        pid = os.fork()
+        if pid == 0:
+            # the child never returns into the test runner; the alarm ends
+            # it if its first pooled batch hangs
+            code = 1
+            try:
+                os.close(read)
+                signal.alarm(60)
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(net(X).tobytes())
+                code = 0
+            finally:
+                os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == y.tobytes()

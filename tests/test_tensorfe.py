@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from relufem import _chunks
+from relufem._chunks import CHUNK_ELEMENTS
 from relufem.errors import CompileError, DocumentError, VerifyError
 from relufem.tensorfe import (TensorFE, TensorMesh, compile_1d_hat,
                               compile_tnn, cp_decompose, eval_tensor_fe,
@@ -66,6 +68,40 @@ def test_eval_outside_box_errors():
     u = TensorFE(grid_mesh(2, 2), np.zeros((2, 2)))
     with pytest.raises(VerifyError):
         u.eval([1.5, 0.5])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_eval_batch_keeps_its_bits_on_any_worker_count(monkeypatch, workers):
+    rng = np.random.default_rng(41)
+    counts = (2, 5, 10)
+    grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, c - 2), 1.0]) for c in counts]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal(counts))
+    X = rng.uniform(0, 1, (200000, 3))
+    assert len(X) > 3 * (CHUNK_ELEMENTS // (2 * 3 + 2))
+    # every grid node, spread over the chunks, and NaN rows
+    nodes = np.array(np.meshgrid(*grids, indexing="ij")).reshape(3, -1).T
+    X[rng.choice(len(X), len(nodes), replace=False)] = nodes
+    X[rng.choice(len(X), 6, replace=False), rng.integers(3, size=6)] = np.nan
+    monkeypatch.setattr(_chunks, "_workers", 1)
+    serial = u.eval_batch(X)
+    monkeypatch.setattr(_chunks, "_workers", workers)
+    pooled = u.eval_batch(X)
+    assert _chunks._pool[0] == workers
+    assert np.isnan(serial).sum() == 6
+    assert pooled.tobytes() == serial.tobytes()
+    assert serial.tobytes() == tensor_eval_batch(u, X).tobytes()
+
+
+def test_eval_batch_names_the_first_axis_that_leaves_the_box(monkeypatch):
+    # an early chunk leaves the box on axis 1 and a late one on axis 0:
+    # the whole batch is checked, axis by axis, before any chunk runs
+    monkeypatch.setattr(_chunks, "_workers", 2)
+    u = TensorFE(grid_mesh(3, 4), np.zeros((3, 4)))
+    X = np.random.default_rng(43).uniform(0, 1, (300000, 2))
+    X[10, 1] = 1.5
+    X[290000, 0] = -0.5
+    with pytest.raises(VerifyError, match="^point outside the grid box on axis 0$"):
+        u.eval_batch(X)
 
 
 def test_cp_rank_one_outer_product():
