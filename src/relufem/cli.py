@@ -5,7 +5,8 @@ JSON documents defined by the owning modules. Exit codes: 2 for unreadable
 or malformed inputs, 3 for mesh validation failures, 4 for compilation
 errors, 5 for verification failures; 0 means every requested check passed.
 All commands are deterministic given their flags and seed, and identical
-invocations write byte-identical files.
+invocations on one machine write byte-identical files; `tnn-build` files
+also depend on the BLAS thread count, through the order-2 SVD.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def _norm_exponent(text: str) -> float:
     return p
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= tol < inf, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relufem",
@@ -121,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tnn-build", help="compile a tensor FE function")
     p.add_argument("--function", required=True, help="tensor FE JSON file")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.add_argument("--whole-space-rank", action="store_true",
                    help="pad the rank up to the matricization bound")
     p.add_argument("--seed", type=int, default=0)

@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CompileError, ConditioningWarning
-from .mesh import (ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh,
-                   build_registry)
+from .mesh import ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh
 from .networks import ReluNet2
 from .pwl import PiecewiseLinear
 
@@ -94,7 +93,7 @@ def compile_bumps(mesh: PolytopeMesh, v: PiecewiseLinear, R: float,
         / min_i eps lam_i |w_i|, s + 1), times T0_SAFETY. Each check runs
     over all cells and raises CompileError naming the first that fails.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise CompileError("epsilon must be > 0")
     if v.mesh is not mesh:
         raise CompileError("function is not defined on the given mesh")
@@ -159,10 +158,10 @@ def compile_bumps(mesh: PolytopeMesh, v: PiecewiseLinear, R: float,
     return Bumps(lam, mu, b_I, -coeff, s, t0, b_II)
 
 
-def _assemble(mesh, v, epsilon, use_output_bias, hull=None):
-    """The full (pre-merge) network, straight from the bump arrays:
-    first-layer row r is row r of the facet table and feeds the
-    second-layer row of its cell (the hull's is row N_cells)."""
+def _assemble(mesh, v, epsilon, use_output_bias, merge, hull=None):
+    """The network straight from the bump arrays: first-layer row r is row
+    r of the facet table and feeds the second-layer row of its cell (the
+    hull's is row N_cells); with merge, merged by the table's registry."""
     R = v.sup_norm()
     bumps = compile_bumps(mesh, v, R, epsilon, hull)
     W, _, _, tags = mesh.facets(hull)
@@ -187,8 +186,9 @@ def _assemble(mesh, v, epsilon, use_output_bias, hull=None):
     }
     if hull is not None:
         provenance["t0_hull"] = float(bumps.t0[N])
-    return ReluNet2(W, bumps.b_I, triplets, b2, w3, output_bias=output_bias,
-                    provenance=provenance)
+    net = ReluNet2(W, bumps.b_I, triplets, b2, w3, output_bias=output_bias,
+                   provenance=provenance)
+    return merge_duplicate_neurons(net, mesh.registry(hull)) if merge else net
 
 
 def merge_duplicate_neurons(net: ReluNet2,
@@ -246,10 +246,7 @@ def compile_weak_representation(mesh: PolytopeMesh, v: PiecewiseLinear,
     directed hyperplane of the mesh: h1 = 2 H_i + H_b, h2 = N_cells + 1
     (N_cells in output-bias mode).
     """
-    net = _assemble(mesh, v, epsilon, use_output_bias)
-    if merge:
-        net = merge_duplicate_neurons(net, mesh.registry())
-    return net
+    return _assemble(mesh, v, epsilon, use_output_bias, merge)
 
 
 def _check_hull_contains(mesh: PolytopeMesh, hull: ConvexCell):
@@ -274,7 +271,4 @@ def compile_compact_support(mesh: PolytopeMesh, v: PiecewiseLinear,
         raise CompileError("mesh has no domain hull")
     hull = mesh.domain_hull
     _check_hull_contains(mesh, hull)
-    net = _assemble(mesh, v, epsilon, False, hull=hull)
-    if merge:
-        net = merge_duplicate_neurons(net, build_registry(mesh, hull=hull))
-    return net
+    return _assemble(mesh, v, epsilon, False, merge, hull=hull)

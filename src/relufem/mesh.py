@@ -361,7 +361,7 @@ class ConvexCell:
         return np.min(self.facet_values(X) / self.norms, axis=1)
 
     def shrink(self, epsilon: float) -> "ConvexCell":
-        if epsilon < 0:
+        if not epsilon >= 0:
             raise MeshError("epsilon must be >= 0")
         return ConvexCell(self.W.copy(), self.b - epsilon * self.norms)
 
@@ -433,6 +433,8 @@ class ConvexCell:
         own tile with n+1 vertices), empty when the vertex mean is not
         strictly inside.
         """
+        if not epsilon >= 0:
+            raise MeshError("epsilon must be >= 0")
         V = self.vertex_set()
         n = self.dim
         if epsilon > 0 and self.is_simplex:
@@ -471,7 +473,10 @@ class ConvexCell:
         place = np.argsort(np.argsort(self.b / self.norms, kind="stable"))
         keep = supports & ~(same & supports[None]
                             & (place[None] < place[:, None])).any(axis=1)
-        return ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
+        pruned = ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
+        # the same polytope, so the same vertex set and boundedness
+        pruned._vertex_set, pruned._bounded = self._vertex_set, self._bounded
+        return pruned
 
     def to_doc(self) -> dict:
         if self.is_simplex:
@@ -580,9 +585,10 @@ class DirectedHyperplaneRegistry:
         reg = cls(tol=tol)
         reg.W, reg.b, reg.starts, reg.tags = mesh.facets(hull)
         W, b = reg.W, reg.b
-        # one norm per vector: the row-wise norm can round differently in
+        # each row's norm by the stacked form of one vector's norm, which
+        # runs its dot kernel: the row-wise norm can round differently in
         # the last ulp, which would move the merged first-layer biases
-        reg.norms = norms = np.array([np.linalg.norm(w) for w in W])
+        reg.norms = norms = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
         keys = np.column_stack([W, b]) / norms[:, None]
         # equal keys share an entry, so only distinct keys enter the search,
         # in order of first appearance: a Freudenthal grid has few
@@ -658,9 +664,9 @@ class PolytopeMesh:
         self.dimension = dimension
         self.cells = cells
         self.domain_hull = domain_hull
-        self._registry = None
+        # per hull (None for the weak table): its facet table and registry
+        self._facets, self._registries = {}, {}
         self._vertex_table = None
-        self._facets = None
         self._blocks = None
         self._hash = None
 
@@ -668,22 +674,22 @@ class PolytopeMesh:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def registry(self) -> DirectedHyperplaneRegistry:
-        if self._registry is None:
-            self._registry = build_registry(self)
-        return self._registry
+    def registry(self, hull: ConvexCell | None = None) -> DirectedHyperplaneRegistry:
+        """The registry of facets(hull), built once per hull."""
+        if hull not in self._registries:
+            self._registries[hull] = build_registry(self, hull=hull)
+        return self._registries[hull]
 
     def counts(self):
         """(H_interior, H_boundary, N_cells)."""
         reg = self.registry()
         return reg.interior_count, reg.boundary_count, self.n_cells
 
-    def solve_facts(self, upto: int | None = None):
+    def solve_facts(self):
         """The normal combination and Chebyshev ball of every non-simplex
-        cell below `upto` (by default of every cell, and then of the domain
-        hull too unless no cell needs an LP) from one block LP; cells that
-        have them already are skipped."""
-        _solve_facts(self.cells[:upto], self.domain_hull if upto is None else None)
+        cell, and of the domain hull too unless no cell needs an LP, from
+        one block LP; cells that have them already are skipped."""
+        _solve_facts(self.cells, self.domain_hull)
 
     def is_simplicial(self) -> bool:
         return all(c.is_simplex for c in self.cells)
@@ -728,23 +734,21 @@ class PolytopeMesh:
         module numbers the mesh's facets: each cell's facets in cell order,
         cell c's from row starts[c], then the hull's as one last block when
         a hull is given. tags[r] is the (cell, facet) of row r, with cell
-        -1 for the hull."""
-        if self._facets is None:
-            sizes = [c.m for c in self.cells]
-            cell = np.repeat(np.arange(self.n_cells), sizes)
+        -1 for the hull. Built once per hull, read-only."""
+        if hull not in self._facets:
+            blocks = self.cells + ([] if hull is None else [hull])
+            sizes = [c.m for c in blocks]
+            cell = np.repeat(np.arange(len(blocks)), sizes)
             starts = np.cumsum([0] + sizes[:-1])
             facet = np.arange(cell.size) - starts[cell]
-            self._facets = (np.vstack([c.W for c in self.cells]),
-                            np.concatenate([c.b for c in self.cells]),
-                            starts, np.column_stack([cell, facet]))
-            for a in self._facets:
+            cell[cell == self.n_cells] = -1
+            table = (np.vstack([c.W for c in blocks]),
+                     np.concatenate([c.b for c in blocks]),
+                     starts, np.column_stack([cell, facet]))
+            for a in table:
                 a.flags.writeable = False
-        if hull is None:
-            return self._facets
-        W, b, starts, tags = self._facets
-        hull_tags = np.column_stack([np.full(hull.m, -1), np.arange(hull.m)])
-        return (np.vstack([W, hull.W]), np.concatenate([b, hull.b]),
-                np.append(starts, b.size), np.vstack([tags, hull_tags]))
+            self._facets[hull] = table
+        return self._facets[hull]
 
     def containing(self, X, tol=1e-12):
         """(first containing cell or -1, number of containing cells) per
@@ -915,7 +919,7 @@ def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: i
     cells whose shrunk interior is non-empty; if every cell is empty the
     epsilon is too large.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise MeshError("epsilon must be > 0")
     if count < 1:
         raise MeshError("count must be >= 1")
@@ -1024,20 +1028,17 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
     """
     if samples < 1:
         raise MeshError("samples must be >= 1")
-    # cell by cell, the first unbounded or empty cell is refused; the
-    # facts of the cells before the first unbounded one come from one LP
-    unbounded = next((ci for ci, cell in enumerate(mesh.cells)
-                      if not cell.is_bounded()), None)
-    mesh.solve_facts(unbounded)
-    inradius = []
-    for ci, cell in enumerate(mesh.cells[:unbounded]):
-        r = cell.inradius()
+    # the first unbounded cell is refused before any LP, then the facts of
+    # every cell and the hull come from one LP, then the first empty cell
+    # is refused
+    for ci, cell in enumerate(mesh.cells):
+        if not cell.is_bounded():
+            raise MeshError(f"cell {ci} is unbounded")
+    mesh.solve_facts()
+    inradius = [cell.inradius() for cell in mesh.cells]
+    for ci, r in enumerate(inradius):
         if not r > 1e-10:
             raise MeshError(f"cell {ci} has empty interior (inradius {r:.3e})")
-        inradius.append(r)
-    if unbounded is not None:
-        raise MeshError(f"cell {unbounded} is unbounded")
-    bounded = [True] * mesh.n_cells
 
     lo, hi = mesh.bounding_box()
     X = _rng(seed).uniform(lo, hi, size=(samples, mesh.dimension))
@@ -1075,7 +1076,7 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
                           f"volume {hull_vol:.12g}")
 
     return ValidationReport(
-        bounded=bounded,
+        bounded=[True] * mesh.n_cells,
         inradius=inradius,
         overlap_fraction=overlap_fraction,
         union_volume_estimate=union_vol,

@@ -238,8 +238,11 @@ def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
     values above target_tol * |T|): a rank-r tensor has unfoldings of rank
     at most r, so |T - T_r| >= sigma_{r+1}(unfolding) and no smaller rank
     can reach the target. Each rank reseeds ALS, so skipping changes
-    nothing else.
+    nothing else. A negative or non-finite target_tol raises CompileError.
     """
+    if not 0.0 <= target_tol < math.inf:
+        raise CompileError(f"target_tol must satisfy 0 <= tol < inf, "
+                           f"got {target_tol!r}")
     T = np.asarray(coeffs, dtype=float)
     if T.ndim < 2:
         raise DocumentError("coefficient tensor must have order >= 2")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, VerifyError
-from .mesh import (PolytopeMesh, build_registry, sample_cells,
-                   sample_exterior, sample_mesh)
+from .mesh import PolytopeMesh, sample_cells, sample_exterior, sample_mesh
 from .networks import ReluNet2
 from .pwl import PiecewiseLinear
 
@@ -78,7 +77,7 @@ def check_weak_representation(net: ReluNet2, v: PiecewiseLinear,
     mesh, and f = -R outside. Compact mode expects exterior 0 and the
     relaxed bound 2R, measured outside the domain hull.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise VerifyError("epsilon must be > 0")
     R = v.sup_norm()
 
@@ -142,7 +141,7 @@ def check_counts(mesh: PolytopeMesh, net: ReluNet2) -> CountCheck:
     hi, hb, nt = mesh.counts()
     expected_h1 = 2 * hi + hb
     if net.provenance.get("mode") == "compact":
-        expected_h1 = build_registry(mesh, hull=mesh.domain_hull).size
+        expected_h1 = mesh.registry(mesh.domain_hull).size
         expected_h2 = nt + 1
     elif net.provenance.get("output_bias_mode"):
         expected_h2 = nt

@@ -18,8 +18,8 @@ from relufem import mesh as mesh_module
 from relufem.compiler import (compile_bumps, compile_compact_support,
                               compile_weak_representation)
 from relufem.errors import CompileError, MeshError
-from relufem.mesh import (ConvexCell, PolytopeMesh, _simplex_facts,
-                          freudenthal_mesh, validate_mesh)
+from relufem.mesh import (ConvexCell, PolytopeMesh, _halfspace_vertices,
+                          _simplex_facts, freudenthal_mesh, validate_mesh)
 from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
                              random_polygon_mesh, random_simplex_mesh)
 from relufem.pwl import PiecewiseLinear, nodal_linear
@@ -440,6 +440,41 @@ def test_a_bad_cell_among_good_ones_is_named(name, where):
         assert cell.normal_combination().min() >= 1.0 - 1e-9
 
 
+def test_validate_mesh_solves_every_cell_and_the_hull_in_one_lp(monkeypatch):
+    blocks = []
+    cell_facts = lp.cell_facts
+
+    def spy(combinations, balls):
+        blocks.append((len(combinations), len(balls)))
+        return cell_facts(combinations, balls)
+
+    monkeypatch.setattr(lp, "cell_facts", spy)
+    mesh = random_polygon_mesh(7, n_sites=12)
+    validate_mesh(mesh, samples=1000)
+    assert blocks == [(mesh.n_cells + 1,) * 2]
+
+
+def test_an_unbounded_cell_is_refused_before_any_lp(lp_calls):
+    base = random_polygon_mesh(3)
+    cells = list(base.cells)
+    cells.insert(2, ConvexCell(*BAD_CELLS["wedge"]))
+    mesh = PolytopeMesh(2, cells, domain_hull=base.domain_hull)
+    with pytest.raises(MeshError, match="^cell 2 is unbounded$"):
+        validate_mesh(mesh, samples=1000)
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize("unbounded", ["wedge", "half-strip"])
+def test_an_unbounded_cell_is_named_before_an_earlier_empty_one(unbounded):
+    base = random_polygon_mesh(3)
+    cells = list(base.cells)
+    cells.insert(1, ConvexCell(*BAD_CELLS["empty"]))
+    cells.insert(4, ConvexCell(*BAD_CELLS[unbounded]))
+    mesh = PolytopeMesh(2, cells, domain_hull=base.domain_hull)
+    with pytest.raises(MeshError, match="^cell 4 is unbounded$"):
+        validate_mesh(mesh, samples=1000)
+
+
 def test_stacked_cell_checks_keep_norms_and_messages():
     for mesh in (freudenthal_mesh(3, 2), random_simplex_mesh(3, 2, seed=9)):
         for cell in mesh.cells:
@@ -481,6 +516,36 @@ def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
     assert len(seen) > 300
     for cell, pruned in seen:
         assert_prunes_like_lp(cell, pruned)
+
+
+def test_pruned_cells_keep_the_vertex_set_they_would_enumerate(monkeypatch):
+    seen = []
+    prune = ConvexCell.prune_redundant
+
+    def spy(cell):
+        seen.append(prune(cell))
+        return seen[-1]
+
+    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    demo_polygon_mesh()
+    for seed in range(30):
+        random_polygon_mesh(seed)
+        random_polygon_mesh(seed, n_sites=20)
+    assert len(seen) > 800
+    for pruned in seen:
+        assert pruned._bounded is True
+        inherited = pruned.vertex_set()
+        assert inherited.tobytes() == _halfspace_vertices(pruned.W, pruned.b).tobytes()
+
+
+def test_validation_after_generation_enumerates_no_vertices(monkeypatch):
+    mesh = random_polygon_mesh(0, n_sites=200)
+
+    def refuse(*args):
+        raise AssertionError("vertex enumeration of a pruned cell")
+
+    monkeypatch.setattr(mesh_module, "_feasible_intersections", refuse)
+    assert validate_mesh(mesh, samples=2000).ok
 
 
 SQUARE = ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],

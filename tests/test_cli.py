@@ -118,6 +118,21 @@ def test_epsilon_zero_exits_4(workdir):
     assert rc == 4
 
 
+def test_nan_epsilon_is_refused_as_zero_is(workdir, capsys):
+    # build refuses it before compiling (4), verify before sampling (5)
+    common = ["--mesh", str(workdir / "mesh.json"),
+              "--function", str(workdir / "fn.json"), "--epsilon", "nan"]
+    assert main(["build"] + common + ["--output", str(workdir / "x.json")]) == 4
+    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
+    assert not (workdir / "x.json").exists()
+    assert main(["build", "--mesh", str(workdir / "mesh.json"),
+                 "--function", str(workdir / "fn.json"), "--epsilon", "0.01",
+                 "--output", str(workdir / "net.json"), "--samples", "50"]) == 0
+    capsys.readouterr()
+    assert main(["verify"] + common + ["--network", str(workdir / "net.json")]) == 5
+    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
+
+
 def test_malformed_function_exits_2(workdir):
     (workdir / "bad.json").write_text("{broken")
     rc = main(["build", "--mesh", str(workdir / "mesh.json"),
@@ -270,6 +285,23 @@ def test_tnn_whole_space_rank_flag(tmp_path, capsys):
                "--output", str(tmp_path / "tnn.json")])
     assert rc == 0
     assert "rank=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_tnn_build_refuses_a_negative_or_non_finite_tol(tmp_path, capsys, tol):
+    docio.save({"grids": [[0.0, 1.0], [0.0, 0.5, 1.0]], "shape": [2, 3],
+                "coefficients": [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]},
+               tmp_path / "u.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["tnn-build", "--function", str(tmp_path / "u.json"),
+              f"--tol={tol}", "--output", str(tmp_path / "tnn.json")])
+    assert exc.value.code == 2
+    assert "0 <= tol < inf" in capsys.readouterr().err
+    assert not (tmp_path / "tnn.json").exists()
+    rc = main(["tnn-build", "--function", str(tmp_path / "u.json"),
+               "--tol", "0", "--output", str(tmp_path / "tnn.json")])
+    assert rc == 0
+    assert "rank=1" in capsys.readouterr().out
 
 
 def test_eval_requires_points_object(tmp_path):

@@ -6,12 +6,14 @@ the merge the dict merge's triplets bit for bit."""
 import numpy as np
 import pytest
 
+from relufem.cli import main
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation,
                               merge_duplicate_neurons)
 from relufem.errors import CompileError
-from relufem.mesh import (DEDUP_TOL, ConvexCell, PolytopeMesh, build_registry,
-                          freudenthal_mesh, min_inradius)
+from relufem.mesh import (DEDUP_TOL, ConvexCell, DirectedHyperplaneRegistry,
+                          PolytopeMesh, build_registry, freudenthal_mesh,
+                          min_inradius)
 from relufem.meshgen import (demo_polygon_mesh, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import PiecewiseLinear
@@ -74,6 +76,83 @@ def test_registry_matches_linear_scan(name, with_hull):
         hull = ConvexCell(SQUARE_W, [1.0, 2.0, 1.0, 2.0])
     assert_same_registry(build_registry(mesh, hull=hull),
                          ScanRegistry(mesh, hull=hull))
+
+
+def hulls_of(mesh):
+    """None (the weak table) and a hull: the mesh's own, else a square
+    around the 2D test meshes that have none."""
+    hull = mesh.domain_hull
+    return [None, ConvexCell(SQUARE_W, [1.0, 2.0, 1.0, 2.0]) if hull is None
+            else hull]
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_tables_and_registries_are_built_once_per_hull(name):
+    mesh = MESHES[name]()
+    for hull in hulls_of(mesh):
+        table, reg = mesh.facets(hull), mesh.registry(hull)
+        assert mesh.facets(hull) is table and mesh.registry(hull) is reg
+        # the hull is the last block, tagged -1: the old separate stacking
+        W, b, starts, tags = mesh.facets()
+        if hull is not None:
+            hull_tags = np.column_stack([np.full(hull.m, -1), np.arange(hull.m)])
+            W, b = np.vstack([W, hull.W]), np.concatenate([b, hull.b])
+            starts = np.append(starts, len(mesh.facets()[1]))
+            tags = np.vstack([tags, hull_tags])
+        assert_same_arrays(table, (W, b, starts, tags))
+        for a in table:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1][0] = 0.0
+        fresh = build_registry(mesh, hull=hull)
+        assert fresh is not reg
+        fields = ("W", "b", "starts", "tags", "norms", "entry", "scale", "rep",
+                  "undirected", "interior")
+        assert_same_arrays([getattr(reg, f) for f in fields],
+                           [getattr(fresh, f) for f in fields])
+        assert (reg.size, reg.interior_count, reg.boundary_count) == \
+            (fresh.size, fresh.interior_count, fresh.boundary_count)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_registry_norms_are_the_per_vector_norms_bitwise(name):
+    # the row-wise norm may differ in the last ulp; one vector's norm may not
+    mesh = MESHES[name]()
+    for hull in hulls_of(mesh):
+        reg = build_registry(mesh, hull=hull)
+        per_vector = np.array([np.linalg.norm(w) for w in reg.W])
+        assert reg.norms.tobytes() == per_vector.tobytes()
+
+
+def test_compact_build_makes_one_registry_per_hull(tmp_path, monkeypatch):
+    hulls = []
+    build = DirectedHyperplaneRegistry.build.__func__
+
+    def spy(cls, mesh, tol=DEDUP_TOL, hull=None):
+        hulls.append(hull)
+        return build(cls, mesh, tol=tol, hull=hull)
+
+    monkeypatch.setattr(DirectedHyperplaneRegistry, "build", classmethod(spy))
+    mesh = random_polygon_mesh(4)
+    mesh.save(tmp_path / "mesh.json")
+    rng = np.random.default_rng(3)
+    PiecewiseLinear(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)),
+                    rng.uniform(-1, 1, mesh.n_cells)).save(tmp_path / "fn.json")
+    hulls.clear()
+    rc = main(["build", "--mesh", str(tmp_path / "mesh.json"),
+               "--function", str(tmp_path / "fn.json"), "--epsilon", "1e-3",
+               "--compact-support", "--samples", "50",
+               "--output", str(tmp_path / "net.json")])
+    assert rc == 0
+    # the compile and the count check share the hull's, the summary line
+    # and the count check the weak one
+    assert sorted(hull is None for hull in hulls) == [False, True]
 
 
 def one_facet_mesh(keys):

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 from scipy.stats import kstest
 
 from relufem.compiler import compile_weak_representation
+from relufem.errors import MeshError
 from relufem.mesh import (ConvexCell, PolytopeMesh, _affine, _corner_values,
                           _halfspace_vertices, freudenthal_mesh, sample_cells,
                           sample_shrunk_domain)
@@ -114,6 +115,21 @@ def test_shrunk_simplex_is_the_homothety_about_the_incentre(fraction):
             dist = np.max(np.abs(tiles[0][:, None] - want[None]), axis=2)
             assert np.all(dist.min(axis=1) <= 1e-14 * np.max(np.abs(want)))
             assert len(set(dist.argmin(axis=1))) == cell.dim + 1
+
+
+def test_nan_epsilon_is_refused_where_a_negative_one_is():
+    # NaN fails every comparison, so it must not pass as "no shrink"
+    mesh = random_polygon_mesh(2)
+    with pytest.raises(MeshError, match="^epsilon must be >= 0$"):
+        sample_cells(mesh, 5, 0, np.nan)
+    with pytest.raises(MeshError, match="^epsilon must be > 0$"):
+        sample_shrunk_domain(mesh, np.nan, 10, 0)
+    for cell in (mesh.cells[0], freudenthal_mesh(2, 1).cells[0]):
+        for eps in (np.nan, -1e-3):
+            with pytest.raises(MeshError, match="^epsilon must be >= 0$"):
+                cell.shrink(eps)
+            with pytest.raises(MeshError, match="^epsilon must be >= 0$"):
+                cell.simplices(eps)
 
 
 def test_simplex_shrunk_by_its_inradius_has_no_tiles():

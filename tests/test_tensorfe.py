@@ -139,6 +139,22 @@ def test_cp_order3_exact_low_rank():
     assert np.linalg.norm(cp2.reconstruct() - c2) <= 1e-10 * np.linalg.norm(c2) + 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, np.inf, -np.inf, np.nan])
+def test_cp_refuses_a_negative_or_non_finite_target(tol):
+    # a planted rank-2 tensor: such a target would end at rank 20
+    rng = np.random.default_rng(5)
+    planted = np.einsum("ri,rj,rk->ijk", rng.standard_normal((2, 4)),
+                        rng.standard_normal((2, 5)), rng.standard_normal((2, 6)))
+    u = TensorFE(TensorMesh([np.linspace(0, 1, d) for d in planted.shape]),
+                 planted)
+    for refuse in (lambda: cp_decompose(planted, target_tol=tol),
+                   lambda: cp_decompose(np.eye(2), target_tol=tol),
+                   lambda: compile_tnn(u, target_tol=tol)):
+        with pytest.raises(CompileError, match=r"0 <= tol < inf"):
+            refuse()
+    assert cp_decompose(planted, target_tol=1e-12).rank == 2
+
+
 def test_cp_rank_never_exceeds_matricization_bound():
     rng = np.random.default_rng(4)
     for shape in ((2, 2, 2), (3, 2, 2), (2, 3, 4)):
