@@ -12,6 +12,7 @@ also depend on the BLAS thread count, through the order-2 SVD.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -268,8 +269,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args leaves it
+    as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "build": cmd_build,
         "verify": cmd_verify,

@@ -250,7 +250,7 @@ def compile_weak_representation(mesh: PolytopeMesh, v: PiecewiseLinear,
 
 
 def _check_hull_contains(mesh: PolytopeMesh, hull: ConvexCell):
-    V = [cell.vertex_set() for cell in mesh.cells]
+    V = mesh.vertex_sets()
     outside = np.min(hull.facet_values(np.concatenate(V)), axis=1) < -1e-9
     if np.any(outside):
         owner = np.repeat(np.arange(mesh.n_cells), [len(x) for x in V])

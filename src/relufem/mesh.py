@@ -10,6 +10,7 @@ and classifies the underlying hyperplanes as interior or boundary.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
-from scipy.spatial.distance import cdist
 
 from . import docio, lp
 from ._chunks import CHUNK_ELEMENTS
@@ -243,33 +243,211 @@ def _simplex_facts(V, W, b, names=None):
     return np.max(h, axis=-1, keepdims=True) / h, r[:, None] * centre, r
 
 
-def _feasible_intersections(W, b):
-    """Feasible solutions of the nonsingular n-facet subsystems of
-    {W x + b >= 0} and their magnitudes max_j |x_j|; feasibility allows
-    VERTEX_RTOL of the magnitude, the scale of a solved point's rounding."""
-    m, n = W.shape
-    norms = np.linalg.norm(W, axis=1)
-    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int)
-    A = W[subsets]
-    regular = np.abs(np.linalg.det(A)) >= 1e-12 * np.prod(norms[subsets], axis=1)
-    X = np.linalg.solve(A[regular], -b[subsets[regular]][..., None])[..., 0]
-    size = np.max(np.abs(X), axis=1, initial=0.0)
-    feasible = np.min((X @ W.T + b) / norms, axis=1) >= -VERTEX_RTOL * size
-    return X[feasible], size[feasible]
+@functools.lru_cache(maxsize=None)
+def _subsets(m, n):
+    """The n-subsets of range(m) in itertools.combinations order, (S, n),
+    read-only."""
+    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
+    subsets.flags.writeable = False
+    return subsets
 
 
-def _halfspace_vertices(W, b):
-    """Vertices of a bounded {W x + b >= 0}, shape (0, n) when empty: the
-    feasible intersections not within VERTEX_RTOL of an earlier one."""
-    X, size = _feasible_intersections(W, b)
-    first = np.ones(len(X), dtype=bool)
-    step = max(1, CHUNK_ELEMENTS // max(len(X), 1))
-    for lo in range(0, len(X), step):
-        hi = lo + step
-        close = (cdist(X[lo:hi], X[:hi], "chebyshev")
-                 <= VERTEX_RTOL * np.maximum.outer(size[lo:hi], size[:hi]))
-        first[lo:hi] = ~np.tril(close, lo - 1).any(axis=1)
-    return X[first]
+def _enumeration_size(m, n):
+    """Floats an enumeration of one system of m facets in R^n holds at
+    once: an n x n matrix and m facet values per n-subset."""
+    return math.comb(m, n) * (n * n + m)
+
+
+def _stacks(shapes, size=_enumeration_size):
+    """Index lists that cut the systems of the given (m, n) shapes into
+    stacks: systems of one dimension in order of facet count, each stack
+    holding at most CHUNK_ELEMENTS floats when every system in it takes
+    size(m, n) floats at the stack's largest count m, or one system when
+    that alone takes more."""
+    stack = []
+    for i in sorted(range(len(shapes)), key=lambda i: shapes[i][::-1]):
+        m, n = shapes[i]
+        if stack and (shapes[stack[0]][1] != n
+                      or (len(stack) + 1) * size(m, n) > CHUNK_ELEMENTS):
+            yield stack
+            stack = []
+        stack.append(i)
+    if stack:
+        yield stack
+
+
+def _padded(arrays, fill=0.0):
+    """The arrays (m_c, ...) stacked as (k, M, ...), M the largest m_c,
+    with `fill` after each one's rows, and which rows are real (k, M)."""
+    counts = np.array([len(a) for a in arrays])
+    real = np.arange(np.max(counts)) < counts[:, None]
+    out = np.full(real.shape + arrays[0].shape[1:], fill)
+    out[real] = np.concatenate(arrays)
+    return out, real
+
+
+def _max_abs(X):
+    """max_j |x_j| over the last axis, NaN for a NaN row: one maximum per
+    coordinate, which beats a reduction over a short axis."""
+    size = np.abs(X[..., 0])
+    for d in range(1, X.shape[-1]):
+        size = np.maximum(size, np.abs(X[..., d]))
+    return size
+
+
+def _subset_stack(counts, n, pick):
+    """Per system c, the rows pick(counts[c]) of its n-facet subsystems
+    (S_c, n), as one stack (k, S, n) padded with row 0, and which are real
+    (k, S). Systems of one count share one pick."""
+    picks = {m: pick(m) for m in set(counts.tolist())}
+    S = max(len(p) for p in picks.values())
+    subsets = np.zeros((len(counts), S, n), dtype=int)
+    real = np.zeros((len(counts), S), dtype=bool)
+    for m, p in picks.items():
+        subsets[counts == m, :len(p)] = p
+        real[counts == m, :len(p)] = True
+    return subsets, real
+
+
+def _feasible_intersections(W, b, subsets, real):
+    """The n-facet subsystems `subsets` (k, S, n) (where `real`, (k, S))
+    of the systems {W[c] x + b[c] >= 0} of a stack W (k, M, n), b (k, M),
+    padded with rows w = 0, b = inf: their solutions X (k, S, n), NaN
+    unless the subsystem is real and nonsingular and its solution
+    feasible, and the magnitudes max_j |x_j| (k, S). Feasibility allows
+    VERTEX_RTOL of the magnitude, the scale of a solved point's rounding.
+
+    Each system's points have the bits its own enumeration gives them:
+    det and solve run LAPACK once per matrix, and a system's facet values
+    come from its own product X[c] @ W[c].T, one dgemm whose entries do
+    not depend on the padding rows or columns (a padding row's value is
+    inf, which no minimum takes).
+    """
+    k, M, n = W.shape
+    norms = np.linalg.norm(W, axis=-1)
+    # the real subsets as rows of the stack's flattened facets
+    rows = (subsets + (M * np.arange(k))[:, None, None])[real]
+    A = W.reshape(-1, n)[rows]
+    scale = norms.reshape(-1)[rows]
+    for d in range(1, n):  # the product, in order
+        scale[:, 0] *= scale[:, d]
+    regular = np.abs(np.linalg.det(A)) >= 1e-12 * scale[:, 0]
+    solved = real.copy()
+    solved[real] = regular
+    X = np.full(subsets.shape, np.nan)
+    X[solved] = np.linalg.solve(A[regular], -b.reshape(-1)[rows[regular]][..., None])[..., 0]
+    size = _max_abs(X)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = (X @ W.transpose(0, 2, 1) + b[:, None]) / norms[:, None]
+        # the facets first, so that the minimum runs down whole rows
+        lowest = np.min(np.ascontiguousarray(values.transpose(2, 0, 1)), axis=0)
+        X[~(lowest >= -VERTEX_RTOL * size)] = np.nan
+    return X, size
+
+
+def _first_copies(X, size):
+    """Which points of each system of a stack X (k, P, n) are not NaN and
+    not within VERTEX_RTOL * max(size_i, size_j) of an earlier point of
+    their system in every coordinate, in blocks of rows whose pairs hold
+    at most CHUNK_ELEMENTS floats."""
+    k, P, n = X.shape
+    first = ~np.isnan(X[..., 0])
+    C = np.ascontiguousarray(X.transpose(2, 0, 1))  # one coordinate at a time
+    # rounding is monotone, so VERTEX_RTOL * max(s_i, s_j) is the larger
+    # of VERTEX_RTOL * s_i and VERTEX_RTOL * s_j
+    tol = VERTEX_RTOL * size
+    step = max(1, CHUNK_ELEMENTS // max(k * P, 1))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, P, step):
+            hi = min(lo + step, P)
+            apart = np.abs(C[0, :, lo:hi, None] - C[0, :, None, :hi])
+            for d in range(1, n):
+                gap = np.subtract(C[d, :, lo:hi, None], C[d, :, None, :hi])
+                np.maximum(apart, np.abs(gap, out=gap), out=apart)
+            close = apart <= np.maximum(tol[:, lo:hi, None], tol[:, None, :hi])
+            # every column before lo is earlier; within the block, those left
+            # of the diagonal
+            first[:, lo:hi] &= ~(np.any(close[..., :lo], axis=-1)
+                                 | np.any(np.tril(close[..., lo:], -1), axis=-1))
+    return first
+
+
+def _vertex_sets(Ws, bs):
+    """Vertices of the bounded systems {Ws[i] x + bs[i] >= 0}, shape
+    (p, n), (0, n) when empty: each system's feasible intersections in
+    subset order, but those within VERTEX_RTOL of an earlier one. One
+    enumeration per stack (_stacks)."""
+    out = [None] * len(Ws)
+    for ids in _stacks([W.shape for W in Ws]):
+        W, rows = _padded([Ws[i] for i in ids])
+        b, _ = _padded([bs[i] for i in ids], np.inf)
+        n = W.shape[2]
+        subsets, real = _subset_stack(np.sum(rows, axis=1), n, lambda m: _subsets(m, n))
+        X, size = _feasible_intersections(W, b, subsets, real)
+        # each system's points first, in order; pairs run over the most any has
+        found = ~np.isnan(X[..., 0])
+        order = np.argsort(~found, axis=1, kind="stable")[:, :np.max(np.sum(found, axis=1))]
+        X = np.take_along_axis(X, order[..., None], axis=1)
+        first = _first_copies(X, np.take_along_axis(size, order, axis=1))
+        V = np.split(X[first], np.cumsum(np.sum(first, axis=1))[:-1])
+        for i, Vi in zip(ids, V):
+            out[i] = Vi
+    return out
+
+
+def _are_bounded(Ws):
+    """Whether each {x : Ws[i] x + b >= 0} is bounded: the normals have
+    full rank and no d != 0 has W d >= 0, so that {d : W d >= 0,
+    |d|_inf <= 1} has no vertex but the origin (any other has some
+    |d_j| = 1). One enumeration per stack (_stacks), and one SVD per
+    matrix of the rank tests, stacked by shape."""
+    out = np.zeros(len(Ws), dtype=bool)
+    for ids in _stacks([W.shape for W in Ws], lambda m, n: _enumeration_size(m + 2 * n, n)):
+        W, rows = _padded([Ws[i] for i in ids])
+        k, M, n = W.shape
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        counts = np.sum(rows, axis=1)
+
+        def pick(m):
+            # the subsets of a system's own m rows and the 2n box rows,
+            # which sit after the padding, from row M; rows of W alone
+            # solve to d = 0, which decides nothing
+            s = _subsets(m + 2 * n, n)
+            s = s[s[:, -1] >= m]
+            return np.where(s >= m, s - m + M, s)
+
+        subsets, real = _subset_stack(counts, n, pick)
+        X, size = _feasible_intersections(
+            np.concatenate([W, np.broadcast_to(box, (k, 2 * n, n))], axis=1),
+            np.concatenate([np.where(rows, 0.0, np.inf), np.ones((k, 2 * n))], axis=1),
+            subsets, real)
+        escapes = np.any(~np.isnan(X[..., 0]) & (size >= 0.5), axis=1)
+        for m in set(counts.tolist()):
+            of = np.flatnonzero(counts == m)
+            full = np.linalg.matrix_rank(np.stack([Ws[ids[c]] for c in of])) == n
+            out[[ids[c] for c in of]] = full & ~escapes[of]
+    return out
+
+
+def _fill_bounded(cells):
+    """Give each non-simplex cell lacking it its boundedness, all from
+    _are_bounded."""
+    todo = [c for c in cells if c._bounded is None and not c.is_simplex]
+    for cell, bounded in zip(todo, _are_bounded([c.W for c in todo])):
+        cell._bounded = bool(bounded)
+
+
+def _fill_vertex_sets(cells, hull=None):
+    """Give each non-simplex cell lacking them its boundedness and, when
+    bounded and not carrying its vertices, its vertex set: the facts of a
+    whole mesh from a few stacked enumerations, as _solve_facts gives its
+    LP facts from one LP. A hull's boundedness, which decides whether it
+    joins that LP, joins the enumeration when some cell needs one."""
+    todo = [c for c in cells if c._bounded is None and not c.is_simplex]
+    _fill_bounded(todo + ([hull] if todo and hull is not None else []))
+    todo = [c for c in cells if c.vertices is None and c._vertex_set is None and c._bounded]
+    for cell, V in zip(todo, _vertex_sets([c.W for c in todo], [c.b for c in todo])):
+        cell._vertex_set = V
 
 
 def _facet_norms(W, b):
@@ -283,6 +461,71 @@ def _facet_norms(W, b):
     return norms
 
 
+def _pruning_size(m, n):
+    """Floats _supporting_rows holds at once for a cell of m facets in
+    R^n: its (vertex, facet) and (facet, facet) pairs, n coordinates each,
+    with at most C(m, n) vertices."""
+    return (math.comb(m, n) + m) * m * n
+
+
+def _pair_blocks(sizes, starts):
+    """For items with blocks of sizes[q] partners starting at starts[q]:
+    every (item, partner) pair, item by item, as two index arrays."""
+    first = np.cumsum(sizes) - sizes
+    item = np.repeat(np.arange(len(sizes)), sizes)
+    return item, np.arange(item.size) - first[item] + starts[item]
+
+
+def _supporting_rows(cells, V, tol):
+    """Whether prune_redundant(tol) keeps each facet of the cells (of one
+    dimension), facets in cell order, given their vertex sets V.
+
+    A facet supports when its tight vertices (|h_i(v)| / |w_i| within
+    VERTEX_RTOL of max_j |v_j|) span an (n-1)-flat, by one stacked SVD
+    per count of tight vertices, so every matrix is the one a lone cell
+    would factor; a supporting row is shadowed by a supporting row of its
+    cell whose unit normal agrees within tol and whose unit offset comes
+    first in a stable sort. Every value is computed as for a lone cell."""
+    n = cells[0].dim
+    m = np.array([c.m for c in cells])
+    p = np.array([len(v) for v in V])
+    W = np.concatenate([c.W for c in cells])
+    b = np.concatenate([c.b for c in cells])
+    norms = np.concatenate([c.norms for c in cells])
+    X = np.concatenate(V)
+    fstart = np.cumsum(m) - m
+    fcell = np.repeat(np.arange(len(cells)), m)
+    # every (vertex, facet) pair of one cell, vertex by vertex, by the
+    # operations of _affine in its order
+    vcell = np.repeat(np.arange(len(cells)), p)
+    vert, facet = _pair_blocks(m[vcell], fstart[vcell])
+    value = X[vert, 0] * W[facet, 0]
+    for d in range(1, n):
+        value += X[vert, d] * W[facet, d]
+    value += b[facet]
+    size = _max_abs(X)
+    tight = np.abs(value / norms[facet]) <= VERTEX_RTOL * size[vert]
+    rank_tol = VERTEX_RTOL * np.maximum.reduceat(size, np.cumsum(p) - p)
+    # each facet's tight vertices in vertex order, as one run
+    on = np.argsort(facet[tight], kind="stable")
+    tight_vert = vert[tight][on]
+    count = np.bincount(facet[tight], minlength=len(W))
+    starts = np.cumsum(count) - count
+    supports = np.zeros(len(W), dtype=bool)
+    for t in np.unique(count[count >= n]):
+        f = np.flatnonzero(count == t)
+        T = X[tight_vert[starts[f][:, None] + np.arange(t)]]
+        supports[f] = np.linalg.matrix_rank(
+            T[:, 1:] - T[:, :1], tol=rank_tol[fcell[f]]) == n - 1
+    # every (facet, facet) pair of one cell
+    i, j = _pair_blocks(m[fcell], fstart[fcell])
+    U = W / norms[:, None]
+    key = b / norms
+    earlier = (key[j] < key[i]) | ((key[j] == key[i]) & (j < i))
+    shadow = (_max_abs(U[i] - U[j]) <= tol) & supports[j] & earlier
+    return supports & (np.bincount(i[shadow], minlength=len(W)) == 0)
+
+
 class ConvexCell:
     """Closed convex polytope given by facet normals W and offsets b.
 
@@ -294,10 +537,14 @@ class ConvexCell:
     On a simplex (`is_simplex`) the first two have closed forms, set at
     birth by from_simplices; every other cell gets both from its blocks
     of one LP, shared by all the cells of a mesh (PolytopeMesh.solve_facts)
-    or solved alone for a lone cell. The vertex set (given for a simplex,
-    else from n-facet intersections) answers every other question,
-    boundedness and pruning included.
-    Volumes and samples come from a tiling of the (shrunk) cell.
+    or solved alone for a lone cell. The vertex set is given for a
+    simplex; every other cell gets it, and its boundedness, from n-facet
+    intersections enumerated for stacks of cells of one facet count, all
+    the cells of a mesh at its first mesh-level question (vertex_sets,
+    bounding_box, validate_mesh, the samplers) or a lone cell as a stack
+    of one. The vertex set answers every other question, pruning included
+    (prune_all, again stacked). Volumes and samples come from a tiling of
+    the (shrunk) cell; the unshrunk tiling is cached.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -313,6 +560,7 @@ class ConvexCell:
         self._cheb = self._lam = _UNSET  # both set together, None on failure
         self._bounded = None
         self._vertex_set = None
+        self._tiles = None  # simplices(0)
 
     @classmethod
     def from_simplex(cls, vertices):
@@ -332,6 +580,22 @@ class ConvexCell:
             cell = cls.__new__(cls)
             cell._set(W[i], b[i], norms[i], V[i])
             cell._take_simplex_facts(facts)
+            cells.append(cell)
+        return cells
+
+    @classmethod
+    def from_table(cls, W, b, sizes):
+        """One cell per run of sizes[i] consecutive rows of the facet
+        table W (rows, n), b (rows,), all checked as one table."""
+        W = np.asarray(W, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if W.ndim != 2 or W.shape[0] != b.shape[0] or np.sum(sizes) != len(b):
+            raise MeshError("normal/offset count mismatch")
+        cuts = np.cumsum(sizes)[:-1]
+        cells = []
+        for parts in zip(*(np.split(a, cuts)[:len(sizes)] for a in (W, b, _facet_norms(W, b)))):
+            cell = cls.__new__(cls)
+            cell._set(*parts, None)
             cells.append(cell)
         return cells
 
@@ -393,17 +657,12 @@ class ConvexCell:
 
     def is_bounded(self) -> bool:
         """Bounded iff the normals have full rank and no d != 0 has
-        W d >= 0: {d : W d >= 0, |d|_inf <= 1} has no vertex but the origin
-        (any other has some |d_j| = 1). A simplex whose closed-form facts
-        exist is not flat, so it is bounded."""
+        W d >= 0 (_are_bounded). A simplex whose closed-form facts exist is
+        not flat, so it is bounded."""
         if self._bounded is None and self.is_simplex:
             self._take_simplex_facts()
         elif self._bounded is None:
-            _, size = _feasible_intersections(
-                np.vstack([self.W, np.eye(self.dim), -np.eye(self.dim)]),
-                np.append(np.zeros(self.m), np.ones(2 * self.dim)))
-            self._bounded = bool(np.linalg.matrix_rank(self.W) == self.dim
-                                 and np.all(size < 0.5))
+            _fill_bounded([self])
         return self._bounded
 
     def vertex_set(self) -> np.ndarray:
@@ -412,12 +671,11 @@ class ConvexCell:
         if self.vertices is not None:
             return self.vertices
         if self._vertex_set is None:
-            if not self.is_bounded():
-                raise MeshError("cell is unbounded")
-            V = _halfspace_vertices(self.W, self.b)
-            if len(V) == 0:
-                raise MeshError("cell has no vertices (empty interior)")
-            self._vertex_set = V
+            _fill_vertex_sets([self])
+        if not self._bounded:
+            raise MeshError("cell is unbounded")
+        if len(self._vertex_set) == 0:
+            raise MeshError("cell has no vertices (empty interior)")
         return self._vertex_set
 
     def bounding_box(self):
@@ -433,8 +691,11 @@ class ConvexCell:
         own tile with n+1 vertices), empty when the vertex mean is not
         strictly inside.
         """
-        if not epsilon >= 0:
-            raise MeshError("epsilon must be >= 0")
+        return _tilings([self], epsilon)[0]
+
+    def _tiling(self, epsilon, shrunk):
+        """simplices(epsilon), given the vertex set of the shrunk system
+        (W, b - epsilon |w|) when epsilon > 0 and the cell is no simplex."""
         V = self.vertex_set()
         n = self.dim
         if epsilon > 0 and self.is_simplex:
@@ -444,13 +705,13 @@ class ConvexCell:
             return (c + ((r - epsilon) / r) * (V - c))[None]
         if epsilon > 0:
             b = self.b - epsilon * self.norms
-            V = _halfspace_vertices(self.W, b)
-            if len(V) <= n or np.min(_affine(V.mean(axis=0)[None], self.W, b)) <= 0.0:
+            if len(shrunk) <= n or np.min(_affine(shrunk.mean(axis=0)[None], self.W, b)) <= 0.0:
                 return np.zeros((0, n + 1, n))
-        if len(V) == n + 1:
-            return V[None]
-        P = V - V.mean(axis=0)
-        return V[Delaunay(P / np.max(np.abs(P))).simplices]
+            return _delaunay_tiles(shrunk)
+        if self._tiles is None:
+            self._tiles = _delaunay_tiles(V)
+            self._tiles.flags.writeable = False
+        return self._tiles
 
     def volume(self) -> float:
         return float(np.sum(_simplex_volumes(self.simplices())))
@@ -460,22 +721,28 @@ class ConvexCell:
         those whose tight vertices span an (n-1)-flat. Of supporting rows
         whose unit normals agree within tol only the one with the smallest
         unit offset is kept (the first on a tie); a row that supports no
-        facet shadows none."""
-        V = self.vertex_set()
-        size = np.max(np.abs(V), axis=1)
-        tight = (np.abs(self.facet_values(V) / self.norms)
-                 <= VERTEX_RTOL * size[:, None])
-        supports = np.array([len(T) >= self.dim and np.linalg.matrix_rank(
-            T[1:] - T[0], tol=VERTEX_RTOL * np.max(size)) == self.dim - 1
-            for T in (V[t] for t in tight.T)], dtype=bool)
-        U = self.W / self.norms[:, None]
-        same = np.max(np.abs(U[:, None] - U[None]), axis=2) <= tol
-        place = np.argsort(np.argsort(self.b / self.norms, kind="stable"))
-        keep = supports & ~(same & supports[None]
-                            & (place[None] < place[:, None])).any(axis=1)
-        pruned = ConvexCell(self.W[keep], self.b[keep], vertices=self.vertices)
-        # the same polytope, so the same vertex set and boundedness
-        pruned._vertex_set, pruned._bounded = self._vertex_set, self._bounded
+        facet shadows none. A stack of one for prune_all."""
+        return ConvexCell.prune_all([self], tol)[0]
+
+    @staticmethod
+    def prune_all(cells, tol=1e-9) -> list:
+        """prune_redundant(tol) of every cell of the list, refusing the
+        first unbounded or empty one, from the stacked vertex sets and one
+        pass of _supporting_rows per stack (_stacks)."""
+        _fill_vertex_sets(cells)
+        V = [c.vertex_set() for c in cells]
+        keep = [None] * len(cells)
+        for ids in _stacks([c.W.shape for c in cells], _pruning_size):
+            rows = _supporting_rows([cells[i] for i in ids], [V[i] for i in ids], tol)
+            for i, r in zip(ids, np.split(rows, np.cumsum([cells[i].m for i in ids])[:-1])):
+                keep[i] = r
+        pruned = []
+        for cell, rows in zip(cells, keep):
+            p = ConvexCell.__new__(ConvexCell)
+            p._set(cell.W[rows], cell.b[rows], cell.norms[rows], cell.vertices)
+            # the same polytope, so the same vertex set and boundedness
+            p._vertex_set, p._bounded = cell._vertex_set, cell._bounded
+            pruned.append(p)
         return pruned
 
     def to_doc(self) -> dict:
@@ -522,13 +789,43 @@ class ConvexCell:
         return cells
 
 
+def _delaunay_tiles(V):
+    """Simplices (k, n+1, n) tiling the convex hull of the vertex set V:
+    V itself when it has n+1 points, else a Delaunay tiling of V centred
+    and scaled to max-norm 1."""
+    if len(V) == V.shape[1] + 1:
+        return V[None]
+    P = V - V.mean(axis=0)
+    return V[Delaunay(P / np.max(np.abs(P))).simplices]
+
+
+def _tilings(cells, epsilon):
+    """cell.simplices(epsilon) of every cell of the list, refusing the
+    first cell that has no vertex set as it would alone. The shrunk vertex
+    sets of the non-simplex cells come from stacked enumerations; the
+    tilings themselves are Delaunay's, cell by cell."""
+    if not epsilon >= 0:
+        raise MeshError("epsilon must be >= 0")
+    _fill_vertex_sets(cells)
+    shrunk = [None] * len(cells)
+    if epsilon > 0:
+        todo = [i for i, c in enumerate(cells) if not c.is_simplex and (
+            c.vertices is not None or c._bounded and len(c._vertex_set))]
+        sets = _vertex_sets([cells[i].W for i in todo],
+                            [cells[i].b - epsilon * cells[i].norms for i in todo])
+        for i, V in zip(todo, sets):
+            shrunk[i] = V
+    return [c._tiling(epsilon, V) for c, V in zip(cells, shrunk)]
+
+
 def _solve_facts(cells, hull=None):
     """Give each cell lacking them its normal combination and Chebyshev
     ball: a simplex its closed forms, every other cell its blocks of one
-    LP (lp.cell_facts), which a hull joins when some cell needs the LP.
-    When that LP fails, each of its cells' two LPs is solved alone, so
-    that every cell gets what it would get if asked alone: None for no
-    combination, None for no ball (which `chebyshev` refuses)."""
+    LP (lp.cell_facts), which a bounded hull joins when some cell needs
+    the LP (an unbounded one would make it fail). When that LP fails,
+    each of its cells' two LPs is solved alone, so that every cell gets
+    what it would get if asked alone: None for no combination, None for
+    no ball (which `chebyshev` refuses)."""
     todo = []
     for cell in cells:
         if cell._cheb is not _UNSET:
@@ -539,7 +836,8 @@ def _solve_facts(cells, hull=None):
             todo.append(cell)
     if not todo:
         return
-    if hull is not None and hull._cheb is _UNSET and not hull.is_simplex:
+    if (hull is not None and hull._cheb is _UNSET and not hull.is_simplex
+            and hull.is_bounded()):
         todo.append(hull)
     facts = lp.cell_facts([c.W for c in todo], [(c.W, c.b) for c in todo])
     if facts is None:  # some cell fails a fact: find which, cell by cell
@@ -710,23 +1008,35 @@ class PolytopeMesh:
         V = np.array([c.vertices for c, s in zip(self.cells, simplex) if s])
         return simplex, V.reshape(-1, self.dimension + 1, self.dimension)
 
+    def vertex_sets(self) -> list:
+        """Every cell's vertex_set(), the non-simplex cells' (and their
+        boundedness, and the domain hull's) from stacked enumerations over
+        all of them."""
+        _fill_vertex_sets(self.cells, self.domain_hull)
+        return [c.vertex_set() for c in self.cells]
+
     def bounding_box(self):
         """Min and max vertex coordinates: one reduction over the simplex
-        cells' vertices, a vertex set per other cell."""
+        cells' vertices, a box per other cell from the stacked vertex
+        sets."""
         simplex, V = self._simplex_stack()
         V = V.reshape(-1, self.dimension)
-        boxes = [c.bounding_box() for c, s in zip(self.cells, simplex) if not s]
+        others = [c for c, s in zip(self.cells, simplex) if not s]
+        _fill_vertex_sets(others, self.domain_hull)
+        boxes = [c.bounding_box() for c in others]
         boxes.append((V.min(axis=0, initial=np.inf), V.max(axis=0, initial=-np.inf)))
         los, his = zip(*boxes)
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def volume(self) -> float:
         """Sum of the cell volumes in cell order; the simplex cells' come
-        from one stacked determinant."""
+        from one stacked determinant, the others' from their cached
+        tilings."""
         simplex, V = self._simplex_stack()
         vols = np.zeros(self.n_cells)
         vols[simplex] = _simplex_volumes(V)
-        vols[~simplex] = [c.volume() for c, s in zip(self.cells, simplex) if not s]
+        tiles = _tilings([c for c, s in zip(self.cells, simplex) if not s], 0.0)
+        vols[~simplex] = [np.sum(_simplex_volumes(t)) for t in tiles]
         return float(sum(vols.tolist()))
 
     def facets(self, hull: ConvexCell | None = None):
@@ -923,7 +1233,7 @@ def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: i
         raise MeshError("epsilon must be > 0")
     if count < 1:
         raise MeshError("count must be >= 1")
-    tiles = [c.simplices(epsilon) for c in mesh.cells]
+    tiles = _tilings(mesh.cells, epsilon)
     alive = np.flatnonzero([len(t) for t in tiles])
     if not alive.size:
         raise MeshError("epsilon too large: every shrunk cell is empty")
@@ -936,7 +1246,7 @@ def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: i
 def sample_cells(mesh: PolytopeMesh, per_cell: int, seed: int, epsilon: float = 0.0):
     """Per-cell uniform samples (optionally of the shrunk cells), tagged;
     per_cell points in every cell whose shrunk interior is non-empty."""
-    return _sample([c.simplices(epsilon) for c in mesh.cells],
+    return _sample(_tilings(mesh.cells, epsilon),
                    [per_cell] * mesh.n_cells, _rng(seed, 0))
 
 
@@ -944,7 +1254,7 @@ def sample_mesh(mesh: PolytopeMesh, count: int, seed: int) -> np.ndarray:
     """count uniform points of the whole mesh: cell counts drawn
     multinomially by cell volume, then sampled cell by cell."""
     rng = _rng(seed, 77)
-    tiles = [c.simplices() for c in mesh.cells]
+    tiles = _tilings(mesh.cells, 0.0)
     vols = np.array([np.sum(_simplex_volumes(t)) for t in tiles])
     return _sample(tiles, rng.multinomial(count, vols / vols.sum()), rng)[0]
 
@@ -1030,7 +1340,9 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
         raise MeshError("samples must be >= 1")
     # the first unbounded cell is refused before any LP, then the facts of
     # every cell and the hull come from one LP, then the first empty cell
-    # is refused
+    # is refused; boundedness and vertex sets come from stacked
+    # enumerations over all cells and the hull
+    _fill_vertex_sets(mesh.cells, mesh.domain_hull)
     for ci, cell in enumerate(mesh.cells):
         if not cell.is_bounded():
             raise MeshError(f"cell {ci} is unbounded")

@@ -55,19 +55,24 @@ def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
     Every cell is the intersection of the polygon with the bisector
     halfspaces against its candidate sites (`bisector_candidates`, in
     ascending order), pruned to its supporting facets, so the registry
-    sees exactly the true facet hyperplanes.
+    sees exactly the true facet hyperplanes. All cells are pruned by one
+    stacked call (ConvexCell.prune_all).
     """
     sites = np.asarray(sites, dtype=float)
     hull_W, hull_b = polygon_halfspaces(boundary_polygon)
     # one dot product per site: a stacked sum of squares may round otherwise
     sq_norms = np.array([q @ q for q in sites])
-    cells = []
+    # one table of every cell's rows: the polygon's sides, then its bisectors
+    W, b, sizes = [np.zeros((0, 2))], [np.zeros(0)], []
     for i, others in enumerate(bisector_candidates(sites)):
-        W = np.vstack([hull_W, 2.0 * (sites[i] - sites[others])])
-        b = np.concatenate([hull_b, sq_norms[others] - sq_norms[i]])
-        cells.append(ConvexCell(W, b).prune_redundant())
+        W += [hull_W, 2.0 * (sites[i] - sites[others])]
+        b += [hull_b, sq_norms[others] - sq_norms[i]]
+        sizes.append(len(hull_b) + len(others))
+    cells = ConvexCell.from_table(np.vstack(W), np.concatenate(b), sizes)
     hull = ConvexCell(hull_W, hull_b)
-    return PolytopeMesh(2, cells, domain_hull=hull)
+    # the raw cells' vertex sets and boundedness, and the hull's, in one pass
+    PolytopeMesh(2, cells, domain_hull=hull).vertex_sets()
+    return PolytopeMesh(2, ConvexCell.prune_all(cells), domain_hull=hull)
 
 
 def random_polygon_mesh(seed: int, n_sites: int | None = None) -> PolytopeMesh:

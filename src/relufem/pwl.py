@@ -89,9 +89,8 @@ class PiecewiseLinear:
         affine function attains its extrema over a polytope."""
         if self._sup is None:
             self._sup = max(
-                float(np.max(np.abs(cell.vertex_set() @ self.gradients[i]
-                                    + self.constants[i])))
-                for i, cell in enumerate(self.mesh.cells))
+                float(np.max(np.abs(V @ self.gradients[i] + self.constants[i])))
+                for i, V in enumerate(self.mesh.vertex_sets()))
         return self._sup
 
     def to_doc(self) -> dict:

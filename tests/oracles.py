@@ -13,6 +13,8 @@ from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import Delaunay
+from scipy.spatial.distance import cdist
 
 from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
 from relufem.errors import CompileError, ConditioningWarning, MeshError
@@ -124,6 +126,99 @@ def positive_combination_bruteforce(cell):
                 np.linalg.norm(A @ lam) <= 1e-9 * float(lam @ cell.norms):
             return lam
     return None
+
+
+# --- cell geometry: one cell at a time --------------------------------------
+
+VERTEX_RTOL = 1e-12
+
+
+def feasible_intersections(W, b):
+    """Feasible solutions of the nonsingular n-facet subsystems of
+    {W x + b >= 0} and their magnitudes max_j |x_j|; feasibility allows
+    VERTEX_RTOL of the magnitude, the scale of a solved point's rounding."""
+    m, n = W.shape
+    norms = np.linalg.norm(W, axis=1)
+    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int)
+    A = W[subsets]
+    regular = np.abs(np.linalg.det(A)) >= 1e-12 * np.prod(norms[subsets], axis=1)
+    X = np.linalg.solve(A[regular], -b[subsets[regular]][..., None])[..., 0]
+    size = np.max(np.abs(X), axis=1, initial=0.0)
+    feasible = np.min((X @ W.T + b) / norms, axis=1) >= -VERTEX_RTOL * size
+    return X[feasible], size[feasible]
+
+
+def halfspace_vertices(W, b):
+    """Vertices of a bounded {W x + b >= 0}, shape (0, n) when empty: the
+    feasible intersections not within VERTEX_RTOL of an earlier one."""
+    X, size = feasible_intersections(W, b)
+    first = np.ones(len(X), dtype=bool)
+    step = max(1, 2 ** 18 // max(len(X), 1))
+    for lo in range(0, len(X), step):
+        hi = lo + step
+        close = (cdist(X[lo:hi], X[:hi], "chebyshev")
+                 <= VERTEX_RTOL * np.maximum.outer(size[lo:hi], size[:hi]))
+        first[lo:hi] = ~np.tril(close, lo - 1).any(axis=1)
+    return X[first]
+
+
+def is_bounded(cell) -> bool:
+    """Bounded iff the normals have full rank and no d != 0 has
+    W d >= 0: {d : W d >= 0, |d|_inf <= 1} has no vertex but the origin
+    (any other has some |d_j| = 1)."""
+    _, size = feasible_intersections(
+        np.vstack([cell.W, np.eye(cell.dim), -np.eye(cell.dim)]),
+        np.append(np.zeros(cell.m), np.ones(2 * cell.dim)))
+    return bool(np.linalg.matrix_rank(cell.W) == cell.dim and np.all(size < 0.5))
+
+
+def vertex_set(cell) -> np.ndarray:
+    """The cell's vertices from its own enumeration; MeshError as
+    ConvexCell.vertex_set raises it."""
+    if not is_bounded(cell):
+        raise MeshError("cell is unbounded")
+    V = halfspace_vertices(cell.W, cell.b)
+    if len(V) == 0:
+        raise MeshError("cell has no vertices (empty interior)")
+    return V
+
+
+def shrunk_tiles(cell, epsilon):
+    """Simplices tiling the epsilon-shrunk non-simplex cell: a Delaunay
+    tiling of its shrunk vertex set, empty when the vertex mean is not
+    strictly inside (epsilon = 0: of its vertex set)."""
+    n = cell.dim
+    V = vertex_set(cell)
+    if epsilon > 0:
+        shrunk = cell.shrink(epsilon)
+        V = halfspace_vertices(shrunk.W, shrunk.b)
+        if len(V) <= n or np.min(shrunk.facet_values(V.mean(axis=0))) <= 0.0:
+            return np.zeros((0, n + 1, n))
+    if len(V) == n + 1:
+        return V[None]
+    P = V - V.mean(axis=0)
+    return V[Delaunay(P / np.max(np.abs(P))).simplices]
+
+
+def prune_rows(cell, tol=1e-9):
+    """Rows of the halfspaces that support a facet of the bounded cell:
+    those whose tight vertices span an (n-1)-flat. Of supporting rows
+    whose unit normals agree within tol only the one with the smallest
+    unit offset is kept (the first on a tie); a row that supports no
+    facet shadows none."""
+    V = vertex_set(cell)
+    size = np.max(np.abs(V), axis=1)
+    tight = (np.abs(cell.facet_values(V) / cell.norms)
+             <= VERTEX_RTOL * size[:, None])
+    supports = np.array([len(T) >= cell.dim and np.linalg.matrix_rank(
+        T[1:] - T[0], tol=VERTEX_RTOL * np.max(size)) == cell.dim - 1
+        for T in (V[t] for t in tight.T)], dtype=bool)
+    U = cell.W / cell.norms[:, None]
+    same = np.max(np.abs(U[:, None] - U[None]), axis=2) <= tol
+    place = np.argsort(np.argsort(cell.b / cell.norms, kind="stable"))
+    keep = supports & ~(same & supports[None]
+                        & (place[None] < place[:, None])).any(axis=1)
+    return np.flatnonzero(keep)
 
 
 # --- simplex facets: one cell and one facet at a time ------------------------
@@ -394,7 +489,7 @@ def compile_cell_bump(cell: ConvexCell, piece: AffinePiece, R: float,
 def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
     """Voronoi cells of the sites clipped to a convex polygon, each the
     polygon cut by the bisector halfspaces against all other sites,
-    pruned to its supporting facets."""
+    pruned to its supporting facets, all cells in one call."""
     sites = np.asarray(sites, dtype=float)
     hull_W, hull_b = polygon_halfspaces(boundary_polygon)
     cells = []
@@ -406,10 +501,9 @@ def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
                 continue
             rows.append((2.0 * (p - q))[None, :])
             offs.append([float(q @ q - p @ p)])
-        cell = ConvexCell(np.vstack(rows), np.concatenate(offs)).prune_redundant()
-        cells.append(cell)
+        cells.append(ConvexCell(np.vstack(rows), np.concatenate(offs)))
     hull = ConvexCell(hull_W, hull_b)
-    return PolytopeMesh(2, cells, domain_hull=hull)
+    return PolytopeMesh(2, ConvexCell.prune_all(cells), domain_hull=hull)
 
 
 def tensor_eval_batch(u, X):

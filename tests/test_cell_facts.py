@@ -18,16 +18,16 @@ from relufem import mesh as mesh_module
 from relufem.compiler import (compile_bumps, compile_compact_support,
                               compile_weak_representation)
 from relufem.errors import CompileError, MeshError
-from relufem.mesh import (ConvexCell, PolytopeMesh, _halfspace_vertices,
-                          _simplex_facts, freudenthal_mesh, validate_mesh)
+from relufem.mesh import (ConvexCell, PolytopeMesh, _simplex_facts,
+                          freudenthal_mesh, validate_mesh)
 from relufem.meshgen import (demo_polygon_mesh, random_bounded_polytope,
                              random_polygon_mesh, random_simplex_mesh)
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.verify import check_weak_representation
 
 import oracles
-from oracles import (chebyshev_center, linear_minimum_raw, positive_combination,
-                     prune_redundant_lp, simplex_facts)
+from oracles import (chebyshev_center, halfspace_vertices, linear_minimum_raw,
+                     positive_combination, prune_redundant_lp, simplex_facts)
 from test_cli import slot_docs
 
 UNBOUNDED = 3  # scipy's linprog status code
@@ -318,6 +318,17 @@ def test_voronoi_meshes_pay_lps_only_for_the_two_facts(lp_calls):
     assert len(lp_calls) == 0
 
 
+def test_an_unbounded_hull_stays_out_of_the_block_lp(lp_calls):
+    # the hull x >= 0, x <= 1, y >= 0 has no top: with it the block LP
+    # failed and every cell solved its two LPs alone (27 calls)
+    base = random_polygon_mesh(7, n_sites=12)
+    hull = ConvexCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 0.0])
+    report = validate_mesh(PolytopeMesh(2, base.cells, domain_hull=hull))
+    assert len(lp_calls) == 1
+    assert not hull.is_bounded()
+    assert report.issues == ["summed cell volumes 1 vs domain hull volume inf"]
+
+
 # --- the two facts of every non-simplex cell from one block LP --------------
 
 def mixed_mesh():
@@ -497,13 +508,14 @@ def assert_prunes_like_lp(cell, pruned):
 
 def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
     seen = []
-    prune = ConvexCell.prune_redundant
+    prune = ConvexCell.prune_all
 
-    def spy(cell):
-        seen.append((cell, prune(cell)))
-        return seen[-1][1]
+    def spy(cells, tol=1e-9):
+        pruned = prune(cells, tol)
+        seen.extend(zip(cells, pruned))
+        return pruned
 
-    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))
     # the all-sites construction hands every cell every bisector, so the
     # spy sees the redundant rows that Delaunay candidates leave out
     monkeypatch.setattr(meshgen, "voronoi_polygon_mesh",
@@ -520,13 +532,13 @@ def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
 
 def test_pruned_cells_keep_the_vertex_set_they_would_enumerate(monkeypatch):
     seen = []
-    prune = ConvexCell.prune_redundant
+    prune = ConvexCell.prune_all
 
-    def spy(cell):
-        seen.append(prune(cell))
-        return seen[-1]
+    def spy(cells, tol=1e-9):
+        seen.extend(prune(cells, tol))
+        return seen[len(seen) - len(cells):]
 
-    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))
     demo_polygon_mesh()
     for seed in range(30):
         random_polygon_mesh(seed)
@@ -535,7 +547,7 @@ def test_pruned_cells_keep_the_vertex_set_they_would_enumerate(monkeypatch):
     for pruned in seen:
         assert pruned._bounded is True
         inherited = pruned.vertex_set()
-        assert inherited.tobytes() == _halfspace_vertices(pruned.W, pruned.b).tobytes()
+        assert inherited.tobytes() == halfspace_vertices(pruned.W, pruned.b).tobytes()
 
 
 def test_validation_after_generation_enumerates_no_vertices(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relufem import docio
+from relufem import cli, docio
 from relufem.cli import main
 from relufem.errors import VerifyError
 from relufem.mesh import PolytopeMesh
@@ -71,6 +71,28 @@ def test_build_is_byte_deterministic(workdir):
     assert main(args + ["--output", str(workdir / "a.json")]) == 0
     assert main(args + ["--output", str(workdir / "b.json")]) == 0
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+
+def test_parser_is_built_once_per_process(workdir, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for name in ("a.json", "b.json"):
+            assert main(["build", "--mesh", str(workdir / "mesh.json"),
+                         "--function", str(workdir / "fn.json"),
+                         "--epsilon", "0.01", "--output", str(workdir / name)]) == 0
+            outputs.append((workdir / name).read_bytes())
+        # a later call with other flags still gets its own values
+        assert main(["freudenthal", "--n", "1", "--N", "3",
+                     "--output", str(workdir / "line.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert outputs[0] == outputs[1]
+    assert PolytopeMesh.load(workdir / "line.json").n_cells == 3
 
 
 def test_build_compact_support(workdir):

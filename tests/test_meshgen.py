@@ -180,13 +180,13 @@ def test_degenerate_sites_get_every_other_site(name):
 def test_large_voronoi_mesh_is_valid_and_cells_get_only_neighbour_rows(monkeypatch):
     sites = np.random.default_rng(500).uniform(0.08, 0.92, size=(500, 2))
     handed = []
-    prune = ConvexCell.prune_redundant
+    prune = ConvexCell.prune_all
 
-    def spy(cell):
-        handed.append(cell.m)
-        return prune(cell)
+    def spy(cells, tol=1e-9):
+        handed.extend(cell.m for cell in cells)
+        return prune(cells, tol)
 
-    monkeypatch.setattr(ConvexCell, "prune_redundant", spy)
+    monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))
     mesh = voronoi_polygon_mesh(sites, SQUARE)
     start, _ = Delaunay(sites).vertex_neighbor_vertices
     assert handed == list(len(SQUARE) + np.diff(start))

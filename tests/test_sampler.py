@@ -11,13 +11,13 @@ from scipy.stats import kstest
 from relufem.compiler import compile_weak_representation
 from relufem.errors import MeshError
 from relufem.mesh import (ConvexCell, PolytopeMesh, _affine, _corner_values,
-                          _halfspace_vertices, freudenthal_mesh, sample_cells,
-                          sample_shrunk_domain)
+                          freudenthal_mesh, sample_cells, sample_shrunk_domain)
 from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import nodal_linear
 from relufem.verify import check_weak_representation
 
+from oracles import halfspace_vertices
 from test_cell_facts import slivers
 
 
@@ -110,7 +110,7 @@ def test_shrunk_simplex_is_the_homothety_about_the_incentre(fraction):
         # on the slivers its n-facet solves are ill-conditioned (3.5e-14
         # off a 50-digit solve, where the homothety is within 2.2e-16)
         if fraction < 0.999 and not any(cell is s for s in SLIVERS):
-            want = _halfspace_vertices(cell.W, cell.b - eps * cell.norms)
+            want = halfspace_vertices(cell.W, cell.b - eps * cell.norms)
             assert len(want) == cell.dim + 1
             dist = np.max(np.abs(tiles[0][:, None] - want[None]), axis=2)
             assert np.all(dist.min(axis=1) <= 1e-14 * np.max(np.abs(want)))
@@ -142,10 +142,10 @@ def test_simplex_shrunk_by_its_inradius_has_no_tiles():
 def test_shrunk_domain_tiles_each_cell_once(monkeypatch):
     mesh = random_polygon_mesh(3, n_sites=8)
     calls = []
-    tile = ConvexCell.simplices
-    monkeypatch.setattr(ConvexCell, "simplices",
-                        lambda cell, eps=0.0: calls.append(id(cell))
-                        or tile(cell, eps))
+    tile = ConvexCell._tiling
+    monkeypatch.setattr(ConvexCell, "_tiling",
+                        lambda cell, eps, shrunk: calls.append(id(cell))
+                        or tile(cell, eps, shrunk))
     X, tags = sample_shrunk_domain(mesh, 1e-3, 100, seed=0)
     assert sorted(calls) == sorted(id(c) for c in mesh.cells)
     assert X.shape == (100, 2) and np.all(np.bincount(tags) >= 12)
