@@ -148,6 +148,15 @@ def get(doc: dict, field: str, kind=None):
     return value
 
 
+def as_int(value, field: str) -> int:
+    """A JSON integer, raising DocumentError naming the field for
+    booleans (which Python counts as integers), floats and non-numbers."""
+    if type(value) is not int:
+        raise DocumentError(
+            f"field '{field}' must be an integer, not {type(value).__name__}")
+    return value
+
+
 def as_float(value, field: str) -> float:
     """A JSON number as a finite float, raising DocumentError naming the
     field for booleans, non-numbers, integers beyond the float range and

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from . import docio, lp
 from ._chunks import CHUNK_ELEMENTS
@@ -295,15 +295,15 @@ def _max_abs(X):
     return size
 
 
-def _subset_stack(counts, n, pick):
-    """Per system c, the rows pick(counts[c]) of its n-facet subsystems
+def _subset_stack(counts, n):
+    """Per system c, its n-facet subsystems _subsets(counts[c], n)
     (S_c, n), as one stack (k, S, n) padded with row 0, and which are real
-    (k, S). Systems of one count share one pick."""
-    picks = {m: pick(m) for m in set(counts.tolist())}
-    S = max(len(p) for p in picks.values())
+    (k, S)."""
+    by_count = {m: _subsets(m, n) for m in set(counts.tolist())}
+    S = max(len(p) for p in by_count.values())
     subsets = np.zeros((len(counts), S, n), dtype=int)
     real = np.zeros((len(counts), S), dtype=bool)
-    for m, p in picks.items():
+    for m, p in by_count.items():
         subsets[counts == m, :len(p)] = p
         real[counts == m, :len(p)] = True
     return subsets, real
@@ -382,7 +382,7 @@ def _vertex_sets(Ws, bs):
         W, rows = _padded([Ws[i] for i in ids])
         b, _ = _padded([bs[i] for i in ids], np.inf)
         n = W.shape[2]
-        subsets, real = _subset_stack(np.sum(rows, axis=1), n, lambda m: _subsets(m, n))
+        subsets, real = _subset_stack(np.sum(rows, axis=1), n)
         X, size = _feasible_intersections(W, b, subsets, real)
         # each system's points first, in order; pairs run over the most any has
         found = ~np.isnan(X[..., 0])
@@ -395,57 +395,12 @@ def _vertex_sets(Ws, bs):
     return out
 
 
-def _are_bounded(Ws):
-    """Whether each {x : Ws[i] x + b >= 0} is bounded: the normals have
-    full rank and no d != 0 has W d >= 0, so that {d : W d >= 0,
-    |d|_inf <= 1} has no vertex but the origin (any other has some
-    |d_j| = 1). One enumeration per stack (_stacks), and one SVD per
-    matrix of the rank tests, stacked by shape."""
-    out = np.zeros(len(Ws), dtype=bool)
-    for ids in _stacks([W.shape for W in Ws], lambda m, n: _enumeration_size(m + 2 * n, n)):
-        W, rows = _padded([Ws[i] for i in ids])
-        k, M, n = W.shape
-        box = np.vstack([np.eye(n), -np.eye(n)])
-        counts = np.sum(rows, axis=1)
-
-        def pick(m):
-            # the subsets of a system's own m rows and the 2n box rows,
-            # which sit after the padding, from row M; rows of W alone
-            # solve to d = 0, which decides nothing
-            s = _subsets(m + 2 * n, n)
-            s = s[s[:, -1] >= m]
-            return np.where(s >= m, s - m + M, s)
-
-        subsets, real = _subset_stack(counts, n, pick)
-        X, size = _feasible_intersections(
-            np.concatenate([W, np.broadcast_to(box, (k, 2 * n, n))], axis=1),
-            np.concatenate([np.where(rows, 0.0, np.inf), np.ones((k, 2 * n))], axis=1),
-            subsets, real)
-        escapes = np.any(~np.isnan(X[..., 0]) & (size >= 0.5), axis=1)
-        for m in set(counts.tolist()):
-            of = np.flatnonzero(counts == m)
-            full = np.linalg.matrix_rank(np.stack([Ws[ids[c]] for c in of])) == n
-            out[[ids[c] for c in of]] = full & ~escapes[of]
-    return out
-
-
-def _fill_bounded(cells):
-    """Give each non-simplex cell lacking it its boundedness, all from
-    _are_bounded."""
-    todo = [c for c in cells if c._bounded is None and not c.is_simplex]
-    for cell, bounded in zip(todo, _are_bounded([c.W for c in todo])):
-        cell._bounded = bool(bounded)
-
-
-def _fill_vertex_sets(cells, hull=None):
-    """Give each non-simplex cell lacking them its boundedness and, when
-    bounded and not carrying its vertices, its vertex set: the facts of a
-    whole mesh from a few stacked enumerations, as _solve_facts gives its
-    LP facts from one LP. A hull's boundedness, which decides whether it
-    joins that LP, joins the enumeration when some cell needs one."""
-    todo = [c for c in cells if c._bounded is None and not c.is_simplex]
-    _fill_bounded(todo + ([hull] if todo and hull is not None else []))
-    todo = [c for c in cells if c.vertices is None and c._vertex_set is None and c._bounded]
+def _fill_vertex_sets(cells):
+    """Give each bounded non-simplex cell lacking them its vertex set: the
+    vertex sets of a whole mesh from a few stacked enumerations, as
+    _solve_facts gives its LP facts from one LP."""
+    todo = [c for c in cells
+            if c.vertices is None and c._vertex_set is None and c.is_bounded()]
     for cell, V in zip(todo, _vertex_sets([c.W for c in todo], [c.b for c in todo])):
         cell._vertex_set = V
 
@@ -532,19 +487,22 @@ class ConvexCell:
     The cell is {x : W @ x + b >= 0}. Simplex cells keep their vertex
     array as well, which enables nodal interpolation.
 
-    A cell caches three facts: the Chebyshev ball, a strictly positive
-    combination of the facet normals summing to zero, and the vertex set.
-    On a simplex (`is_simplex`) the first two have closed forms, set at
+    A cell caches four facts: its boundedness, the Chebyshev ball, a
+    strictly positive combination of the facet normals summing to zero,
+    and the vertex set. Such a combination exists for a bounded cell, and
+    a simplex is bounded; every other cell decides boundedness alone, by
+    one convex hull of its unit normals (is_bounded). On a simplex
+    (`is_simplex`) the ball and the combination have closed forms, set at
     birth by from_simplices; every other cell gets both from its blocks
     of one LP, shared by all the cells of a mesh (PolytopeMesh.solve_facts)
     or solved alone for a lone cell. The vertex set is given for a
-    simplex; every other cell gets it, and its boundedness, from n-facet
-    intersections enumerated for stacks of cells of one facet count, all
-    the cells of a mesh at its first mesh-level question (vertex_sets,
-    bounding_box, validate_mesh, the samplers) or a lone cell as a stack
-    of one. The vertex set answers every other question, pruning included
-    (prune_all, again stacked). Volumes and samples come from a tiling of
-    the (shrunk) cell; the unshrunk tiling is cached.
+    simplex; every other bounded cell gets it from n-facet intersections
+    enumerated for stacks of cells of one facet count, all the cells of a
+    mesh at its first mesh-level question (vertex_sets, bounding_box,
+    validate_mesh, the samplers) or a lone cell as a stack of one. The
+    vertex set answers every other question, pruning included (prune_all,
+    again stacked). Volumes and samples come from a tiling of the (shrunk)
+    cell; the unshrunk tiling is cached.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -656,13 +614,24 @@ class ConvexCell:
         self._lam, self._cheb, self._bounded = lam, (c, r), True
 
     def is_bounded(self) -> bool:
-        """Bounded iff the normals have full rank and no d != 0 has
-        W d >= 0 (_are_bounded). A simplex whose closed-form facts exist is
-        not flat, so it is bounded."""
+        """Bounded iff no d != 0 has W d >= 0, that is, iff the unit
+        normals positively span R^n (Gordan's alternative): the origin lies
+        strictly inside their convex hull, every hull facet more than
+        VERTEX_RTOL from it. Qhull refuses fewer than n+1 normals or
+        normals in a hyperplane, which span no R^n; in 1D there must be a
+        positive and a negative normal. A simplex whose closed-form facts
+        exist is not flat, so it is bounded."""
         if self._bounded is None and self.is_simplex:
             self._take_simplex_facts()
+        elif self._bounded is None and self.dim == 1:
+            self._bounded = bool(np.any(self.W > 0) and np.any(self.W < 0))
         elif self._bounded is None:
-            _fill_bounded([self])
+            try:
+                equations = ConvexHull(self.W / self.norms[:, None]).equations
+            except QhullError:
+                self._bounded = False
+            else:
+                self._bounded = bool(np.all(equations[:, -1] < -VERTEX_RTOL))
         return self._bounded
 
     def vertex_set(self) -> np.ndarray:
@@ -670,10 +639,10 @@ class ConvexCell:
         else n-facet intersections; MeshError when the cell is unbounded."""
         if self.vertices is not None:
             return self.vertices
+        if not self.is_bounded():
+            raise MeshError("cell is unbounded")
         if self._vertex_set is None:
             _fill_vertex_sets([self])
-        if not self._bounded:
-            raise MeshError("cell is unbounded")
         if len(self._vertex_set) == 0:
             raise MeshError("cell has no vertices (empty interior)")
         return self._vertex_set
@@ -810,7 +779,7 @@ def _tilings(cells, epsilon):
     shrunk = [None] * len(cells)
     if epsilon > 0:
         todo = [i for i, c in enumerate(cells) if not c.is_simplex and (
-            c.vertices is not None or c._bounded and len(c._vertex_set))]
+            c.vertices is not None or c.is_bounded() and len(c._vertex_set))]
         sets = _vertex_sets([cells[i].W for i in todo],
                             [cells[i].b - epsilon * cells[i].norms for i in todo])
         for i, V in zip(todo, sets):
@@ -1009,10 +978,9 @@ class PolytopeMesh:
         return simplex, V.reshape(-1, self.dimension + 1, self.dimension)
 
     def vertex_sets(self) -> list:
-        """Every cell's vertex_set(), the non-simplex cells' (and their
-        boundedness, and the domain hull's) from stacked enumerations over
-        all of them."""
-        _fill_vertex_sets(self.cells, self.domain_hull)
+        """Every cell's vertex_set(), the non-simplex cells' from stacked
+        enumerations over all of them."""
+        _fill_vertex_sets(self.cells)
         return [c.vertex_set() for c in self.cells]
 
     def bounding_box(self):
@@ -1022,7 +990,7 @@ class PolytopeMesh:
         simplex, V = self._simplex_stack()
         V = V.reshape(-1, self.dimension)
         others = [c for c, s in zip(self.cells, simplex) if not s]
-        _fill_vertex_sets(others, self.domain_hull)
+        _fill_vertex_sets(others)
         boxes = [c.bounding_box() for c in others]
         boxes.append((V.min(axis=0, initial=np.inf), V.max(axis=0, initial=-np.inf)))
         los, his = zip(*boxes)
@@ -1126,7 +1094,7 @@ class PolytopeMesh:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PolytopeMesh":
-        dim = docio.get(doc, "dimension", int)
+        dim = docio.as_int(docio.get(doc, "dimension"), "dimension")
         if dim < 1:
             raise DocumentError("field 'dimension' must be >= 1")
         cell_docs = docio.get(doc, "cells", list)
@@ -1340,9 +1308,7 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
         raise MeshError("samples must be >= 1")
     # the first unbounded cell is refused before any LP, then the facts of
     # every cell and the hull come from one LP, then the first empty cell
-    # is refused; boundedness and vertex sets come from stacked
-    # enumerations over all cells and the hull
-    _fill_vertex_sets(mesh.cells, mesh.domain_hull)
+    # is refused
     for ci, cell in enumerate(mesh.cells):
         if not cell.is_bounded():
             raise MeshError(f"cell {ci} is unbounded")

@@ -70,7 +70,7 @@ def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
         sizes.append(len(hull_b) + len(others))
     cells = ConvexCell.from_table(np.vstack(W), np.concatenate(b), sizes)
     hull = ConvexCell(hull_W, hull_b)
-    # the raw cells' vertex sets and boundedness, and the hull's, in one pass
+    # the raw cells' vertex sets in one pass
     PolytopeMesh(2, cells, domain_hull=hull).vertex_sets()
     return PolytopeMesh(2, ConvexCell.prune_all(cells), domain_hull=hull)
 
@@ -128,8 +128,8 @@ def random_bounded_polytope(n: int, m: int, seed: int) -> ConvexCell:
     outward directions u_i drawn until they positively span R^n.
 
     A direction probe prefilters candidates; boundedness is then confirmed
-    by ConvexCell.is_bounded (full-rank normals and no direction d != 0
-    with W d >= 0, read off a vertex enumeration)."""
+    by ConvexCell.is_bounded (the origin strictly inside the convex hull
+    of the unit normals)."""
     rng = np.random.default_rng(seed)
     for _ in range(500):
         U = rng.standard_normal((m, n))

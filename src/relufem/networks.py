@@ -20,6 +20,17 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
+def _provenance(doc: dict) -> dict:
+    """A network document's provenance: an object, {} when absent or null."""
+    value = doc.get("provenance")
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise DocumentError("field 'provenance' must be an object or null, "
+                            f"not {type(value).__name__}")
+    return value
+
+
 # scipy's sparse maximum, minimum and abs sort a matrix's indices in place,
 # which would reorder the terms of a row and change the output bits;
 # read-only CSR arrays make such a call fail instead
@@ -157,9 +168,9 @@ class ReluNet2:
     def from_doc(cls, doc: dict) -> "ReluNet2":
         if docio.get(doc, "arch", str) != "fnn2":
             raise DocumentError("field 'arch' must be 'fnn2'")
-        n = docio.get(doc, "n", int)
-        h1 = docio.get(doc, "h1", int)
-        h2 = docio.get(doc, "h2", int)
+        n = docio.as_int(docio.get(doc, "n"), "n")
+        h1 = docio.as_int(docio.get(doc, "h1"), "h1")
+        h2 = docio.as_int(docio.get(doc, "h2"), "h2")
         W1 = docio.as_float_array(docio.get(doc, "W1"), "W1", (h1, n))
         b1 = docio.as_float_array(docio.get(doc, "b1"), "b1", (h1,))
         b2 = docio.as_float_array(docio.get(doc, "b2"), "b2", (h2,))
@@ -171,7 +182,7 @@ class ReluNet2:
         return cls(W1, b1, trip, b2, w3,
                    output_bias=None if ob is None
                    else docio.as_float(ob, "output_bias"),
-                   provenance=doc.get("provenance") or {})
+                   provenance=_provenance(doc))
 
 
 class TensorNet:
@@ -254,8 +265,8 @@ class TensorNet:
     def from_doc(cls, doc: dict) -> "TensorNet":
         if docio.get(doc, "arch", str) != "tnn":
             raise DocumentError("field 'arch' must be 'tnn'")
-        rank = docio.get(doc, "rank", int)
-        n = docio.get(doc, "n", int)
+        rank = docio.as_int(docio.get(doc, "rank"), "rank")
+        n = docio.as_int(docio.get(doc, "n"), "n")
         branches = []
         for k in range(n):
             bd = docio.get(doc, f"branch_{k + 1}", dict)
@@ -264,7 +275,7 @@ class TensorNet:
             weights = docio.as_float_array(docio.get(bd, "weights"), "weights",
                                            (rank, W.shape[0]))
             branches.append((W, b, weights))
-        return cls(branches, provenance=doc.get("provenance") or {})
+        return cls(branches, provenance=_provenance(doc))
 
 
 def fnn_forward(net: ReluNet2, x) -> float:

@@ -120,6 +120,9 @@ class PiecewiseLinear:
                     idx = int(key)
                 except ValueError as exc:
                     raise DocumentError(f"bad vertex index '{key}'") from exc
+                # "02", " 2 " and "0_2" would all name vertex 2
+                if key != str(idx):
+                    raise DocumentError(f"bad vertex index '{key}': write it as '{idx}'")
                 if not 0 <= idx < len(verts):
                     raise DocumentError(f"vertex index {idx} out of range")
                 values[idx] = docio.as_float(val, f"nodal_values[{key}]")
@@ -158,11 +161,14 @@ def nodal_linear(mesh: PolytopeMesh, nodal_values) -> PiecewiseLinear:
     """
     verts, cell_ids = mesh.vertex_table()
     if isinstance(nodal_values, dict):
+        index = [int(k) for k in nodal_values]
+        # int() would read 1.5 or "01" as vertex 1
+        if (sorted(index) != list(range(len(verts)))
+                or any(str(k) != str(i) for k, i in zip(nodal_values, index))):
+            raise MeshError("nodal values need exactly one key for each vertex "
+                            f"index in [0, {len(verts)}), written as the index")
         values = np.zeros(len(verts))
-        for k, v in nodal_values.items():
-            values[int(k)] = float(v)
-        if len(nodal_values) != len(verts):
-            raise MeshError("nodal value for every vertex is required")
+        values[index] = [float(v) for v in nodal_values.values()]
     else:
         values = np.asarray(nodal_values, dtype=float).reshape(-1)
         if values.shape[0] != len(verts):

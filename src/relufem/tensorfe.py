@@ -126,7 +126,9 @@ class TensorFE:
     def from_doc(cls, doc: dict) -> "TensorFE":
         grids = docio.get(doc, "grids", list)
         mesh = TensorMesh([docio.as_float_array(g, "grids") for g in grids])
-        shape = tuple(int(s) for s in docio.get(doc, "shape", list))
+        shape = tuple(docio.as_int(s, "shape") for s in docio.get(doc, "shape", list))
+        if min(shape, default=0) < 0:
+            raise DocumentError("field 'shape' must hold sizes >= 0")
         flat = docio.as_float_array(docio.get(doc, "coefficients"), "coefficients")
         if flat.size != int(np.prod(shape)):
             raise DocumentError("coefficients length does not match shape")

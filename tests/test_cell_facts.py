@@ -279,11 +279,12 @@ def test_simplex_meshes_call_no_lp(lp_calls):
                                   random_simplex_mesh(2, 4, seed=6)],
                          ids=["freudenthal 3D", "jittered 2D"])
 def test_simplex_meshes_never_enumerate_vertices(monkeypatch, mesh):
-    # facts, tiles and volumes of simplex cells are closed forms
+    # facts, tiles, volumes and boundedness of simplex cells are closed forms
     def refuse(*args):
-        raise AssertionError("vertex enumeration on a simplex mesh")
+        raise AssertionError("vertex enumeration or convex hull on a simplex mesh")
 
     monkeypatch.setattr(mesh_module, "_feasible_intersections", refuse)
+    monkeypatch.setattr(mesh_module, "ConvexHull", refuse)
     verts, _ = mesh.vertex_table()
     v = nodal_linear(mesh, np.random.default_rng(1).uniform(-1, 1, len(verts)))
     eps = 1e-3

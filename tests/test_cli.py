@@ -372,6 +372,91 @@ def test_malformed_output_bias_exits_2(tmp_path, capsys, bias):
     assert "output_bias" in capsys.readouterr().err
 
 
+# --- integer fields, provenance and nodal keys ---------------------------------
+
+FNN_NET = {"arch": "fnn2", "n": 1, "h1": 1, "h2": 1, "W1": [[1.0]],
+           "b1": [0.0], "W2": [[0, 0, 1.0]], "b2": [0.0], "w3": [1.0],
+           "output_bias": None, "provenance": {}}
+TNN_NET = {"arch": "tnn", "rank": 1, "n": 1, "provenance": {},
+           "branch_1": {"W": [1.0], "b": [0.0], "weights": [[1.0]]}}
+
+
+def integer_docs(tmp_path, field, value):
+    """A command whose input has the JSON value `value` in integer field
+    `field`, which is read as 1 (a 3-node axis for "shape") when valid."""
+    if field == "dimension":
+        docio.save({"dimension": value, "cells": [{"vertices": [[0.0], [1.0]]}]},
+                   tmp_path / "m.json")
+        docio.save({"kind": "constant", "pieces": [{"a": [0.0], "c": 1.0}]},
+                   tmp_path / "f.json")
+        return ["build", "--mesh", str(tmp_path / "m.json"), "--function",
+                str(tmp_path / "f.json"), "--epsilon", "0.01", "--samples", "20",
+                "--output", str(tmp_path / "n.json")]
+    if field == "shape":
+        docio.save({"grids": [[0.0, 0.5, 1.0]] * 2, "shape": [value, 3],
+                    "coefficients": list(range(9))}, tmp_path / "u.json")
+        return ["tnn-build", "--function", str(tmp_path / "u.json"),
+                "--output", str(tmp_path / "t.json")]
+    arch, name = field.split(".")
+    docio.save({**(FNN_NET if arch == "fnn2" else TNN_NET), name: value},
+               tmp_path / "net.json")
+    docio.save({"points": [[0.5]]}, tmp_path / "pts.json")
+    return ["eval", "--network", str(tmp_path / "net.json"),
+            "--points", str(tmp_path / "pts.json")]
+
+
+@pytest.mark.parametrize("field", ["dimension", "fnn2.n", "fnn2.h1", "fnn2.h2",
+                                   "tnn.rank", "tnn.n", "shape"])
+@pytest.mark.parametrize("value", [True, 1.0, 3.7, "x", None, [1]],
+                         ids=["true", "1.0", "3.7", "string", "null", "list"])
+def test_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
+    """bool is an int to Python, and int() reads "3" or 3.7: every integer
+    field takes JSON integers alone, exit 2 naming it."""
+    name = field.split(".")[-1]
+    assert main(integer_docs(tmp_path, field, value)) == 2
+    assert f"'{name}'" in capsys.readouterr().err
+    value = 3 if field == "shape" else 1
+    assert main(integer_docs(tmp_path, field, value)) == 0
+
+
+def test_a_negative_shape_entry_exits_2(tmp_path, capsys):
+    # reshape would read two negative sizes as unknowns and raise
+    docio.save({"grids": [[0.0, 0.5, 1.0]] * 2, "shape": [-3, -3],
+                "coefficients": list(range(9))}, tmp_path / "u.json")
+    assert main(["tnn-build", "--function", str(tmp_path / "u.json"),
+                 "--output", str(tmp_path / "t.json")]) == 2
+    assert "'shape'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arch", ["fnn2", "tnn"])
+@pytest.mark.parametrize("provenance", ["x", ["x"], 0, False],
+                         ids=["string", "list", "zero", "false"])
+def test_provenance_must_be_an_object_or_null(tmp_path, capsys, arch, provenance):
+    net = {**(FNN_NET if arch == "fnn2" else TNN_NET), "provenance": provenance}
+    docio.save(net, tmp_path / "net.json")
+    docio.save({"dimension": 1, "cells": [{"vertices": [[0.0], [1.0]]}]},
+               tmp_path / "m.json")
+    docio.save({"points": [[0.5]]}, tmp_path / "pts.json")
+    argv = (["counts", "--mesh", str(tmp_path / "m.json")] if arch == "fnn2"
+            else ["eval", "--points", str(tmp_path / "pts.json")])
+    assert main(argv + ["--network", str(tmp_path / "net.json")]) == 2
+    assert "'provenance'" in capsys.readouterr().err
+    docio.save({**net, "provenance": None}, tmp_path / "net.json")
+    assert main(argv + ["--network", str(tmp_path / "net.json")]) in (0, 5)
+
+
+@pytest.mark.parametrize("key", ["02", " 2 ", "0_2", "+2"])
+def test_nodal_keys_that_alias_a_vertex_exit_2(tmp_path, capsys, key):
+    """int() reads each key as vertex 2, which "2" names already; the
+    later of the two would silently win."""
+    argv = slot_docs(tmp_path, "nodal", "0.5")
+    (tmp_path / "f.json").write_text(
+        '{"kind": "nodal-linear", "nodal_values": '
+        '{"0": 0.25, "1": 0.5, "2": -0.25, "%s": 9.0}}' % key)
+    assert main(argv) == 2
+    assert f"bad vertex index '{key}'" in capsys.readouterr().err
+
+
 # --- malformed numbers in the input documents ---------------------------------
 
 HUGE_INT = "1" * 401

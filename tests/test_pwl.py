@@ -68,6 +68,30 @@ def test_nodal_1d_hat():
     np.testing.assert_allclose(v.constants, [0.0, 2.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("values", [{-3: 1.0, 1: 2.0, 2: 3.0},
+                                    {0: 1.0, 1: 2.0, 7: 3.0}],
+                         ids=["negative", "past the end"])
+def test_nodal_keys_outside_the_vertex_table_are_refused(values):
+    # -3 used to overwrite vertex 0 and 7 to raise IndexError
+    with pytest.raises(MeshError, match=r"exactly one key .* \[0, 3\)"):
+        nodal_linear(interval_mesh(0.0, 0.5, 1.0), values)
+
+
+@pytest.mark.parametrize("values", [{0: 0.0, "0": 1.0, 1: 0.0},
+                                    {0: 0.0, 1.5: 1.0, 2: 0.0},
+                                    {0: 0.0, "01": 1.0, 2: 0.0}],
+                         ids=["int and string", "fraction", "leading zero"])
+def test_nodal_keys_that_alias_a_vertex_are_refused(values):
+    with pytest.raises(MeshError, match="exactly one key"):
+        nodal_linear(interval_mesh(0.0, 0.5, 1.0), values)
+
+
+def test_nodal_keys_may_be_index_strings():
+    mesh = interval_mesh(0.0, 0.5, 1.0)
+    assert nodal_linear(mesh, {"2": 0.0, "0": 0.0, "1": 1.0}).nodal_values.tolist() \
+        == [0.0, 1.0, 0.0]
+
+
 def test_nodal_unit_triangle():
     cell = ConvexCell.from_simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = PolytopeMesh(2, [cell])

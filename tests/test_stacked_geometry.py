@@ -1,7 +1,9 @@
-"""The stacked cell geometry of non-simplex cells (boundedness, vertex
-sets, shrunk tilings and facet pruning for a whole list of cells at once)
-against the per-cell enumeration kept in `oracles.py`, byte for byte, and
-the same bits for a cell alone as in any stack."""
+"""The stacked cell geometry of non-simplex cells (vertex sets, shrunk
+tilings and facet pruning for a whole list of cells at once) against the
+per-cell enumeration kept in `oracles.py`, byte for byte, and the same bits
+for a cell alone as in any stack; and boundedness, one convex hull of a
+cell's unit normals (Gordan's alternative), against the recession-cone
+enumeration kept there, on fixed, drawn and clipped-Voronoi cells."""
 
 import functools
 
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 from relufem import docio
 from relufem import mesh as mesh_module
 from relufem.errors import MeshError
-from relufem.mesh import ConvexCell, PolytopeMesh
-from relufem.meshgen import random_bounded_polytope, random_polygon_mesh
+from relufem.mesh import ConvexCell, PolytopeMesh, unit_cube_hull
+from relufem.meshgen import (bisector_candidates, demo_polygon_mesh,
+                             random_bounded_polytope, random_polygon_mesh)
 from relufem.pwl import PiecewiseLinear
 
 import oracles
@@ -77,8 +80,8 @@ def oracle_of_fixed(name, epsilon):
 
 def stacked_geometry(pairs, epsilon):
     """The same facts for every system of the list from stacked calls over
-    the whole list: one fill of boundedness and vertex sets, one tiling
-    call and one pruning call for the cells that have vertex sets."""
+    the whole list: one fill of vertex sets, one tiling call and one
+    pruning call for the cells that have vertex sets."""
     cells = [ConvexCell(W, b) for W, b in pairs]
     mesh_module._fill_vertex_sets(cells)
     facts, good = [], []
@@ -180,8 +183,8 @@ def test_mesh_questions_enumerate_once(monkeypatch):
     PiecewiseLinear(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)),
                     rng.uniform(-1, 1, mesh.n_cells)).sup_norm()
     mesh_module.sample_cells(mesh, 5, seed=0)
-    # one boundedness pass over the cells and the hull, one vertex pass
-    assert calls == [mesh.n_cells + 1, mesh.n_cells]
+    # one vertex pass; boundedness enumerates nothing
+    assert calls == [mesh.n_cells]
 
 
 def test_whole_cell_tilings_are_cached_and_match_the_reference(monkeypatch):
@@ -199,3 +202,187 @@ def test_whole_cell_tilings_are_cached_and_match_the_reference(monkeypatch):
         assert cell.simplices() is tiles
         assert as_bytes(tiles) == as_bytes(oracles.shrunk_tiles(cell, 0.0))
 
+
+
+# --- boundedness: one convex hull of the unit normals ------------------------
+
+SMALL = {
+    "interval": ([[1.0], [-2.0]], [0.0, 1.0]),
+    "interval, duplicate rows": ([[1.0], [3.0], [-1.0], [-1.0]], [0.0, 1.0, 1.0, 2.0]),
+    "half-line to the left": ([[-1.0]], [1.0]),
+    "two half-lines one way": ([[1.0], [2.0]], [0.0, -1.0]),
+    "two rows in R^2": ([[1.0, 0.0], [-1.0, 1.0]], [0.0, 1.0]),
+    "three rows in R^3": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -1.0]],
+                          [0.0, 0.0, 1.0]),
+    "triangle": ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, 1.0]),
+    "triangle, every row twice": ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]] * 2,
+                                  [0.0, 0.0, 1.0, 0.0, 0.0, 2.0]),
+    "square, antiparallel pairs": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                   [0.0, 1.0, 0.0, 1.0]),
+    "strip, doubled": ([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [0.0, -3.0]],
+                       [0.0, 1.0, 0.0, 1.0]),
+    "slab in R^3, antiparallel pairs": ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                                         [0.0, 1.0, 1.0], [0.0, -1.0, -1.0]],
+                                        [0.0, 1.0, 0.0, 1.0]),
+    "half-plane from opposite corners": ([[1.0, 1.0], [1.0, -1.0], [0.0, 1.0],
+                                          [0.0, -1.0]], [0.0, 0.0, 1.0, 1.0]),
+}
+
+
+def bounded_by_hull(W, b):
+    return ConvexCell(W, b).is_bounded()
+
+
+def bounded_by_oracle(W, b):
+    return oracles.is_bounded(ConvexCell(W, b))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL) + sorted(FIXED))
+def test_boundedness_agrees_with_the_enumeration(name):
+    W, b = SMALL[name] if name in SMALL else FIXED[name]
+    assert bounded_by_hull(W, b) == bounded_by_oracle(W, b)
+
+
+# small integer normals: duplicates, antiparallel pairs, rank-deficient sets
+# and origins exactly on the hull of the normals
+normals = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any),
+    min_size=1, max_size=2 * n + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(normals)
+def test_drawn_normals_agree_with_the_enumeration(W):
+    W = np.array(W, dtype=float)
+    b = np.ones(len(W))
+    assert bounded_by_hull(W, b) == bounded_by_oracle(W, b)
+
+
+def raw_clipped_cells():
+    """The raw cells the generator hands to its pruning: the pentagon and
+    random_polygon_mesh seeds 0-29, at default sites and at 20 sites."""
+    seen = []
+    prune = ConvexCell.prune_all
+
+    def spy(cells, tol=1e-9):
+        seen.extend((c.W, c.b) for c in cells)
+        return prune(cells, tol)
+
+    ConvexCell.prune_all = staticmethod(spy)
+    try:
+        demo_polygon_mesh()
+        for seed in range(30):
+            random_polygon_mesh(seed)
+            random_polygon_mesh(seed, n_sites=20)
+    finally:
+        ConvexCell.prune_all = staticmethod(prune)
+    return seen
+
+
+def voronoi_systems(sites, hull=None):
+    """Each site's bisector rows against its Delaunay neighbours, after the
+    hull's rows when a hull is given (the generator's construction)."""
+    sq = np.array([q @ q for q in sites])
+    out = []
+    for i, others in enumerate(bisector_candidates(sites)):
+        W, b = 2.0 * (sites[i] - sites[others]), sq[others] - sq[i]
+        if hull is not None:
+            W, b = np.vstack([hull.W, W]), np.concatenate([hull.b, b])
+        out.append((W, b))
+    return out
+
+
+def test_clipped_voronoi_cells_agree_with_the_enumeration():
+    pairs = raw_clipped_cells()
+    assert len(pairs) == 876
+    assert [bounded_by_hull(W, b) for W, b in pairs] == [True] * len(pairs)
+    assert all(bounded_by_oracle(W, b) for W, b in pairs)
+
+
+@pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
+def test_3d_voronoi_cells_agree_with_the_enumeration(clipped):
+    # 500 sites in [0.05, 0.95]^3; without the cube, the cells of sites on
+    # the sites' hull are unbounded
+    sites = np.random.default_rng(0).uniform(0.05, 0.95, (500, 3))
+    pairs = voronoi_systems(sites, unit_cube_hull(3) if clipped else None)
+    got = [bounded_by_hull(W, b) for W, b in pairs]
+    assert got == [bounded_by_oracle(W, b) for W, b in pairs]
+    assert all(got) if clipped else 0 < got.count(False) < len(got)
+
+
+def test_unclipped_2d_voronoi_cells_agree_with_the_enumeration():
+    sites = np.random.default_rng(1).uniform(0.0, 1.0, (300, 2))
+    pairs = voronoi_systems(sites)
+    got = [bounded_by_hull(W, b) for W, b in pairs]
+    assert got == [bounded_by_oracle(W, b) for W, b in pairs]
+    assert 0 < got.count(False) < len(got)
+
+
+def capped_prism(delta):
+    """The square prism |x| <= 1, |y| <= 1 along z, capped by two rows
+    whose normals tilt by delta from the side normal e_x: bounded for
+    every delta > 0, about 4 / delta long."""
+    W = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+         [1.0, 0.0, -delta], [1.0, 0.0, delta]]
+    return W, np.ones(6)
+
+
+@pytest.mark.parametrize("delta, by_hull, by_enumeration", [
+    (1e-6, True, True), (1e-11, True, True), (5e-12, True, True),
+    (2.5e-12, True, True), (2e-12, False, True), (1.5e-12, False, True),
+    (1.2e-12, False, True), (1e-12, False, False), (1e-13, False, False),
+    (0.0, False, False)])
+def test_a_capped_prism_near_the_vertex_tolerance(delta, by_hull, by_enumeration):
+    """Both call a cap tilted by about VERTEX_RTOL flat, at thresholds a
+    factor 2 apart. The enumeration escapes along d = e_z when delta <=
+    VERTEX_RTOL; the hull of the normals is 2 delta thick, so its facets
+    pass delta / 2 from the origin and it calls the prism unbounded when
+    delta <= 2 VERTEX_RTOL. Between the two they disagree."""
+    W, b = capped_prism(delta)
+    assert (bounded_by_hull(W, b), bounded_by_oracle(W, b)) == (by_hull, by_enumeration)
+
+
+def criterion_8_draws():
+    rng = np.random.default_rng(8)
+    return {(n, int(rng.integers(n + 1, 7)), 3000 + i)
+            for i, n in enumerate([2] * 50 + [3] * 50)}
+
+
+# every (n, m, seed) a test draws a polytope with, but the hypothesis ones
+POLYTOPE_DRAWS = sorted(
+    {(n, m, 200 + 10 * n + m) for n in (2, 3) for m in (n + 1, n + 3, 2 * n + 2)}
+    | {(n, m, 300 + m) for n in (2, 3) for m in (n + 1, n + 3, 2 * n + 2, 3 * n + 4)}
+    | {(n, n + 2, 100 + i) for i, n in enumerate((2, 2, 3, 3))}
+    | {(n, m, seed) for n, m in ((2, 7), (3, 9), (4, 11)) for seed in range(3)}
+    | {(n, m, 7) for n, m in ((2, 3), (2, 6), (3, 4), (3, 8))}
+    | {(2, 5, 1), (3, 6, 2)}
+    | criterion_8_draws()
+    # test_shrunk_polytope_samples_are_exact draws seed % 1000, n in 2..4
+    | {(n, 2 * n + 2, seed) for n in (2, 3, 4) for seed in range(0, 1000, 37)})
+
+
+def test_random_bounded_polytope_draws_what_the_enumeration_drew(monkeypatch):
+    got = [random_bounded_polytope(*key) for key in POLYTOPE_DRAWS]
+    monkeypatch.setattr(ConvexCell, "is_bounded", oracles.is_bounded)
+    for key, cell in zip(POLYTOPE_DRAWS, got):
+        want = random_bounded_polytope(*key)
+        assert (cell.W.tobytes(), cell.b.tobytes()) == (want.W.tobytes(), want.b.tobytes()), key
+
+
+def test_boundedness_is_one_convex_hull_per_cell_and_kept(monkeypatch):
+    mesh = PolytopeMesh.from_doc(docio.loads(docio.dumps(
+        random_polygon_mesh(2, n_sites=30).to_doc())))
+    asked = []
+    convex_hull = mesh_module.ConvexHull
+    monkeypatch.setattr(mesh_module, "ConvexHull",
+                        lambda U: asked.append(U) or convex_hull(U))
+    mesh_module.validate_mesh(mesh, samples=1000)
+    # every cell and the hull, whose LP blocks need it, once each
+    cells = mesh.cells + [mesh.domain_hull]
+    assert len(asked) == len(cells)
+    for U, cell in zip(asked, cells):
+        assert U.tobytes() == (cell.W / cell.norms[:, None]).tobytes()
+    mesh_module.validate_mesh(mesh, samples=1000)
+    mesh.vertex_sets()
+    mesh_module.sample_cells(mesh, 5, seed=0)
+    assert len(asked) == len(cells)
