@@ -114,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
 
     p = sub.add_parser("freudenthal", help="write a standard simplicial mesh")
-    p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--N", type=int, required=True, help="grid resolution")
+    p.add_argument("--n", type=_positive_int, required=True, help="dimension")
+    p.add_argument("--N", type=_positive_int, required=True, help="grid resolution")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("convergence", help="mesh refinement error study")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--Ns", type=_resolutions, default="2,4,8,16",
                    help="comma separated resolutions")
     p.add_argument("--p", type=_norm_exponent, default=2.0)

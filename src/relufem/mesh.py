@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
+from scipy.spatial import (ConvexHull, Delaunay, HalfspaceIntersection, QhullError,
+                           cKDTree)
 
 from . import docio, lp
 from ._chunks import CHUNK_ELEMENTS
@@ -29,6 +30,9 @@ VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
 # box stops splitting
 TREE_LEVELS = 16
 LEAF_CANDIDATES = 4
+# sample_exterior: the bounding box's inflation, and the far ring's points
+EXTERIOR_INFLATE = 3.0
+EXTERIOR_FAR_POINTS = 100
 
 _UNSET = object()
 
@@ -243,47 +247,22 @@ def _simplex_facts(V, W, b, names=None):
     return np.max(h, axis=-1, keepdims=True) / h, r[:, None] * centre, r
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(m, n):
-    """The n-subsets of range(m) in itertools.combinations order, (S, n),
-    read-only."""
-    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=int).reshape(-1, n)
-    subsets.flags.writeable = False
-    return subsets
-
-
-def _enumeration_size(m, n):
-    """Floats an enumeration of one system of m facets in R^n holds at
-    once: an n x n matrix and m facet values per n-subset."""
-    return math.comb(m, n) * (n * n + m)
-
-
-def _stacks(shapes, size=_enumeration_size):
-    """Index lists that cut the systems of the given (m, n) shapes into
-    stacks: systems of one dimension in order of facet count, each stack
-    holding at most CHUNK_ELEMENTS floats when every system in it takes
-    size(m, n) floats at the stack's largest count m, or one system when
-    that alone takes more."""
+def _stacks(shapes):
+    """Index lists that cut the cells of the given (m, n) shapes into
+    stacks for _supporting_rows: cells of one dimension in order of facet
+    count, at most CHUNK_ELEMENTS floats of (vertex, facet) and (facet,
+    facet) pairs per stack, with C(m, n) vertices at its largest count m,
+    or one cell when that alone takes more."""
     stack = []
     for i in sorted(range(len(shapes)), key=lambda i: shapes[i][::-1]):
         m, n = shapes[i]
-        if stack and (shapes[stack[0]][1] != n
-                      or (len(stack) + 1) * size(m, n) > CHUNK_ELEMENTS):
+        if stack and (shapes[stack[0]][1] != n or (len(stack) + 1)
+                      * (math.comb(m, n) + m) * m * n > CHUNK_ELEMENTS):
             yield stack
             stack = []
         stack.append(i)
     if stack:
         yield stack
-
-
-def _padded(arrays, fill=0.0):
-    """The arrays (m_c, ...) stacked as (k, M, ...), M the largest m_c,
-    with `fill` after each one's rows, and which rows are real (k, M)."""
-    counts = np.array([len(a) for a in arrays])
-    real = np.arange(np.max(counts)) < counts[:, None]
-    out = np.full(real.shape + arrays[0].shape[1:], fill)
-    out[real] = np.concatenate(arrays)
-    return out, real
 
 
 def _max_abs(X):
@@ -295,113 +274,102 @@ def _max_abs(X):
     return size
 
 
-def _subset_stack(counts, n):
-    """Per system c, its n-facet subsystems _subsets(counts[c], n)
-    (S_c, n), as one stack (k, S, n) padded with row 0, and which are real
-    (k, S)."""
-    by_count = {m: _subsets(m, n) for m in set(counts.tolist())}
-    S = max(len(p) for p in by_count.values())
-    subsets = np.zeros((len(counts), S, n), dtype=int)
-    real = np.zeros((len(counts), S), dtype=bool)
-    for m, p in by_count.items():
-        subsets[counts == m, :len(p)] = p
-        real[counts == m, :len(p)] = True
-    return subsets, real
+def _meeting_rows(H, point):
+    """For each vertex of the bounded system {W x + b >= 0}, given as
+    Qhull's H = [-W, -b], the rows that meet there, found about a point
+    strictly inside it: Qhull's dual facets (Barber, Dobkin & Huhdanpaa
+    1996), or in 1D the first row that reaches each end. No rows when
+    Qhull refuses the point as not clearly inside."""
+    if H.shape[1] == 2:
+        x = -H[:, 1] / H[:, 0]
+        return [[int(np.argmax(x == end))]
+                for end in (np.max(x[H[:, 0] < 0]), np.min(x[H[:, 0] > 0]))]
+    try:
+        return HalfspaceIntersection(H, point).dual_facets
+    except QhullError:
+        return []
 
 
-def _feasible_intersections(W, b, subsets, real):
-    """The n-facet subsystems `subsets` (k, S, n) (where `real`, (k, S))
-    of the systems {W[c] x + b[c] >= 0} of a stack W (k, M, n), b (k, M),
-    padded with rows w = 0, b = inf: their solutions X (k, S, n), NaN
-    unless the subsystem is real and nonsingular and its solution
-    feasible, and the magnitudes max_j |x_j| (k, S). Feasibility allows
-    VERTEX_RTOL of the magnitude, the scale of a solved point's rounding.
+def _interior_points(cells, epsilon):
+    """A point strictly inside each cell of one dimension shrunk by
+    epsilon (every row > 0 there), None where there is none. The first
+    candidate strictly inside wins: at epsilon 0 the cell's `interior`;
+    where the inradius exceeds epsilon its Chebyshev centre (_solve_facts);
+    where a row of tiny norm puts that centre outside, as HiGHS meets each
+    row to an absolute tolerance, the centre of one LP over unit rows."""
+    points = [None] * len(cells)
 
-    Each system's points have the bits its own enumeration gives them:
-    det and solve run LAPACK once per matrix, and a system's facet values
-    come from its own product X[c] @ W[c].T, one dgemm whose entries do
-    not depend on the padding rows or columns (a padding row's value is
-    inf, which no minimum takes).
-    """
-    k, M, n = W.shape
-    norms = np.linalg.norm(W, axis=-1)
-    # the real subsets as rows of the stack's flattened facets
-    rows = (subsets + (M * np.arange(k))[:, None, None])[real]
-    A = W.reshape(-1, n)[rows]
-    scale = norms.reshape(-1)[rows]
-    for d in range(1, n):  # the product, in order
-        scale[:, 0] *= scale[:, d]
-    regular = np.abs(np.linalg.det(A)) >= 1e-12 * scale[:, 0]
-    solved = real.copy()
-    solved[real] = regular
-    X = np.full(subsets.shape, np.nan)
-    X[solved] = np.linalg.solve(A[regular], -b.reshape(-1)[rows[regular]][..., None])[..., 0]
-    size = _max_abs(X)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = (X @ W.transpose(0, 2, 1) + b[:, None]) / norms[:, None]
-        # the facets first, so that the minimum runs down whole rows
-        lowest = np.min(np.ascontiguousarray(values.transpose(2, 0, 1)), axis=0)
-        X[~(lowest >= -VERTEX_RTOL * size)] = np.nan
-    return X, size
+    def take(ids, candidates):  # where each is strictly inside, one stack
+        if ids:
+            m = [cells[i].m for i in ids]
+            values = np.einsum("rd,rd->r", np.repeat(candidates, m, axis=0),
+                               np.concatenate([cells[i].W for i in ids]))
+            values += np.concatenate([cells[i].b - epsilon * cells[i].norms for i in ids])
+            inside = np.minimum.reduceat(values, np.cumsum([0] + m[:-1])) > 0
+            for i, p, ok in zip(ids, candidates, inside):
+                points[i] = p if ok else None
+
+    given = [i for i, c in enumerate(cells) if epsilon == 0 and c.interior is not None]
+    take(given, [cells[i].interior for i in given])
+    _solve_facts([c for c, p in zip(cells, points) if p is None])
+    wide = [i for i, p in enumerate(points) if p is None and cells[i].inradius() > epsilon]
+    take(wide, [cells[i].chebyshev()[0] for i in wide])
+    outside = [i for i in wide if points[i] is None]
+    unit = [(cells[i].W / cells[i].norms[:, None], cells[i].b / cells[i].norms)
+            for i in outside]
+    facts = lp.cell_facts([], unit) if unit else None
+    if facts:  # None when that LP fails too
+        take(outside, [centre for centre, _ in facts[1]])
+    return points
 
 
-def _first_copies(X, size):
-    """Which points of each system of a stack X (k, P, n) are not NaN and
-    not within VERTEX_RTOL * max(size_i, size_j) of an earlier point of
-    their system in every coordinate, in blocks of rows whose pairs hold
-    at most CHUNK_ELEMENTS floats."""
-    k, P, n = X.shape
-    first = ~np.isnan(X[..., 0])
-    C = np.ascontiguousarray(X.transpose(2, 0, 1))  # one coordinate at a time
-    # rounding is monotone, so VERTEX_RTOL * max(s_i, s_j) is the larger
-    # of VERTEX_RTOL * s_i and VERTEX_RTOL * s_j
-    tol = VERTEX_RTOL * size
-    step = max(1, CHUNK_ELEMENTS // max(k * P, 1))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, P, step):
-            hi = min(lo + step, P)
-            apart = np.abs(C[0, :, lo:hi, None] - C[0, :, None, :hi])
-            for d in range(1, n):
-                gap = np.subtract(C[d, :, lo:hi, None], C[d, :, None, :hi])
-                np.maximum(apart, np.abs(gap, out=gap), out=apart)
-            close = apart <= np.maximum(tol[:, lo:hi, None], tol[:, None, :hi])
-            # every column before lo is earlier; within the block, those left
-            # of the diagonal
-            first[:, lo:hi] &= ~(np.any(close[..., :lo], axis=-1)
-                                 | np.any(np.tril(close[..., lo:], -1), axis=-1))
-    return first
+def _vertex_sets(cells, epsilon=0.0):
+    """Vertices of the bounded cells shrunk by epsilon, shape (p, n); (0, n)
+    where no point is strictly inside (_interior_points) or Qhull refuses it.
 
-
-def _vertex_sets(Ws, bs):
-    """Vertices of the bounded systems {Ws[i] x + bs[i] >= 0}, shape
-    (p, n), (0, n) when empty: each system's feasible intersections in
-    subset order, but those within VERTEX_RTOL of an earlier one. One
-    enumeration per stack (_stacks)."""
-    out = [None] * len(Ws)
-    for ids in _stacks([W.shape for W in Ws]):
-        W, rows = _padded([Ws[i] for i in ids])
-        b, _ = _padded([bs[i] for i in ids], np.inf)
-        n = W.shape[2]
-        subsets, real = _subset_stack(np.sum(rows, axis=1), n)
-        X, size = _feasible_intersections(W, b, subsets, real)
-        # each system's points first, in order; pairs run over the most any has
-        found = ~np.isnan(X[..., 0])
-        order = np.argsort(~found, axis=1, kind="stable")[:, :np.max(np.sum(found, axis=1))]
-        X = np.take_along_axis(X, order[..., None], axis=1)
-        first = _first_copies(X, np.take_along_axis(size, order, axis=1))
-        V = np.split(X[first], np.cumsum(np.sum(first, axis=1))[:-1])
-        for i, Vi in zip(ids, V):
-            out[i] = Vi
+    Each vertex is solved from the first n-subset, in itertools.combinations
+    order, of the rows meeting there (_meeting_rows) whose |det| >= 1e-12
+    prod|w_i|, and a cell's vertices are in the order of their subsets:
+    the bits and order of an enumeration of all n-subsets that keeps each
+    vertex's first copy, wherever Qhull lists every row through a vertex.
+    Only the Qhull calls are per cell; the cutoff and the solve are one
+    stack per dimension, and LAPACK factors each matrix alone."""
+    out = [None] * len(cells)
+    for n in {c.dim for c in cells}:
+        ids = [i for i, c in enumerate(cells) if c.dim == n]
+        group = [cells[i] for i in ids]
+        W = np.concatenate([c.W for c in group])
+        b = np.concatenate([c.b - epsilon * c.norms for c in group])
+        starts = np.cumsum([0] + [c.m for c in group])
+        H = np.column_stack([-W, -b])
+        meets = [[] if p is None else _meeting_rows(H[s:e], p) for s, e, p in
+                 zip(starts, starts[1:], _interior_points(group, epsilon))]
+        owner = np.repeat(np.arange(len(group)), [len(m) for m in meets])
+        # each vertex's n-subsets of its rows, as rows of its cell
+        subsets = [list(itertools.combinations(sorted(r), n)) for m in meets for r in m]
+        vertex = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+        local = np.array([s for v in subsets for s in v], dtype=int).reshape(-1, n)
+        flat = local + starts[owner[vertex], None]
+        A = W[flat]
+        scale = np.linalg.norm(W, axis=-1)[flat]
+        for d in range(1, n):  # the product, in order
+            scale[:, 0] *= scale[:, d]
+        regular = np.flatnonzero(np.abs(np.linalg.det(A)) >= 1e-12 * scale[:, 0])
+        chosen = regular[np.unique(vertex[regular], return_index=True)[1]]
+        X = np.linalg.solve(A[chosen], -b[flat[chosen]][..., None])[..., 0]
+        cell = owner[vertex[chosen]]
+        X = X[np.lexsort((*local[chosen].T[::-1], cell))]
+        cuts = np.cumsum(np.append(0, np.bincount(cell, minlength=len(group))))
+        for i, s, e in zip(ids, cuts, cuts[1:]):
+            out[i] = X[s:e]
     return out
 
 
 def _fill_vertex_sets(cells):
-    """Give each bounded non-simplex cell lacking them its vertex set: the
-    vertex sets of a whole mesh from a few stacked enumerations, as
-    _solve_facts gives its LP facts from one LP."""
+    """Give each bounded non-simplex cell lacking one its vertex set."""
     todo = [c for c in cells
             if c.vertices is None and c._vertex_set is None and c.is_bounded()]
-    for cell, V in zip(todo, _vertex_sets([c.W for c in todo], [c.b for c in todo])):
+    for cell, V in zip(todo, _vertex_sets(todo)):
         cell._vertex_set = V
 
 
@@ -414,13 +382,6 @@ def _facet_norms(W, b):
     if np.any(norms <= 0.0):
         raise MeshError("cell has a zero facet normal")
     return norms
-
-
-def _pruning_size(m, n):
-    """Floats _supporting_rows holds at once for a cell of m facets in
-    R^n: its (vertex, facet) and (facet, facet) pairs, n coordinates each,
-    with at most C(m, n) vertices."""
-    return (math.comb(m, n) + m) * m * n
 
 
 def _pair_blocks(sizes, starts):
@@ -489,19 +450,20 @@ class ConvexCell:
 
     A cell caches four facts: its boundedness, the Chebyshev ball, a
     strictly positive combination of the facet normals summing to zero,
-    and the vertex set. Such a combination exists for a bounded cell, and
-    a simplex is bounded; every other cell decides boundedness alone, by
-    one convex hull of its unit normals (is_bounded). On a simplex
-    (`is_simplex`) the ball and the combination have closed forms, set at
-    birth by from_simplices; every other cell gets both from its blocks
-    of one LP, shared by all the cells of a mesh (PolytopeMesh.solve_facts)
-    or solved alone for a lone cell. The vertex set is given for a
-    simplex; every other bounded cell gets it from n-facet intersections
-    enumerated for stacks of cells of one facet count, all the cells of a
-    mesh at its first mesh-level question (vertex_sets, bounding_box,
-    validate_mesh, the samplers) or a lone cell as a stack of one. The
+    and the vertex set. A simplex is bounded; every other cell decides
+    boundedness alone, by one convex hull of its unit normals
+    (is_bounded). On a simplex (`is_simplex`) the ball and the
+    combination have closed forms, set at birth by from_simplices; every
+    other cell gets both from its blocks of one LP, shared by all the
+    cells of a mesh (PolytopeMesh.solve_facts) or solved alone for a lone
+    cell. The vertex set is given for a simplex. Every other bounded cell
+    learns which rows meet at each vertex from one Qhull halfspace
+    intersection about a point strictly inside it, its `interior` point
+    (a Voronoi cell's site) or its Chebyshev centre, and the vertices of
+    all the cells of a mesh are solved at once at its first mesh-level
+    question (vertex_sets, bounding_box, validate_mesh, the samplers). The
     vertex set answers every other question, pruning included (prune_all,
-    again stacked). Volumes and samples come from a tiling of the (shrunk)
+    stacked). Volumes and samples come from a tiling of the (shrunk)
     cell; the unshrunk tiling is cached.
     """
 
@@ -513,8 +475,9 @@ class ConvexCell:
         self._set(W, b, _facet_norms(W, b),
                   None if vertices is None else np.asarray(vertices, dtype=float))
 
-    def _set(self, W, b, norms, vertices):
+    def _set(self, W, b, norms, vertices, interior=None):
         self.W, self.b, self.norms, self.vertices = W, b, norms, vertices
+        self.interior = interior  # a point inside (a site), checked before use
         self._cheb = self._lam = _UNSET  # both set together, None on failure
         self._bounded = None
         self._vertex_set = None
@@ -542,18 +505,21 @@ class ConvexCell:
         return cells
 
     @classmethod
-    def from_table(cls, W, b, sizes):
+    def from_table(cls, W, b, sizes, interior=None):
         """One cell per run of sizes[i] consecutive rows of the facet
-        table W (rows, n), b (rows,), all checked as one table."""
+        table W (rows, n), b (rows,), all checked as one table; cell i
+        is given the point interior[i] when interior is given."""
         W = np.asarray(W, dtype=float)
         b = np.asarray(b, dtype=float)
         if W.ndim != 2 or W.shape[0] != b.shape[0] or np.sum(sizes) != len(b):
             raise MeshError("normal/offset count mismatch")
         cuts = np.cumsum(sizes)[:-1]
         cells = []
-        for parts in zip(*(np.split(a, cuts)[:len(sizes)] for a in (W, b, _facet_norms(W, b)))):
+        points = [None] * len(sizes) if interior is None else interior
+        for *parts, point in zip(*(np.split(a, cuts)[:len(sizes)]
+                                   for a in (W, b, _facet_norms(W, b))), points):
             cell = cls.__new__(cls)
-            cell._set(*parts, None)
+            cell._set(*parts, None, point)
             cells.append(cell)
         return cells
 
@@ -636,7 +602,8 @@ class ConvexCell:
 
     def vertex_set(self) -> np.ndarray:
         """Vertices of the cell, shape (k, n): the given ones for simplices,
-        else n-facet intersections; MeshError when the cell is unbounded."""
+        else from _fill_vertex_sets; MeshError when the cell is unbounded
+        or its interior is empty."""
         if self.vertices is not None:
             return self.vertices
         if not self.is_bounded():
@@ -654,29 +621,24 @@ class ConvexCell:
     def simplices(self, epsilon: float = 0.0) -> np.ndarray:
         """Simplices tiling the epsilon-shrunk cell, shape (k, n+1, n).
 
-        A simplex cell shrinks to its homothety about the incentre c, ratio
-        (r - eps) / r, empty (k = 0) unless r > eps as the compiler rules.
-        Any other cell is a Delaunay tiling of its shrunk vertex set (or its
-        own tile with n+1 vertices), empty when the vertex mean is not
-        strictly inside.
+        Every shrunk cell is empty (k = 0) unless r > eps, the compiler's
+        rule. A simplex cell shrinks to its homothety about the incentre c,
+        ratio (r - eps) / r. Any other cell is a Delaunay tiling of its
+        shrunk vertex set (or its own tile with n+1 vertices).
         """
         return _tilings([self], epsilon)[0]
 
     def _tiling(self, epsilon, shrunk):
         """simplices(epsilon), given the vertex set of the shrunk system
-        (W, b - epsilon |w|) when epsilon > 0 and the cell is no simplex."""
+        (W, b - epsilon |w|) when epsilon > 0 and the cell is no simplex,
+        which is empty unless r > epsilon (_interior_points)."""
         V = self.vertex_set()
         n = self.dim
         if epsilon > 0 and self.is_simplex:
             c, r = self.chebyshev()
-            if not r > epsilon:
-                return np.zeros((0, n + 1, n))
-            return (c + ((r - epsilon) / r) * (V - c))[None]
+            shrunk = c + ((r - epsilon) / r) * (V - c) if r > epsilon else V[:0]
         if epsilon > 0:
-            b = self.b - epsilon * self.norms
-            if len(shrunk) <= n or np.min(_affine(shrunk.mean(axis=0)[None], self.W, b)) <= 0.0:
-                return np.zeros((0, n + 1, n))
-            return _delaunay_tiles(shrunk)
+            return _delaunay_tiles(shrunk) if len(shrunk) > n else np.zeros((0, n + 1, n))
         if self._tiles is None:
             self._tiles = _delaunay_tiles(V)
             self._tiles.flags.writeable = False
@@ -701,14 +663,15 @@ class ConvexCell:
         _fill_vertex_sets(cells)
         V = [c.vertex_set() for c in cells]
         keep = [None] * len(cells)
-        for ids in _stacks([c.W.shape for c in cells], _pruning_size):
+        for ids in _stacks([c.W.shape for c in cells]):
             rows = _supporting_rows([cells[i] for i in ids], [V[i] for i in ids], tol)
             for i, r in zip(ids, np.split(rows, np.cumsum([cells[i].m for i in ids])[:-1])):
                 keep[i] = r
         pruned = []
         for cell, rows in zip(cells, keep):
             p = ConvexCell.__new__(ConvexCell)
-            p._set(cell.W[rows], cell.b[rows], cell.norms[rows], cell.vertices)
+            p._set(cell.W[rows], cell.b[rows], cell.norms[rows], cell.vertices,
+                   cell.interior)
             # the same polytope, so the same vertex set and boundedness
             p._vertex_set, p._bounded = cell._vertex_set, cell._bounded
             pruned.append(p)
@@ -771,8 +734,9 @@ def _delaunay_tiles(V):
 def _tilings(cells, epsilon):
     """cell.simplices(epsilon) of every cell of the list, refusing the
     first cell that has no vertex set as it would alone. The shrunk vertex
-    sets of the non-simplex cells come from stacked enumerations; the
-    tilings themselves are Delaunay's, cell by cell."""
+    sets of the non-simplex cells are solved about their Chebyshev
+    centres, all of them by one _vertex_sets; the tilings themselves are
+    Delaunay's, cell by cell."""
     if not epsilon >= 0:
         raise MeshError("epsilon must be >= 0")
     _fill_vertex_sets(cells)
@@ -780,9 +744,7 @@ def _tilings(cells, epsilon):
     if epsilon > 0:
         todo = [i for i, c in enumerate(cells) if not c.is_simplex and (
             c.vertices is not None or c.is_bounded() and len(c._vertex_set))]
-        sets = _vertex_sets([cells[i].W for i in todo],
-                            [cells[i].b - epsilon * cells[i].norms for i in todo])
-        for i, V in zip(todo, sets):
+        for i, V in zip(todo, _vertex_sets([cells[i] for i in todo], epsilon)):
             shrunk[i] = V
     return [c._tiling(epsilon, V) for c, V in zip(cells, shrunk)]
 
@@ -984,17 +946,10 @@ class PolytopeMesh:
         return [c.vertex_set() for c in self.cells]
 
     def bounding_box(self):
-        """Min and max vertex coordinates: one reduction over the simplex
-        cells' vertices, a box per other cell from the stacked vertex
-        sets."""
-        simplex, V = self._simplex_stack()
-        V = V.reshape(-1, self.dimension)
-        others = [c for c, s in zip(self.cells, simplex) if not s]
-        _fill_vertex_sets(others)
-        boxes = [c.bounding_box() for c in others]
-        boxes.append((V.min(axis=0, initial=np.inf), V.max(axis=0, initial=-np.inf)))
-        los, his = zip(*boxes)
-        return np.min(los, axis=0), np.max(his, axis=0)
+        """Min and max vertex coordinates, one reduction over every
+        cell's vertex set."""
+        V = np.concatenate(self.vertex_sets())
+        return V.min(axis=0), V.max(axis=0)
 
     def volume(self) -> float:
         """Sum of the cell volumes in cell order; the simplex cells' come
@@ -1227,15 +1182,14 @@ def sample_mesh(mesh: PolytopeMesh, count: int, seed: int) -> np.ndarray:
     return _sample(tiles, rng.multinomial(count, vols / vols.sum()), rng)[0]
 
 
-def sample_exterior(mesh: PolytopeMesh, count: int, seed: int,
-                    inflate: float = 3.0, far_points: int = 100,
-                    region=None):
+def sample_exterior(mesh: PolytopeMesh, count: int, seed: int, region=None):
     """Points safely outside the mesh (or outside `region` when given):
-    rejection samples from the inflated bounding box plus a far ring at
-    ten diameters. MeshError when the box yields fewer than count."""
+    rejection samples from the bounding box inflated EXTERIOR_INFLATE
+    times, plus EXTERIOR_FAR_POINTS on a far ring at ten diameters.
+    MeshError when the box yields fewer than count."""
     lo, hi = mesh.bounding_box()
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * inflate
+    half = 0.5 * (hi - lo) * EXTERIOR_INFLATE
     diam = float(np.linalg.norm(hi - lo))
     rng = _rng(seed, 90)
     batches = []
@@ -1254,7 +1208,7 @@ def sample_exterior(mesh: PolytopeMesh, count: int, seed: int,
     if got < count:
         raise MeshError(f"exterior sampling found {got} of {count} points "
                         f"outside the {'mesh' if region is None else 'region'}")
-    dirs = rng.standard_normal((far_points, mesh.dimension))
+    dirs = rng.standard_normal((EXTERIOR_FAR_POINTS, mesh.dimension))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.vstack([np.vstack(batches)[:count], center + dirs * (10.0 * diam)])
 

@@ -68,11 +68,11 @@ def voronoi_polygon_mesh(sites, boundary_polygon) -> PolytopeMesh:
         W += [hull_W, 2.0 * (sites[i] - sites[others])]
         b += [hull_b, sq_norms[others] - sq_norms[i]]
         sizes.append(len(hull_b) + len(others))
-    cells = ConvexCell.from_table(np.vstack(W), np.concatenate(b), sizes)
-    hull = ConvexCell(hull_W, hull_b)
-    # the raw cells' vertex sets in one pass
-    PolytopeMesh(2, cells, domain_hull=hull).vertex_sets()
-    return PolytopeMesh(2, ConvexCell.prune_all(cells), domain_hull=hull)
+    # each raw cell's site is its interior point, which its vertex set is
+    # solved about
+    cells = ConvexCell.from_table(np.vstack(W), np.concatenate(b), sizes, sites)
+    return PolytopeMesh(2, ConvexCell.prune_all(cells),
+                        domain_hull=ConvexCell(hull_W, hull_b))
 
 
 def random_polygon_mesh(seed: int, n_sites: int | None = None) -> PolytopeMesh:

@@ -249,6 +249,26 @@ def test_convergence_malformed_resolutions_exit_2(capsys, Ns):
     assert "--Ns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["freudenthal", "--n", "0", "--N", "2"],
+    ["freudenthal", "--n", "2", "--N", "0"],
+    ["freudenthal", "--n", "-1", "--N", "2"],
+    ["freudenthal", "--n", "2", "--N", "1.5"],
+    ["convergence", "--n", "0"],
+], ids=["freudenthal n=0", "freudenthal N=0", "freudenthal n=-1",
+        "freudenthal N=1.5", "convergence n=0"])
+def test_malformed_mesh_sizes_exit_2(tmp_path, capsys, argv):
+    # refused by the parser (exit 2), not by freudenthal_mesh (exit 3)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n" in err or "--N" in err
+    assert "freudenthal_mesh" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("Ns", ["2", "2,2"])
 def test_convergence_needs_two_resolutions(capsys, Ns):
     # a malformed argument to the CLI (exit 2), a VerifyError to the library

@@ -1,9 +1,12 @@
-"""The stacked cell geometry of non-simplex cells (vertex sets, shrunk
-tilings and facet pruning for a whole list of cells at once) against the
-per-cell enumeration kept in `oracles.py`, byte for byte, and the same bits
-for a cell alone as in any stack; and boundedness, one convex hull of a
-cell's unit normals (Gordan's alternative), against the recession-cone
-enumeration kept there, on fixed, drawn and clipped-Voronoi cells."""
+"""The stacked cell geometry of non-simplex cells against the per-cell
+enumeration kept in `oracles.py`, byte for byte, and the same bits for a
+cell alone as in any stack: vertex sets (the rows meeting at each vertex
+from one Qhull halfspace intersection per cell, about its site or its
+Chebyshev centre, then one stacked solve), shrunk tilings and facet
+pruning for a whole list of cells at once; and boundedness, one convex
+hull of a cell's unit normals (Gordan's alternative), against the
+recession-cone enumeration kept there, on fixed, drawn and 2D and 3D
+clipped-Voronoi cells."""
 
 import functools
 
@@ -174,17 +177,17 @@ def test_mesh_questions_enumerate_once(monkeypatch):
     mesh = PolytopeMesh.from_doc(docio.loads(docio.dumps(
         random_polygon_mesh(2, n_sites=30).to_doc())))
     calls = []
-    enumerate_ = mesh_module._feasible_intersections
-    monkeypatch.setattr(mesh_module, "_feasible_intersections",
-                        lambda *a: calls.append(len(a[0])) or enumerate_(*a))
+    intersect = mesh_module.HalfspaceIntersection
+    monkeypatch.setattr(mesh_module, "HalfspaceIntersection",
+                        lambda *a: calls.append(1) or intersect(*a))
     mesh_module.validate_mesh(mesh, samples=1000)
     mesh.bounding_box()
     rng = np.random.default_rng(0)
     PiecewiseLinear(mesh, rng.uniform(-1, 1, (mesh.n_cells, 2)),
                     rng.uniform(-1, 1, mesh.n_cells)).sup_norm()
     mesh_module.sample_cells(mesh, 5, seed=0)
-    # one vertex pass; boundedness enumerates nothing
-    assert calls == [mesh.n_cells]
+    # one halfspace intersection per cell; boundedness needs none
+    assert len(calls) == mesh.n_cells
 
 
 def test_whole_cell_tilings_are_cached_and_match_the_reference(monkeypatch):
@@ -202,6 +205,65 @@ def test_whole_cell_tilings_are_cached_and_match_the_reference(monkeypatch):
         assert cell.simplices() is tiles
         assert as_bytes(tiles) == as_bytes(oracles.shrunk_tiles(cell, 0.0))
 
+
+
+# --- vertex sets: Qhull's meeting rows, solved as the enumeration solves ----
+
+def cells_about(pairs, points):
+    cells = [ConvexCell(W, b) for W, b in pairs]
+    for cell, point in zip(cells, points):
+        cell.interior = point
+    return cells
+
+
+def test_vertex_sets_do_not_depend_on_the_interior_point():
+    raw = raw_clipped_cells()
+    pairs = [(c.W, c.b) for c in raw]
+    about_sites = cells_about(pairs, [c.interior for c in raw])
+    about_centres = cells_about(pairs, [None] * len(raw))
+    for cells in (about_sites, about_centres):
+        mesh_module._fill_vertex_sets(cells)
+    assert all(c.interior is not None and c._cheb is mesh_module._UNSET
+               for c in about_sites)
+    for (W, b), s, c in zip(pairs, about_sites, about_centres):
+        want = as_bytes(oracles.halfspace_vertices(W, b))
+        assert as_bytes(s.vertex_set()) == as_bytes(c.vertex_set()) == want
+
+
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 0.9])
+def test_shrunk_pruned_cells_match_the_enumeration(fraction):
+    # solved about the Chebyshev centre, as the tilings solve them
+    cells = random_polygon_mesh(1, n_sites=40).cells
+    mesh_module._solve_facts(cells)
+    shrunk = [c.shrink(fraction * c.inradius()) for c in cells]
+    mesh_module._fill_vertex_sets(shrunk)
+    for c in shrunk:
+        assert as_bytes(c.vertex_set()) == as_bytes(oracles.halfspace_vertices(c.W, c.b))
+
+
+def test_a_corner_at_the_origin_keeps_both_sides():
+    # Qhull's own intersection point at the square's corner (0, 0) is off by
+    # rounding and fails the tight test of the row x >= 0; the solved
+    # vertex is exact, so pruning keeps both sides through the corner
+    raw = [c for c in raw_clipped_cells()
+           if any(np.array_equal(v, [0.0, 0.0]) for v in c.vertex_set())][0]
+    X = mesh_module.HalfspaceIntersection(np.column_stack([-raw.W, -raw.b]),
+                                          raw.interior).intersections
+    corner = X[np.argmin(np.abs(X).sum(axis=1))]
+    assert np.max(np.abs(corner)) > 0.0
+    pruned = raw.prune_redundant()
+    for side in ([1.0, 0.0], [0.0, 1.0]):
+        assert any(np.array_equal(w, side) and b == 0.0 for w, b in zip(pruned.W, pruned.b))
+
+
+@pytest.mark.parametrize("point", ["site", "chebyshev"])
+def test_3d_clipped_voronoi_vertex_sets_match_the_enumeration(point):
+    sites = np.random.default_rng(3).uniform(0.05, 0.95, (300, 3))
+    pairs = voronoi_systems(sites, unit_cube_hull(3))
+    cells = cells_about(pairs, sites if point == "site" else [None] * len(pairs))
+    mesh_module._fill_vertex_sets(cells)
+    for cell, (W, b) in zip(cells, pairs):
+        assert as_bytes(cell.vertex_set()) == as_bytes(oracles.halfspace_vertices(W, b))
 
 
 # --- boundedness: one convex hull of the unit normals ------------------------
@@ -258,14 +320,16 @@ def test_drawn_normals_agree_with_the_enumeration(W):
     assert bounded_by_hull(W, b) == bounded_by_oracle(W, b)
 
 
+@functools.lru_cache(maxsize=None)
 def raw_clipped_cells():
-    """The raw cells the generator hands to its pruning: the pentagon and
-    random_polygon_mesh seeds 0-29, at default sites and at 20 sites."""
+    """The raw cells the generator hands to its pruning, each with its site
+    as its interior point: the pentagon and random_polygon_mesh seeds 0-29,
+    at default sites and at 20 sites."""
     seen = []
     prune = ConvexCell.prune_all
 
     def spy(cells, tol=1e-9):
-        seen.extend((c.W, c.b) for c in cells)
+        seen.extend(cells)
         return prune(cells, tol)
 
     ConvexCell.prune_all = staticmethod(spy)
@@ -293,7 +357,7 @@ def voronoi_systems(sites, hull=None):
 
 
 def test_clipped_voronoi_cells_agree_with_the_enumeration():
-    pairs = raw_clipped_cells()
+    pairs = [(c.W, c.b) for c in raw_clipped_cells()]
     assert len(pairs) == 876
     assert [bounded_by_hull(W, b) for W, b in pairs] == [True] * len(pairs)
     assert all(bounded_by_oracle(W, b) for W, b in pairs)
