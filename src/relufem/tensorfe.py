@@ -22,6 +22,24 @@ from ._chunks import CHUNK_ELEMENTS, run_chunks
 from .errors import CompileError, DocumentError, VerifyError
 from .networks import TensorNet
 
+# order-2 rank rule: singular values above RANK_RTOL of the largest count
+RANK_RTOL = 1e-12
+# order-2 sketch rungs (see _svd_factors): rung k has k + SKETCH_OVERSAMPLE
+# Gaussian columns, k doubling from SKETCH_START, while that width is at
+# most SKETCH_MAX_WIDTH and 1/SKETCH_SPAN of the short side. At that width
+# the SVD of the width-square R factor stays below OpenBLAS's threading
+# thresholds (m n k <= 65536 * 4 for a GEMM, m n < 2304 * 4 for a GEMV),
+# so it runs on one thread whatever the CPU count.
+SKETCH_START = 8
+SKETCH_OVERSAMPLE = 8
+SKETCH_MAX_WIDTH = 64
+SKETCH_SPAN = 16
+# a rung's leftover |T - Q B|_F may be at most this share of the rank
+# cutoff: well above the rounding of the rung's products (about 3e-3 of the
+# cutoff on an 800 x 800 rank-6 grid), and the rank can differ from the
+# full SVD's only by a singular value within 0.5% above the cutoff
+SKETCH_SLACK = 1e-1
+
 
 class TensorMesh:
     """Axis grids t^k_0 < ... < t^k_{N_k} defining a box-product mesh."""
@@ -182,7 +200,7 @@ def _als(T, rank, seed, sweeps=500, rel_impr=1e-12):
     rng = np.random.default_rng(seed)
     dims = T.shape
     A = [rng.standard_normal((d, rank)) for d in dims]
-    normT = np.linalg.norm(T)
+    normT = _frobenius(T)
     prev = np.inf
     resid = np.inf
     for _ in range(sweeps):
@@ -198,7 +216,7 @@ def _als(T, rank, seed, sweeps=500, rel_impr=1e-12):
             rhs = _unfold(T, k) @ kr
             A[k] = rhs @ np.linalg.pinv(gram)
         rec = CPFactors(rank, [a.T for a in A], 0.0).reconstruct()
-        resid = np.linalg.norm(T - rec)
+        resid = _frobenius(T, rec)
         if prev - resid < rel_impr * max(normT, 1.0):
             break
         prev = resid
@@ -229,18 +247,110 @@ def matricization_rank_bound(shape) -> int:
     return int(np.prod(shape) // max(shape))
 
 
+def _frobenius(x, minus=0.0) -> float:
+    """|x - minus|_F as the square root of numpy's pairwise sum of squares,
+    which rounds the same on any thread count (np.linalg.norm's BLAS dot
+    does not), through one temporary array."""
+    d = np.subtract(x, minus)
+    np.square(d, out=d)
+    return math.sqrt(float(np.sum(d)))
+
+
+def _householder(Y):
+    """(Q, R) with Y = Q R for Y of shape (m, w), m >= w: Q has orthonormal
+    columns and R is upper triangular. The reflections are numpy
+    elementwise ops and einsum, so the bits do not depend on the BLAS
+    thread count, as LAPACK's QR's do. A zero column's reflection is the
+    identity."""
+    m, w = Y.shape
+    R = np.array(Y, dtype=float)
+    reflectors = []
+    for j in range(w):
+        v = R[j:, j].copy()
+        v[0] += math.copysign(_frobenius(v), v[0])
+        vv = float(np.sum(np.square(v)))
+        if vv > 0.0:
+            R[j:, j:] -= np.outer(v, np.einsum("i,ij->j", v, R[j:, j:]) * (2.0 / vv))
+        reflectors.append((v, vv))
+    Q = np.eye(m, w)
+    for j in reversed(range(w)):
+        v, vv = reflectors[j]
+        if vv > 0.0:
+            Q[j:, j:] -= np.outer(v, np.einsum("i,ij->j", v, Q[j:, j:]) * (2.0 / vv))
+    return Q, np.triu(R[:w])
+
+
+def _numerical_rank(S) -> int:
+    return max(int(np.sum(S > RANK_RTOL * S[0])), 1)
+
+
+def _svd_factors(T, seed):
+    """Order-2 factors (rank, [left rows, right rows]) of the SVD, keeping
+    the singular values above RANK_RTOL of the largest.
+
+    Rungs sketch the range of T: Q = qr(T Omega) for a Gaussian Omega of
+    k + SKETCH_OVERSAMPLE columns drawn from the seed, B = Q^T T, and the
+    SVD of the small B (through B^T = Q2 R2, as LAPACK takes a wide SVD). A
+    rung is accepted when some singular value of B falls below the cutoff
+    RANK_RTOL * sigma_1(B) and E = T - Q B has |E|_F at most SKETCH_SLACK
+    of that cutoff. As Q^T E = 0, T^T T = B^T B + E^T E, so sigma_i(B) <=
+    sigma_i(T) <= sqrt(sigma_i(B)^2 + |E|^2): near the cutoff T's singular
+    values exceed B's by at most SKETCH_SLACK^2 / 2 of it. The factors are
+    T V_r and V_r^T for B's leading right singular vectors V_r. Otherwise
+    k doubles (see SKETCH_MAX_WIDTH and SKETCH_SPAN for the last sketch).
+    The last rung is the SVD of T itself.
+
+    A rung costs O(m n k). Its products are einsums and its QRs
+    _householder; its one LAPACK call, the SVD of the (k + p)-square R2,
+    is too small to be threaded. So a factorization accepted on a rung has
+    the same bits on any BLAS thread count; the last rung's may not. A
+    matrix whose max|T| is outside 2^-400..2^400 goes straight to the last
+    rung: within, no sum of squares of the sketch overflows, nor underflows
+    at the scale of the cutoff.
+    """
+    m, n = T.shape
+    rng = np.random.default_rng(seed)
+    size = max(float(T.max()), -float(T.min()))
+    sketch = 2.0 ** -400 <= size <= 2.0 ** 400
+    k = SKETCH_START
+    while sketch and k + SKETCH_OVERSAMPLE <= min(SKETCH_MAX_WIDTH,
+                                                  min(m, n) // SKETCH_SPAN):
+        omega = rng.standard_normal((k + SKETCH_OVERSAMPLE, n))
+        Q, _ = _householder(np.einsum("ij,kj->ik", T, omega))
+        B = np.einsum("ik,ij->kj", Q, T)
+        Q2, R2 = _householder(B.T)
+        _, S, Vt = np.linalg.svd(R2.T)
+        r = _numerical_rank(S)
+        if r < S.size and (_frobenius(T, np.einsum("ik,kj->ij", Q, B))
+                           <= SKETCH_SLACK * RANK_RTOL * S[0]):
+            right = np.einsum("pk,jk->pj", Vt[:r], Q2)
+            return r, [np.einsum("ij,pj->pi", T, right), right]
+        k *= 2
+    U, S, Vt = np.linalg.svd(T, full_matrices=False)
+    r = _numerical_rank(S)
+    return r, [(U[:, :r] * S[:r]).T, Vt[:r]]
+
+
 def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
     """CP factorization of a coefficient tensor.
 
-    Order 2 is factored exactly through the SVD with the numerical rank
-    (singular values above 1e-12 of the largest). Higher orders run ALS
-    with increasing rank until the relative residual reaches target_tol,
-    falling back to the exact fibre expansion at the matricization bound.
-    The search starts at the largest numerical unfolding rank (singular
-    values above target_tol * |T|): a rank-r tensor has unfoldings of rank
-    at most r, so |T - T_r| >= sigma_{r+1}(unfolding) and no smaller rank
-    can reach the target. Each rank reseeds ALS, so skipping changes
-    nothing else. A negative or non-finite target_tol raises CompileError.
+    Order 2 is factored exactly with the numerical rank: singular values
+    above RANK_RTOL (1e-12) of the largest. _svd_factors takes them from a
+    seeded Gaussian range sketch that widens rung by rung, a rung counting
+    only when its own residual shows it holds all of T, so a rank-r n x n
+    matrix costs O(n^2 r) instead of the SVD's O(n^3). Small and high-rank
+    inputs reach the last rung, the SVD of T itself, and keep its bits. The
+    seed fixes the sketch, hence the factors' bits, not the rank.
+
+    Higher orders run ALS with increasing rank until the relative residual
+    reaches target_tol, falling back to the exact fibre expansion at the
+    matricization bound. The search starts at the largest numerical
+    unfolding rank (singular values above target_tol * |T|): a rank-r
+    tensor has unfoldings of rank at most r, so |T - T_r| >=
+    sigma_{r+1}(unfolding) and no smaller rank can reach the target. Each
+    rank reseeds ALS, so skipping changes nothing else. Norms are pairwise
+    sums of squares (_frobenius). A negative or non-finite target_tol
+    raises CompileError.
     """
     if not 0.0 <= target_tol < math.inf:
         raise CompileError(f"target_tol must satisfy 0 <= tol < inf, "
@@ -248,17 +358,13 @@ def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
     T = np.asarray(coeffs, dtype=float)
     if T.ndim < 2:
         raise DocumentError("coefficient tensor must have order >= 2")
-    normT = float(np.linalg.norm(T))
+    normT = _frobenius(T)
     if normT == 0.0:
         factors = [np.zeros((1, d)) for d in T.shape]
         return CPFactors(1, factors, 0.0)
     if T.ndim == 2:
-        U, S, Vt = np.linalg.svd(T, full_matrices=False)
-        r = int(np.sum(S > 1e-12 * S[0]))
-        r = max(r, 1)
-        factors = [(U[:, :r] * S[:r]).T, Vt[:r]]
-        cp = CPFactors(r, factors, 0.0)
-        cp.residual = float(np.linalg.norm(T - cp.reconstruct()))
+        cp = CPFactors(*_svd_factors(T, seed), 0.0)
+        cp.residual = _frobenius(T, cp.reconstruct())
         return cp
     bound = matricization_rank_bound(T.shape)
     start = max(int(np.sum(np.linalg.svd(_unfold(T, k), compute_uv=False)
@@ -268,7 +374,7 @@ def cp_decompose(coeffs, target_tol: float = 1e-12, seed: int = 0) -> CPFactors:
         if resid <= target_tol * normT:
             return CPFactors(rank, factors, float(resid))
     cp = _fibre_expansion(T)
-    cp.residual = float(np.linalg.norm(T - cp.reconstruct()))
+    cp.residual = _frobenius(T, cp.reconstruct())
     return cp
 
 

@@ -21,6 +21,7 @@ from relufem.errors import CompileError, ConditioningWarning, MeshError
 from relufem.mesh import ConvexCell, PolytopeMesh
 from relufem.meshgen import polygon_halfspaces
 from relufem.networks import relu
+from relufem.tensorfe import CPFactors
 
 
 def linear_minimum_raw(W, b, cost):
@@ -527,6 +528,18 @@ def tensor_eval_batch(u, X):
             pos.append(idx[k] + c)
         out += w * u.coefficients[tuple(pos)]
     return out
+
+
+def cp_decompose_svd(T):
+    """Order-2 CP factors from the full SVD of T, keeping the singular
+    values above 1e-12 of the largest; residual by np.linalg.norm."""
+    U, S, Vt = np.linalg.svd(T, full_matrices=False)
+    r = int(np.sum(S > 1e-12 * S[0]))
+    r = max(r, 1)
+    factors = [(U[:, :r] * S[:r]).T, Vt[:r]]
+    cp = CPFactors(r, factors, 0.0)
+    cp.residual = float(np.linalg.norm(T - cp.reconstruct()))
+    return cp
 
 
 def jsonable(obj: Any) -> Any:

@@ -11,7 +11,8 @@ from relufem import cli, docio
 from relufem.cli import main
 from relufem.errors import VerifyError
 from relufem.mesh import PolytopeMesh
-from relufem.networks import load as load_net
+from relufem.networks import TensorNet, load as load_net
+from relufem.tensorfe import TensorFE, TensorMesh
 from relufem.verify import convergence_experiment
 
 
@@ -314,6 +315,61 @@ def test_tnn_build_and_verify(tmp_path, capsys):
                "--network", str(tmp_path / "tnn.json"), "--samples", "2000"])
     assert rc == 0
     assert "passed=True" in capsys.readouterr().out
+
+
+def stacked_tnn_verify_text(u_path, net_path, samples, seed):
+    """tnn-verify's report with the grid nodes and the samples stacked
+    into one batch, the form the two-batch report must reproduce."""
+    u = TensorFE.load(u_path)
+    net = TensorNet.from_doc(docio.load(net_path))
+    rng = np.random.default_rng(seed)
+    los = [g[0] for g in u.mesh.grids]
+    his = [g[-1] for g in u.mesh.grids]
+    X = rng.uniform(los, his, size=(samples, u.mesh.n))
+    nodes = np.array(np.meshgrid(*u.mesh.grids, indexing="ij"))
+    X = np.vstack([nodes.reshape(u.mesh.n, -1).T, X])
+    dev = float(np.max(np.abs(net(X) - u(X))))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(u.coefficients))))
+    return f"max_deviation={dev!r}\ntolerance={tol!r}\npassed={dev <= tol}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tnn_verify_reports_what_the_stacked_batch_did(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, d - 2), 1.0]) for d in (2, 5, 10)]
+    coefficients = rng.standard_normal((2, 5, 10))
+    u_path, net_path = str(tmp_path / "u.json"), str(tmp_path / "tnn.json")
+    TensorFE(TensorMesh(grids), coefficients).save(u_path)
+    assert main(["tnn-build", "--function", u_path, "--output", net_path]) == 0
+    capsys.readouterr()
+    # the net of these coefficients passes; against changed ones it fails,
+    # by 1e-3 around one grid node and by 0.5 everywhere
+    bump = np.zeros_like(coefficients)
+    bump[1, 2, 3] = 1e-3
+    for changed, code in ((coefficients, 0), (coefficients + bump, 5),
+                          (coefficients + 0.5, 5)):
+        TensorFE(TensorMesh(grids), changed).save(u_path)
+        rc = main(["tnn-verify", "--function", u_path, "--network", net_path,
+                   "--samples", "3000", "--seed", str(seed)])
+        assert rc == code
+        assert capsys.readouterr().out == stacked_tnn_verify_text(
+            u_path, net_path, 3000, seed)
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "convergence",
+                                     "tnn-build", "tnn-verify"])
+def test_a_negative_seed_exits_2(capsys, command):
+    files = {"build": ["--mesh", "m", "--function", "f", "--epsilon", "0.01",
+                       "--output", "o"],
+             "verify": ["--mesh", "m", "--function", "f", "--epsilon", "0.01",
+                        "--network", "n"],
+             "convergence": [],
+             "tnn-build": ["--function", "f", "--output", "o"],
+             "tnn-verify": ["--function", "f", "--network", "n"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_tnn_whole_space_rank_flag(tmp_path, capsys):

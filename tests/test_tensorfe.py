@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from relufem import _chunks
+from relufem import _chunks, tensorfe
 from relufem._chunks import CHUNK_ELEMENTS
 from relufem.errors import CompileError, DocumentError, VerifyError
 from relufem.tensorfe import (TensorFE, TensorMesh, compile_1d_hat,
                               compile_tnn, cp_decompose, eval_tensor_fe,
                               matricization_rank_bound)
 
-from oracles import tensor_eval_batch
+from oracles import cp_decompose_svd, tensor_eval_batch
 
 
 def grid_mesh(*counts, spans=None):
@@ -127,6 +127,116 @@ def test_cp_reconstruction_matches_declared_residual():
     c = np.random.default_rng(3).standard_normal((4, 4))
     cp = cp_decompose(c)
     assert np.linalg.norm(cp.reconstruct() - c) <= cp.residual + 1e-12
+
+
+def order2_cases():
+    """Ten order-2 coefficient matrices of numerical ranks 1 to 400: some
+    are accepted on the first or the second sketch rung, the others climb
+    to the SVD of the whole matrix."""
+    rng = np.random.default_rng(13)
+
+    def product(m, n, r):
+        return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+
+    x, y = np.linspace(0, 1, 700), np.linspace(0, 1, 500)
+    return {
+        "800x800 rank 6": product(800, 800, 6),
+        "1000x600 rank 1": product(1000, 600, 1),
+        "700x800 rank 20": product(700, 800, 20),
+        "600x1000 rank 30": product(600, 1000, 30),
+        "500x500 rank 90": product(500, 500, 90),
+        "1000x600 rank 90": product(1000, 600, 90),
+        "gaussian 200x150": rng.standard_normal((200, 150)),
+        "1/(1+x+y) 700x500": 1.0 / (1.0 + x[:, None] + y[None, :]),
+        "sin(x+y) 700x500": np.sin(x[:, None] + y[None, :]),
+        "full rank 400x400": rng.standard_normal((400, 400)) + np.eye(400),
+    }
+
+
+def test_order2_sketch_keeps_the_svd_rank():
+    for name, T in order2_cases().items():
+        ref = cp_decompose_svd(T)
+        cp = cp_decompose(T)
+        assert cp.rank == ref.rank, name
+        assert cp.residual <= 4 * ref.residual, name
+        np.testing.assert_allclose(cp.reconstruct(), T, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(T)), err_msg=name)
+        # the sketch is drawn from the seed: any seed gives the rank
+        assert cp_decompose(T, seed=7).rank == ref.rank, name
+
+
+def test_order2_factors_repeat_bit_for_bit():
+    T = order2_cases()["700x800 rank 20"]
+    first, again = cp_decompose(T, seed=3), cp_decompose(T.copy(), seed=3)
+    assert first.residual == again.residual
+    for a, b in zip(first.factors, again.factors):
+        assert a.tobytes() == b.tobytes()
+
+
+def spy_on_svd(monkeypatch):
+    """The shapes of the matrices np.linalg.svd is called on, in order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_extreme_magnitudes_go_straight_to_the_full_svd(monkeypatch):
+    # within 2^-400..2^400 no sum of squares of the sketch leaves the
+    # normal floats; beyond, T's own SVD gives the rank and the factors
+    shapes = spy_on_svd(monkeypatch)
+    T = order2_cases()["800x800 rank 6"]
+    assert cp_decompose(T * 2.0 ** -300).rank == 6
+    assert shapes == [(16, 16)]
+    for factor in (2.0 ** -500, 2.0 ** 500):
+        shapes.clear()
+        cp, ref = cp_decompose(T * factor), cp_decompose_svd(T * factor)
+        assert shapes == [(800, 800), (800, 800)]
+        assert cp.rank == ref.rank == 6
+        for a, b in zip(cp.factors, ref.factors):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("T", [
+    np.random.default_rng(14).standard_normal((400, 400)),
+    np.random.default_rng(15).standard_normal((5, 6)),
+    np.outer([1.0, 2.0, -1.0], [0.5, 1.5]),
+    np.eye(2)], ids=["full rank 400x400", "5x6", "rank-one 3x2", "eye 2x2"])
+def test_small_and_full_rank_inputs_reach_the_svd_bits(T):
+    ref = cp_decompose_svd(T)
+    cp = cp_decompose(T)
+    assert cp.rank == ref.rank
+    for a, b in zip(cp.factors, ref.factors):
+        assert a.tobytes() == b.tobytes()
+    assert cp.residual == pytest.approx(ref.residual, rel=1e-12, abs=1e-300)
+
+
+def test_a_low_rank_800x800_never_runs_the_full_svd(monkeypatch):
+    shapes = spy_on_svd(monkeypatch)
+    T = order2_cases()["800x800 rank 6"]
+    assert cp_decompose(T).rank == 6
+    assert shapes == [(16, 16)]
+    shapes.clear()
+    # a full-rank matrix climbs every rung to the SVD of T itself
+    assert cp_decompose(np.random.default_rng(16).standard_normal((400, 400))).rank == 400
+    assert shapes == [(16, 16), (24, 24), (400, 400)]
+
+
+@pytest.mark.parametrize("rank", [0, 3, 8])
+def test_householder_qr_of_a_rank_deficient_sketch(rank):
+    rng = np.random.default_rng(rank)
+    Y = rng.standard_normal((50, rank)) @ rng.standard_normal((rank, 8))
+    Y[:, 2] = 0.0
+    Q, R = tensorfe._householder(Y)
+    assert Q.shape == (50, 8) and R.shape == (8, 8)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(8), atol=1e-14)
+    np.testing.assert_array_equal(R, np.triu(R))
+    np.testing.assert_allclose(Q @ R, Y, atol=1e-13 * (1 + np.abs(Y).max()))
 
 
 def test_cp_order3_exact_low_rank():
@@ -291,7 +401,6 @@ def test_hat_weights_match_forward_substitution():
 
 
 def test_cp_search_starts_at_the_unfolding_rank(monkeypatch):
-    import relufem.tensorfe as tensorfe
     tried = []
     als = tensorfe._als
 
