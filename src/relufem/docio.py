@@ -12,6 +12,20 @@ all exactly `int` or `float`, or a matrix of such non-empty lists) to the
 stdlib's C encoder in one call, because `json.dumps` with an indent always
 takes the pure-Python encoder. Keys are sorted, which makes repeated
 writes of the same object byte-identical.
+
+`load` reads a file's bytes and `loads` parses them with orjson, which
+reads every number the writer writes to the same float bits. The text
+orjson refuses goes to the stdlib's `json.loads`, decoded as strict UTF-8
+with universal newlines as a text-mode `open` reads it, which decides its
+value or its error as the stdlib reader alone did: `NaN` and `Infinity`
+literals, numbers beyond the float range, integers too long to convert,
+lone surrogate escapes and a UTF-8 byte order mark among them. Bytes that
+are not UTF-8 are a DocumentError. One difference remains: orjson reads an
+integer literal outside [-2^63, 2^64) as the nearest float, where the
+stdlib gives an exact int. A float field gets the same value either way;
+an integer field (`as_int`) refuses it. orjson also reads nesting of any
+depth, where the stdlib stops at the recursion limit, which is then a
+DocumentError too.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 
 from .errors import DocumentError
 
@@ -118,11 +133,28 @@ def dumps(doc: dict) -> str:
     return "".join(out)
 
 
-def loads(text: str) -> dict:
+def _stdlib_loads(text: str | bytes):
+    """The stdlib's reading of a text orjson refuses: bytes are decoded as
+    a text-mode `open` reads a file, so its errors count the same places."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not valid UTF-8: {exc}") from exc
+    # JSONDecodeError, an over-long integer literal, or nesting deeper than
+    # the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+
+
+def loads(text: str | bytes) -> dict:
+    """The JSON object of a document's text or bytes (module docstring)."""
+    try:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        doc = _stdlib_loads(text)
     if not isinstance(doc, dict):
         raise DocumentError("top-level JSON value must be an object")
     return doc
@@ -134,7 +166,7 @@ def save(doc: dict, path) -> None:
 
 
 def load(path) -> dict:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return loads(fh.read())
 
 

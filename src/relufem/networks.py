@@ -204,6 +204,8 @@ class TensorNet:
             weights = np.atleast_2d(np.array(weights, dtype=float))
             if W.shape[0] != b.shape[0] or weights.shape[1] != W.shape[0]:
                 raise DocumentError("inconsistent branch shapes")
+            if not all(np.all(np.isfinite(a)) for a in (W, b, weights)):
+                raise DocumentError("network weights must be finite")
             if rank is None:
                 rank = weights.shape[0]
             elif weights.shape[0] != rank:

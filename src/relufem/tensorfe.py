@@ -385,7 +385,9 @@ def compile_1d_hat(grid, values):
     W = (1,...,1,0)^T and b = (-t_0,...,-t_{N-1}, 1). The slope of l on
     [t_j, t_{j+1}] is w_0 + ... + w_j, so the weights are the slope
     differences w_0 = s_0, w_j = s_j - s_{j-1}, and the final neuron
-    relu(1) = 1 carries the constant w_N = values_0.
+    relu(1) = 1 carries the constant w_N = values_0. Weights beyond the
+    float range (nodes too close for their value differences) raise
+    CompileError.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -399,8 +401,12 @@ def compile_1d_hat(grid, values):
     N = grid.size - 1
     W = np.concatenate([np.ones(N), [0.0]]).reshape(-1, 1)
     b = np.concatenate([-grid[:-1], [1.0]])
-    slopes = np.diff(values) / gaps
-    w = np.concatenate([slopes[:1], np.diff(slopes), values[:1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(values) / gaps
+        w = np.concatenate([slopes[:1], np.diff(slopes), values[:1]])
+    if not np.all(np.isfinite(w)):
+        raise CompileError("hat weights overflow the float range "
+                           f"(smallest node gap {gaps.min():.3e})")
     return W, b, w
 
 
@@ -426,7 +432,10 @@ def compile_tnn(u: TensorFE, target_tol: float = 1e-12, seed: int = 0,
         weights = np.zeros((rank, grid.size))
         W = b = None
         for p in range(rank):
-            W, b, w = compile_1d_hat(grid, factors[k][p])
+            try:
+                W, b, w = compile_1d_hat(grid, factors[k][p])
+            except CompileError as exc:
+                raise CompileError(f"axis {k}: {exc}") from exc
             weights[p] = w
         branches.append((W, b, weights))
     return TensorNet(branches, provenance={

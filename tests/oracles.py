@@ -17,7 +17,8 @@ from scipy.spatial import Delaunay
 from scipy.spatial.distance import cdist
 
 from relufem.compiler import T0_SAFETY, WEIGHT_GUARD
-from relufem.errors import CompileError, ConditioningWarning, MeshError
+from relufem.errors import (CompileError, ConditioningWarning, DocumentError,
+                            MeshError)
 from relufem.mesh import ConvexCell, PolytopeMesh
 from relufem.meshgen import polygon_halfspaces
 from relufem.networks import relu
@@ -561,3 +562,22 @@ def dumps(doc: dict) -> str:
     """Document text through the stdlib writer, which takes its
     pure-Python encoder whenever an indent is set."""
     return json.dumps(jsonable(doc), sort_keys=True, indent=1) + "\n"
+
+
+def loads(text: str) -> dict:
+    """A document through the stdlib reader alone, a JSON error as
+    DocumentError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DocumentError("top-level JSON value must be an object")
+    return doc
+
+
+def load(path) -> dict:
+    """A document file read by text-mode open (UTF-8, universal newlines)
+    and the stdlib reader."""
+    with open(path, encoding="utf-8") as fh:
+        return loads(fh.read())

@@ -317,6 +317,18 @@ def test_tnn_build_and_verify(tmp_path, capsys):
     assert "passed=True" in capsys.readouterr().out
 
 
+def test_tnn_build_refuses_hat_weights_beyond_the_float_range(tmp_path, capsys):
+    """Nodes 5e-324 apart give slopes beyond the float range: exit 4 naming
+    the axis, and no network file with Infinity in it."""
+    docio.save({"grids": [[0.0, 5e-324, 1.0], [0.0, 0.5, 1.0]], "shape": [3, 3],
+                "coefficients": [0, 0, 0, 1, 1, 1, 0, 0, 0]}, tmp_path / "u.json")
+    rc = main(["tnn-build", "--function", str(tmp_path / "u.json"),
+               "--output", str(tmp_path / "tnn.json")])
+    assert rc == 4
+    assert "axis 0: hat weights overflow the float range" in capsys.readouterr().err
+    assert not (tmp_path / "tnn.json").exists()
+
+
 def stacked_tnn_verify_text(u_path, net_path, samples, seed):
     """tnn-verify's report with the grid nodes and the samples stacked
     into one batch, the form the two-batch report must reproduce."""
@@ -495,6 +507,19 @@ def test_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
     assert main(integer_docs(tmp_path, field, value)) == 0
 
 
+@pytest.mark.parametrize("field", ["dimension", "fnn2.n", "fnn2.h1", "fnn2.h2",
+                                   "tnn.rank", "tnn.n", "shape"])
+@pytest.mark.parametrize("value", [2 ** 64, -(2 ** 63) - 1])
+def test_integer_fields_refuse_integers_beyond_64_bits(tmp_path, capsys, field,
+                                                       value):
+    """The document reader gives an integer literal outside [-2^63, 2^64)
+    as a float, which an integer field refuses by name."""
+    name = field.split(".")[-1]
+    assert main(integer_docs(tmp_path, field, value)) == 2
+    assert (f"field '{name}' must be an integer, not float"
+            in capsys.readouterr().err)
+
+
 def test_a_negative_shape_entry_exits_2(tmp_path, capsys):
     # reshape would read two negative sizes as unknowns and raise
     docio.save({"grids": [[0.0, 0.5, 1.0]] * 2, "shape": [-3, -3],
@@ -577,6 +602,37 @@ def test_weight_overflow_exits_4(tmp_path, capsys):
     # R = 1e308 is a finite sup norm whose bump weights are not
     assert main(slot_docs(tmp_path, "c", "1e308")) == 4
     assert "R = sup|v| = 1.000e+308" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("build", "mesh"), ("verify", "network"), ("counts", "network"),
+    ("eval", "points"), ("tnn-build", "function"), ("tnn-verify", "network")])
+def test_a_document_that_is_not_utf8_exits_2(workdir, capsys, command, bad):
+    """Every subcommand that reads a document refuses bytes that are not
+    UTF-8 as a malformed document, where a traceback would exit 1."""
+    (workdir / "bad.json").write_bytes(b"\xff\xfe")
+    docio.save({"grids": [[0.0, 1.0]] * 2, "shape": [2, 2],
+                "coefficients": [0, 1, 2, 3]}, workdir / "u.json")
+    docio.save({"points": [[0.5, 0.5]]}, workdir / "pts.json")
+    docio.save({**FNN_NET, "n": 2, "W1": [[1.0, 0.0]]}, workdir / "net.json")
+    files = {"mesh": "mesh.json", "function": "fn.json", "network": "net.json",
+             "points": "pts.json"}
+    if command.startswith("tnn"):
+        files["function"] = "u.json"
+    files[bad] = "bad.json"
+    argv = {"build": ["mesh", "function"], "verify": ["mesh", "function", "network"],
+            "counts": ["mesh", "network"], "eval": ["network", "points"],
+            "tnn-build": ["function"], "tnn-verify": ["function", "network"]}
+    args = [command]
+    for flag in argv[command]:
+        args += [f"--{flag}", str(workdir / files[flag])]
+    if command in ("build", "verify"):
+        args += ["--epsilon", "0.01"]
+    if command in ("build", "tnn-build"):
+        args += ["--output", str(workdir / "out.json")]
+    assert main(args) == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+    assert not (workdir / "out.json").exists()
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])

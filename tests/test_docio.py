@@ -1,7 +1,11 @@
 """The document writer against the stdlib writer it replaces
-(`oracles.dumps`: `json.dumps(sort_keys=True, indent=1)` plus a newline)."""
+(`oracles.dumps`: `json.dumps(sort_keys=True, indent=1)` plus a newline),
+and the document reader against the stdlib reader (`oracles.load`)."""
 
+import decimal
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from relufem import docio, meshgen
+from relufem.errors import DocumentError
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation)
 from relufem.pwl import PiecewiseLinear, nodal_linear
@@ -95,3 +100,183 @@ def test_dumps_equals_stdlib_writer_on_tensor_documents():
                     rng.standard_normal((800, 6)) @ rng.standard_normal((6, 800)))
     for doc in (compile_tnn(small).to_doc(), fine.to_doc()):
         assert docio.dumps(doc) == oracles.dumps(doc)
+
+
+# --- the reader -----------------------------------------------------------------
+
+def same(a, b) -> bool:
+    """Equal in value, in type and, for floats, in bits (NaN included)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def assert_reads_as_stdlib(text: str):
+    """docio.loads of the text and of its UTF-8 bytes is json.loads'
+    value, or json.loads' error as the same DocumentError message."""
+    try:
+        expected = oracles.loads(text)
+    except DocumentError as exc:
+        for data in (text, text.encode("utf-8", "surrogatepass")):
+            with pytest.raises(DocumentError) as got:
+                docio.loads(data)
+            assert str(got.value) == str(exc)
+        return
+    for data in (text, text.encode("utf-8", "surrogatepass")):
+        assert same(docio.loads(data), expected)
+
+
+FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, 0.1, 1.0 + 2 ** -52]
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from(FINITE_EDGES))
+int64s = st.integers(-2 ** 63, 2 ** 64 - 1) | st.sampled_from(
+    [-2 ** 63, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1])
+strings = st.text() | st.sampled_from(
+    ["", "é", "ß☃", "\U0001f600", 'a"b\\c\n\t\x00\x1f/', "\ud800", "x\udfff"])
+read_documents = st.dictionaries(strings, st.recursive(
+    finite_floats | int64s | strings | st.booleans() | st.none()
+    | st.lists(finite_floats, max_size=6)
+    | st.lists(st.lists(finite_floats, min_size=1, max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(strings, inner,
+                                                                max_size=4),
+    max_leaves=20), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(read_documents)
+def test_loads_equals_stdlib_reader_on_written_documents(doc):
+    assert_reads_as_stdlib(docio.dumps(doc))
+
+
+@st.composite
+def long_numbers(draw):
+    """A decimal text of 18 to 40 significant digits, in plain, fraction
+    or exponent form, from the subnormals to beyond the float range."""
+    digits = draw(st.text("0123456789", min_size=17, max_size=39))
+    digits = str(draw(st.integers(1, 9))) + digits
+    point = draw(st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "-"]))
+    mantissa = digits if point == len(digits) else \
+        (digits[:point] or "0") + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-370, 330))
+    return sign + mantissa + ("" if exponent is None else f"e{exponent}")
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(long_numbers())
+def test_loads_equals_stdlib_reader_on_long_numbers(text):
+    value = json.loads(text)
+    if type(value) is float or -2 ** 63 <= value < 2 ** 64:
+        assert_reads_as_stdlib('{"x": %s}' % text)
+    else:
+        # an integer literal beyond 64 bits: see the tests below
+        assert same(docio.loads('{"x": %s}' % text)["x"], float(value))
+
+
+@st.composite
+def halfway_numbers(draw):
+    """The exact decimal midpoint of two adjacent finite doubles, and the
+    40-digit texts just below and above it."""
+    x = draw(st.floats(min_value=0.0, max_value=1.7976931348623155e308,
+                       allow_subnormal=True))
+    y = math.nextafter(x, math.inf)
+    with decimal.localcontext(decimal.Context(prec=1200)):
+        mid = (decimal.Decimal(x) + decimal.Decimal(y)) / 2
+        step = decimal.Decimal(10) ** (mid.adjusted() - 39)
+        return [format(m, "e") for m in (mid, mid - step, mid + step)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(halfway_numbers())
+def test_loads_equals_stdlib_reader_on_halfway_numbers(texts):
+    for text in texts:
+        assert_reads_as_stdlib('{"x": [%s, -%s]}' % (text, text))
+
+
+@pytest.mark.parametrize("text", [
+    "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "4.9406564584124654e-324", "1.7976931348623158e308",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "9007199254740993.0", "0.1e-400", "1e-400", "-0.0", "-0", "0e500",
+    "9223372036854775807", "-9223372036854775808", "18446744073709551615"])
+def test_loads_equals_stdlib_reader_on_hard_numbers(text):
+    assert_reads_as_stdlib('{"x": %s}' % text)
+
+
+# the texts orjson refuses, which the stdlib reader decides
+REFUSED = {
+    "NaN": b'{"x": NaN}',
+    "Infinity": b'{"x": [Infinity, -Infinity]}',
+    "beyond the float range": b'{"x": [1e400, -1e400, 1.7976931348623159e308]}',
+    "401-digit integer": b'{"x": %s}' % (b"1" * 401),
+    "integer beyond the digit limit": b'{"x": %s}' % (b"1" * 5000),
+    "lone surrogate": b'{"x": "\\ud800"}',
+    "lone surrogate key": b'{"\\udc00": 1}',
+    "byte order mark": b'\xef\xbb\xbf{"x": 1}',
+    "NaN and a syntax error": b'{"x": NaN,}',
+    "CRLF lines and a syntax error": b'{"x": NaN,\r\n "y": }\r\n',
+    "CR lines and a syntax error": b'{"x": 1e999,\r "y": }\r',
+    "NaN nested past the recursion limit": b"[" * 5000 + b"NaN" + b"]" * 5000,
+}
+
+
+@pytest.mark.parametrize("data", REFUSED.values(), ids=REFUSED)
+def test_refused_texts_keep_the_stdlib_readers_value_or_error(tmp_path, data):
+    """A file that orjson refuses reads as text-mode open and json.loads
+    read it: the same value, or the same DocumentError message."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    try:
+        expected = oracles.load(path)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            docio.load(path)
+        assert str(got.value) == str(exc)
+    except RecursionError:
+        # which the stdlib reader raised as it is: now a DocumentError
+        with pytest.raises(DocumentError, match="recursion"):
+            docio.load(path)
+    else:
+        assert same(docio.load(path), expected)
+
+
+def test_bytes_that_are_not_utf8_are_a_document_error(tmp_path):
+    path = tmp_path / "doc.json"
+    for data in (b"\xff\xfe", b'{"x": "\xc3"}', b'{"x": "\xed\xa0\x80"}'):
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            oracles.load(path)
+        with pytest.raises(DocumentError, match="^not valid UTF-8: "):
+            docio.load(path)
+
+
+def test_integers_beyond_64_bits_read_as_the_nearest_float():
+    """The one value the reader gives differently from the stdlib: a
+    float field reads the same number, an integer field refuses it."""
+    for value in (2 ** 64, -(2 ** 63) - 1, 10 ** 300, -(10 ** 40) - 1):
+        got = docio.loads('{"x": %d}' % value)["x"]
+        assert type(got) is float and got == float(value)
+        assert docio.as_float(got, "x") == float(value)
+        with pytest.raises(DocumentError, match="'x' must be an integer"):
+            docio.as_int(got, "x")
+
+
+def test_a_document_nested_past_the_recursion_limit_is_read():
+    """orjson reads any depth, where the stdlib reader raised RecursionError."""
+    text = "[" * 5000 + "]" * 5000
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    value = docio.loads('{"x": %s}' % text)["x"]
+    for _ in range(4999):
+        value, = value
+    assert value == []

@@ -183,6 +183,17 @@ def test_nonfinite_weights_rejected():
         ReluNet2([[np.inf]], [0.0], [], [0.0], [1.0])
 
 
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["W", "b", "weights"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_tnn_nonfinite_weights_rejected(part, bad):
+    branch = [np.array([[1.0], [0.0]]), np.array([0.0, 1.0]),
+              np.array([[1.0, 2.0]])]
+    branch[part] = branch[part].copy()
+    branch[part].flat[0] = bad
+    with pytest.raises(DocumentError, match="must be finite"):
+        TensorNet([branch])
+
+
 def test_tnn_forward_in_chunks_is_bitwise_piecewise():
     # width 4096 makes one chunk 64 points, so 5000 points span many
     rng = np.random.default_rng(7)

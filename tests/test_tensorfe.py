@@ -297,6 +297,23 @@ def test_hat_repeated_node_rejected():
         compile_1d_hat([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("grid, values", [
+    ([0.0, 5e-324, 1.0], [0.0, 1.0, 0.0]),  # slope 1 / 5e-324
+    ([0.0, 1.0, 2.0], [0.0, 1e308, -1e308]),  # a value difference
+    ([0.0, 1.0, 2.0], [0.0, 1.5e308, 0.0]),  # a slope difference
+], ids=["slope", "value difference", "slope difference"])
+def test_hat_weights_beyond_the_float_range_are_refused(grid, values):
+    with pytest.raises(CompileError, match="overflow the float range"):
+        compile_1d_hat(grid, values)
+
+
+def test_compile_tnn_names_the_axis_whose_weights_overflow():
+    mesh = TensorMesh([[0.0, 0.5, 1.0], [0.0, 5e-324, 1.0]])
+    u = TensorFE(mesh, np.outer([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]))
+    with pytest.raises(CompileError, match="^axis 1: hat weights overflow"):
+        compile_tnn(u)
+
+
 def test_hat_interpolates_and_is_piecewise_linear():
     rng = np.random.default_rng(5)
     grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 6))])
