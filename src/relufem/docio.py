@@ -7,11 +7,22 @@ document re-read with `loads` reproduces every stored value bit for bit.
 `dumps` writes `json.dumps(doc, sort_keys=True, indent=1)` plus a trailing
 newline, byte for byte, after numpy arrays (`tolist()`) and numpy scalars
 have become Python values and dict keys strings. It lays out dicts and
-lists itself and hands every run of plain numbers (a list whose items are
-all exactly `int` or `float`, or a matrix of such non-empty lists) to the
-stdlib's C encoder in one call, because `json.dumps` with an indent always
-takes the pure-Python encoder. Keys are sorted, which makes repeated
-writes of the same object byte-identical.
+lists itself, because `json.dumps` with an indent always takes the
+pure-Python encoder, and writes every run of numbers in one call:
+- a list whose items are all exactly `int` or `float`, or a matrix of such
+  non-empty lists, goes to the stdlib's C encoder;
+- a non-empty float64 array of one or two dimensions goes to orjson, whose
+  digits are `repr`'s shortest round-trip digits. The entries orjson
+  writes differently, those `repr` writes in exponent form (nonzero
+  |x| < 1e-4 and |x| >= 1e16), NaN and the infinities, take the C
+  encoder's text instead; when they are most of the array, all of it does.
+Every other value, float32 and integer arrays among them (orjson would
+write a float32 in float32's digits), takes its `tolist()` or Python value
+through the first path or the layout code, so the bytes are the stdlib
+writer's whichever path writes them. Keys are sorted, which makes repeated
+writes of the same object byte-identical. `save` opens the file only once
+the text is built, so a document that cannot be written leaves an existing
+file as it was.
 
 `load` reads a file's bytes and `loads` parses them with orjson, which
 reads every number the writer writes to the same float bits. The text
@@ -65,25 +76,67 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _exponent_form(a: np.ndarray) -> np.ndarray:
+    """Where orjson's text is not the stdlib's: the entries `repr` writes
+    in exponent form, and the non-finite ones (NaN compares false)."""
+    mag = np.abs(a)
+    return ~((mag >= 1e-4) & (mag < 1e16)) & (a != 0)
+
+
+def _float_run(a: np.ndarray, newline: str) -> str:
+    """The entries of a non-empty float64 array of one or two dimensions
+    as `_number_run` writes its `tolist()`, from orjson's text."""
+    a = np.ascontiguousarray(a)
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    # orjson writes an entry whose text is not repr's with an exponent, as
+    # null or as 0.0000...; a text without them needs no mask
+    if b"e" in text or b"n" in text or b"0.0000" in text:
+        del text
+        odd = _exponent_form(a)
+        if 2 * np.count_nonzero(odd) > a.size:
+            # most entries need the stdlib's text anyway: its run is faster
+            return _number_run(a.tolist(), newline)
+        # orjson writes NaN as null, which no number text holds
+        parts = orjson.dumps(np.where(odd, np.nan, a),
+                             option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
+        texts = _number_run(a[odd].tolist(), "").encode().split(b",")
+        text = b"".join(itertools.chain.from_iterable(zip(parts, texts + [b""])))
+        del parts
+    # each copy of the text drops the one before: two at most are alive
+    text = text.replace(b",", ("," + newline).encode())
+    return str(memoryview(text)[1:-1], "ascii")
+
+
+def _write_run(run, items, matrix: bool, newline: str, out: list) -> None:
+    """Append a run of numbers, or a matrix of them, nested at line break
+    `newline`: `run(items, sep)` is its text, items (and a matrix's rows)
+    split by "," + sep, without the outer brackets."""
+    inner = newline + " "
+    if not matrix:
+        out += ("[", inner, run(items, inner), newline, "]")
+        return
+    # a matrix is one run too, its row breaks re-laid: no number text
+    # holds a bracket
+    deeper = inner + " "
+    rows = run(items, deeper)[1:-1].replace(
+        "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+    out += ("[", inner, "[", deeper, rows, inner, "]", newline, "]")
+
+
 def _write(obj, newline: str, out: list) -> None:
     """Append the text of `obj` nested at line break `newline` to `out`."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = newline + " "
         kinds = set(map(type, obj))
         if kinds <= _NUMBERS:
-            out += ("[", inner, _number_run(obj, inner), newline, "]")
+            _write_run(_number_run, obj, False, newline, out)
         elif (kinds <= _ROWS and all(obj)
               and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS):
-            # a matrix is one run too, its row breaks re-laid: no number
-            # text holds a bracket
-            deeper = inner + " "
-            rows = _number_run(obj, deeper)[1:-1].replace(
-                "]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-            out += ("[", inner, "[", deeper, rows, inner, "]", newline, "]")
+            _write_run(_number_run, obj, True, newline, out)
         else:
+            inner = newline + " "
             sep = "[" + inner
             for item in obj:
                 out.append(sep)
@@ -115,7 +168,12 @@ def _write(obj, newline: str, out: list) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), newline, out)
+        if obj.dtype != np.float64 or obj.ndim == 0 or not obj.size:
+            _write(obj.tolist(), newline, out)
+        elif obj.ndim <= 2:
+            _write_run(_float_run, obj, obj.ndim == 2, newline, out)
+        else:
+            _write(list(obj), newline, out)
     elif isinstance(obj, np.floating):
         out.append(_float_text(float(obj)))
     elif isinstance(obj, np.integer):
@@ -161,8 +219,11 @@ def loads(text: str | bytes) -> dict:
 
 
 def save(doc: dict, path) -> None:
+    """Write the document's text to `path`, opening the file only once
+    the text is built."""
+    text = dumps(doc)
     with open(path, "w") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)
 
 
 def load(path) -> dict:

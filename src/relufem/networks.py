@@ -311,8 +311,7 @@ def from_doc(doc: dict):
 
 
 def save(net, path):
-    with open(path, "w") as fh:
-        fh.write(serialize(net))
+    docio.save(net.to_doc(), path)
 
 
 def load(path):

@@ -3,18 +3,21 @@
 and the document reader against the stdlib reader (`oracles.load`)."""
 
 import decimal
+import itertools
 import json
 import math
 import struct
+import types
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from relufem import docio, meshgen
+from relufem import docio, meshgen, networks
 from relufem.errors import DocumentError
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation)
@@ -100,6 +103,156 @@ def test_dumps_equals_stdlib_writer_on_tensor_documents():
                     rng.standard_normal((800, 6)) @ rng.standard_normal((6, 800)))
     for doc in (compile_tnn(small).to_doc(), fine.to_doc()):
         assert docio.dumps(doc) == oracles.dumps(doc)
+
+
+# --- float64 arrays through orjson ------------------------------------------------
+
+def _around(x: float) -> list:
+    """x, its four neighbours either side and their negatives."""
+    out = [x]
+    for toward in (0.0, math.inf):
+        y = x
+        for _ in range(4):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out + [-y for y in out]
+
+
+# repr's exponent thresholds, integral floats at and beyond 2^53,
+# subnormals, signed zeros and the non-finite values
+ARRAY_EDGES = (_around(1e-4) + _around(1e16) + _around(2.0 ** 53)
+               + [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 1e-5, 0.1, 1e15, 2.0 ** 63,
+                  1e22, 1.7976931348623157e308, math.nan, math.inf,
+                  -math.inf])
+
+
+def assert_same_text(got: str, want: str):
+    """A failure names the first line that differs: pytest's own diff of
+    two long texts takes minutes."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+        line, (g, w) = next((i, p) for i, p in enumerate(pairs, 1)
+                            if p[0] != p[1])
+        pytest.fail(f"line {line}: wrote {g!r}, the stdlib writes {w!r}")
+
+
+def assert_writes_as_stdlib(value):
+    doc = {"a": value}
+    assert_same_text(docio.dumps(doc), oracles.dumps(doc))
+
+
+@pytest.fixture
+def orjson_calls(monkeypatch):
+    """The arrays passed to orjson.dumps while the test runs."""
+    calls = []
+    dumps = orjson.dumps
+
+    def spy(obj, *args, **kwargs):
+        calls.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(orjson, "dumps", spy)
+    return calls
+
+
+@pytest.mark.parametrize("scale, edge_share",
+                         [(1.0, 0.0), (1.0, 0.01), (1.0, 0.3), (1e20, 0.3)])
+def test_dumps_equals_stdlib_writer_on_large_float_arrays(scale, edge_share):
+    """Entries in orjson's digits with none, a few or many in the stdlib's
+    text; scaled past 1e16, most entries are."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(60_000) * 10.0 ** rng.integers(-3, 15, 60_000)
+    a *= scale
+    picks = rng.random(a.size) < edge_share
+    a[picks] = rng.choice(ARRAY_EDGES, int(picks.sum()))
+    a[[0, -1]] = (5e-5, math.nan) if edge_share else (1.0, 2.0)
+    for arr in (a, a.reshape(300, 200)):
+        assert_writes_as_stdlib(arr)
+
+
+BASE = np.arange(24, dtype=np.float64).reshape(4, 6) * 0.37 - 3.0
+BASE.flat[[0, 5, 7, 11, 18, 23]] = (5e-5, math.nan, 1e16, -0.0, -math.inf,
+                                    2.0 ** 53 + 2)
+VIEWS = {
+    "contiguous": BASE,
+    "every other column": BASE[:, ::2],
+    "Fortran order": np.asfortranarray(BASE),
+    "transposed": BASE.T,
+    "negative strides": BASE[::-1, ::-1],
+    "1-d negative stride": BASE.ravel()[::-3],
+    "row": BASE[1],
+    "column": BASE[:, 2],
+    "one entry": BASE[:1, :1],
+    "empty 1-d": BASE[0, :0],
+    "no rows": BASE[:0],
+    "empty rows": BASE[:, :0],
+    "0-d": BASE[1, 2, ...],
+    "0-d NaN": BASE[0, 5, ...],
+    "3-d": BASE.reshape(2, 3, 4),
+    "3-d strided": BASE.reshape(2, 3, 4)[:, ::-1, 1:],
+    "4-d": BASE.reshape(2, 2, 2, 3),
+    "3-d empty axis": np.zeros((2, 0, 3)),
+    "0.0000 inside in-range text": np.array([10.00001, 2.5, 100.000002]),
+}
+
+
+@pytest.mark.parametrize("arr", VIEWS.values(), ids=VIEWS)
+def test_dumps_equals_stdlib_writer_on_float64_views(arr):
+    assert_writes_as_stdlib(arr)
+    assert_writes_as_stdlib([arr, {"b": arr}])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(hnp.arrays(np.float64,
+                  hnp.array_shapes(min_dims=1, max_dims=2, min_side=1,
+                                   max_side=30),
+                  elements=st.floats() | st.sampled_from(ARRAY_EDGES)),
+       st.sampled_from([lambda a: a, lambda a: a.T, lambda a: a[::-1],
+                        lambda a: a[..., ::2], np.asfortranarray]))
+def test_dumps_equals_stdlib_writer_on_float64_arrays(arr, view):
+    assert_writes_as_stdlib(view(arr))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64,
+                                   np.uint8, np.bool_, ">f8"])
+def test_other_arrays_keep_tolist(dtype, orjson_calls):
+    """orjson would write a float32 in float32's shortest digits, where
+    tolist() gives the float64 value: 0.1f is 0.10000000149011612."""
+    arr = np.array([[0.1, 2.5, 1e-5], [3.0, 0.0, 1.0]]).astype(dtype)
+    assert_writes_as_stdlib(arr)
+    assert_writes_as_stdlib(arr[0])
+    assert orjson_calls == []
+
+
+class _NoToList(np.ndarray):
+    def tolist(self):
+        raise AssertionError("tolist() called on the coefficients")
+
+
+def test_fine_tensor_document_writes_coefficients_through_orjson(orjson_calls):
+    rng = np.random.default_rng(1)
+    grids = [np.sort(rng.uniform(0.0, 1.0, 800)) for _ in range(2)]
+    fine = TensorFE(TensorMesh(grids),
+                    rng.standard_normal((800, 6)) @ rng.standard_normal((6, 800)))
+    expected = oracles.dumps(fine.to_doc())
+    fine.coefficients = fine.coefficients.view(_NoToList)
+    assert_same_text(docio.dumps(fine.to_doc()), expected)
+    assert 640_000 in [a.size for a in orjson_calls]
+
+
+@pytest.mark.parametrize("save", [
+    docio.save,
+    lambda doc, path: networks.save(types.SimpleNamespace(to_doc=lambda: doc),
+                                    path),
+], ids=["docio.save", "networks.save"])
+def test_a_failed_save_leaves_the_existing_file(tmp_path, save):
+    path = tmp_path / "doc.json"
+    docio.save({"kept": [1.0, 2.0]}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save({"lost": np.array([1.0]), "bad": {1, 2}}, path)
+    assert path.read_bytes() == before
 
 
 # --- the reader -----------------------------------------------------------------
