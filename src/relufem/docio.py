@@ -15,7 +15,7 @@ pure-Python encoder, and writes every run of numbers in one call:
   digits are `repr`'s shortest round-trip digits. The entries orjson
   writes differently, those `repr` writes in exponent form (nonzero
   |x| < 1e-4 and |x| >= 1e16), NaN and the infinities, take the C
-  encoder's text instead; when they are most of the array, all of it does.
+  encoder's text instead.
 Every other value, float32 and integer arrays among them (orjson would
 write a float32 in float32's digits), takes its `tolist()` or Python value
 through the first path or the layout code, so the bytes are the stdlib
@@ -93,9 +93,6 @@ def _float_run(a: np.ndarray, newline: str) -> str:
     if b"e" in text or b"n" in text or b"0.0000" in text:
         del text
         odd = _exponent_form(a)
-        if 2 * np.count_nonzero(odd) > a.size:
-            # most entries need the stdlib's text anyway: its run is faster
-            return _number_run(a.tolist(), newline)
         # orjson writes NaN as null, which no number text holds
         parts = orjson.dumps(np.where(odd, np.nan, a),
                              option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
