@@ -4,6 +4,10 @@ Subcommands wrap one library operation each; inputs and outputs are the
 JSON documents defined by the owning modules. Exit codes: 2 for unreadable
 or malformed inputs, 3 for mesh validation failures, 4 for compilation
 errors, 5 for verification failures; 0 means every requested check passed.
+`tnn-verify` checks a tensor net on every box of its breakpoint grid, not
+on samples (relufem.verify.check_tensor_net), and prints max_deviation,
+rounding_bound, tolerance and passed; its --samples and --seed are
+accepted and ignored, so older invocations keep working.
 All commands are deterministic given their flags and seed, and identical
 invocations on one machine write byte-identical files. A `tnn-build` of
 an order-2 tensor that reaches the full SVD (one of high numerical rank)
@@ -27,7 +31,7 @@ from .compiler import compile_compact_support, compile_weak_representation
 from .mesh import PolytopeMesh, freudenthal_mesh, validate_mesh
 from .pwl import PiecewiseLinear
 from .tensorfe import TensorFE, compile_tnn
-from .verify import (check_counts, check_weak_representation,
+from .verify import (check_counts, check_tensor_net, check_weak_representation,
                      convergence_experiment)
 
 EXIT_PARSE = 2
@@ -145,11 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", required=True)
 
-    p = sub.add_parser("tnn-verify", help="check a tensor network file")
+    p = sub.add_parser("tnn-verify", help="check a tensor network file on "
+                       "every box of its breakpoint grid")
     p.add_argument("--function", required=True)
     p.add_argument("--network", required=True)
-    p.add_argument("--samples", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_positive_int, default=10_000,
+                   help="ignored: the check is exhaustive, not sampled")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="ignored: the check is exhaustive, not sampled")
 
     p = sub.add_parser("eval", help="evaluate a network file on points")
     p.add_argument("--network", required=True)
@@ -253,20 +260,9 @@ def cmd_tnn_build(args) -> int:
 def cmd_tnn_verify(args) -> int:
     u = TensorFE.from_doc(_load_doc(args.function))
     net = networks.TensorNet.from_doc(_load_doc(args.network))
-    rng = np.random.default_rng(args.seed)
-    los = [g[0] for g in u.mesh.grids]
-    his = [g[-1] for g in u.mesh.grids]
-    X = rng.uniform(los, his, size=(args.samples, u.mesh.n))
-    nodes = np.array(np.meshgrid(*u.mesh.grids, indexing="ij"))
-    nodes = nodes.reshape(u.mesh.n, -1).T
-    # the nodes and the samples as two batches, no stacked copy; np.max
-    # keeps a NaN deviation
-    dev = float(np.max([np.max(np.abs(net(P) - u(P))) for P in (nodes, X)]))
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(u.coefficients))))
-    print(f"max_deviation={dev!r}")
-    print(f"tolerance={tol!r}")
-    print(f"passed={dev <= tol}")
-    return 0 if dev <= tol else EXIT_VERIFY
+    rep = check_tensor_net(u, net)
+    sys.stdout.write(rep.as_text())
+    return 0 if rep.passed else EXIT_VERIFY
 
 
 def cmd_eval(args) -> int:

@@ -8,6 +8,8 @@ outputs multiply across axes and sum over the rank index.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
 
@@ -189,10 +191,19 @@ class TensorNet:
     """Sum over the rank index of products of per-axis branch nets.
 
     Branch k holds (W_k, b_k, weights_k); its contribution for rank p is
-    weights_k[p] @ relu(W_k * x_k + b_k). The forward pass contracts each
-    branch, then sums over the rank, through frozen CSR matrices with points
-    in columns, so every sum runs in storage order whatever the batch. Its
-    point chunks go through the same runner as ReluNet2's.
+    weights_k[p] @ relu(W_k * x_k + b_k). Both evaluators contract each
+    branch through branch_values (frozen CSR matrices with points in
+    columns, so every sum runs in storage order whatever the batch), then
+    multiply the branches in axis order into a product that starts at ones,
+    and sum over the rank in storage order from 0. forward_batch does so
+    point by point; forward_grid on a product grid (grid_rank_sum), where
+    each branch needs only its own axis's coordinates. A grid point's value
+    is therefore the same float from both. Their point chunks go through the
+    same runner as ReluNet2's.
+
+    On each box of the product grid of the axes' breakpoints (the kinks
+    -b_j / W_j), every branch is linear, so the net is multilinear there;
+    relufem.verify.check_tensor_net rests its exhaustive check on this.
     """
 
     def __init__(self, branches, provenance=None):
@@ -228,27 +239,47 @@ class TensorNet:
     def widths(self):
         return [W.shape[0] for W, _, _ in self.branches]
 
+    def branch_inputs(self, k, t):
+        """relu(W_k t + b_k) at the points t of axis k, as a (width, len(t))
+        array: one rounded product per W entry, then one rounded sum."""
+        W, b, _ = self.branches[k]
+        Z = W * t
+        Z += b[:, None]
+        np.maximum(Z, 0.0, out=Z)
+        return Z
+
+    def branch_values(self, k, t):
+        """weights_k @ branch_inputs(k, t), as a (rank, len(t)) array: the
+        CSR sums of each rank row in storage order."""
+        return self._layers[k] @ self.branch_inputs(k, t)
+
     def forward_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
-        *contract, total = self._layers
+        total = self._layers[-1]
 
         def body(lo, hi):
             Xc = X[lo:hi]
             prod = np.ones((self.rank, hi - lo))
-            for k, ((W, b, _), weights) in enumerate(zip(self.branches, contract)):
-                # one rounded product per entry, as the k=1 matmul gave
-                Z = W * Xc[:, k]
-                Z += b[:, None]
-                np.maximum(Z, 0.0, out=Z)
-                prod *= weights @ Z
+            for k in range(self.n):
+                prod *= self.branch_values(k, Xc[:, k])
             out[lo:hi] = (total @ prod)[0]
 
         run_chunks(body, X.shape[0],
                    max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank])))
         return out
+
+    def forward_grid(self, axes):
+        """Values on the product grid of the 1-D arrays axes, shaped
+        (len(axes[0]), ..., len(axes[-1])): each branch contracted once on
+        its own axis, then grid_rank_sum with unit weights."""
+        if len(axes) != self.n:
+            raise DocumentError(f"input dimension {len(axes)}, expected {self.n}")
+        return grid_rank_sum(
+            [self.branch_values(k, np.asarray(t, dtype=float).reshape(-1))
+             for k, t in enumerate(axes)], np.ones(self.rank))
 
     def forward(self, x) -> float:
         return float(self.forward_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -278,6 +309,34 @@ class TensorNet:
                                            (rank, W.shape[0]))
             branches.append((W, b, weights))
         return cls(branches, provenance=_provenance(doc))
+
+
+def grid_rank_sum(factors, weights):
+    """sum_p weights[p] prod_k factors[k][p, i_k] at every point (i_1, ...,
+    i_n) of a product grid, from per-axis arrays of shape (rank, M_k); the
+    result has shape (M_1, ..., M_n).
+
+    The operations are TensorNet.forward_batch's, in its order: the product
+    starts at ones and multiplies in axis order, and the rank sum is a CSR
+    product of the weights that adds the terms in storage order from 0. The
+    grid goes through run_chunks in chunks along its first axis.
+    """
+    rank, n = len(weights), len(factors)
+    shape = tuple(f.shape[1] for f in factors)
+    inner = math.prod(shape[1:])
+    out = np.empty(shape)
+    flat = out.reshape(shape[0], inner)
+    total = sparse.csr_matrix(np.reshape(weights, (1, rank)))
+
+    def body(lo, hi):
+        prod = np.ones((rank, hi - lo) + shape[1:])
+        for k, f in enumerate(factors):
+            f = f[:, lo:hi] if k == 0 else f
+            prod *= f.reshape((rank,) + (1,) * k + f.shape[1:] + (1,) * (n - k - 1))
+        flat[lo:hi] = (total @ prod.reshape(rank, -1)).reshape(hi - lo, inner)
+
+    run_chunks(body, shape[0], max(1, CHUNK_ELEMENTS // max(1, rank * inner)))
+    return out
 
 
 def fnn_forward(net: ReluNet2, x) -> float:

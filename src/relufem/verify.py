@@ -1,24 +1,32 @@
-"""Numerical verification: representation checks on sampled regions,
-neuron-count checks, Monte-Carlo L^p error estimation, and the mesh
-refinement convergence experiment.
+"""Numerical verification: representation checks on sampled regions, the
+exhaustive check of a tensor net on its breakpoint grid, neuron-count
+checks, Monte-Carlo L^p error estimation, and the mesh refinement
+convergence experiment.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, VerifyError
+from ._chunks import CHUNK_ELEMENTS, run_chunks
+from .errors import ConditioningWarning, DocumentError, VerifyError
 from .mesh import PolytopeMesh, sample_cells, sample_exterior, sample_mesh
-from .networks import ReluNet2
+from .networks import ReluNet2, TensorNet, grid_rank_sum
 from .pwl import PiecewiseLinear
+from .tensorfe import TensorFE
 
 INTERIOR_RTOL = 1e-9
 EXTERIOR_TOL = 1e-9
 BOUND_TOL = 1e-9
+TNN_RTOL = 1e-9
+# unit roundoff of binary64 rounding to nearest, and the smallest normal
+UNIT_ROUNDOFF = 2.0 ** -53
+TINY = 2.0 ** -1022
 
 
 @dataclass
@@ -110,6 +118,187 @@ def check_weak_representation(net: ReluNet2, v: PiecewiseLinear,
         bound_limit=bound_limit,
         exterior_tol=EXTERIOR_TOL,
     )
+
+
+@dataclass
+class TensorNetReport:
+    """The grid check of a tensor net against a tensor FE function."""
+
+    max_deviation: float
+    rounding_bound: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        # False when either term is NaN
+        return self.max_deviation + 2.0 * self.rounding_bound <= self.tolerance
+
+    def as_text(self) -> str:
+        return (f"max_deviation={self.max_deviation!r}\n"
+                f"rounding_bound={self.rounding_bound!r}\n"
+                f"tolerance={self.tolerance!r}\n"
+                f"passed={self.passed}\n")
+
+
+def _exact_products(W):
+    """Entries w for which w * t is exact for every float t whose product
+    does not underflow: 0 and the powers of two."""
+    return (W == 0) | (np.abs(np.frexp(W)[0]) == 0.5)
+
+
+def _breakpoints(g, W, b):
+    """(points, delta) of one axis: its nodes g merged with the branch's
+    float kinks fl(-b_j / W_j) strictly inside (g_0, g_N), and the largest
+    distance from an exact kink that may lie in the box to its float one
+    (np.spacing of the float kink; 0 when every kink is exact)."""
+    live = W != 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        kinks = -b[live] / W[live]
+        gap = np.spacing(np.abs(kinks))
+    inside = kinks[(kinks > g[0]) & (kinks < g[-1]) & ~np.isin(kinks, g)]
+    exact = _exact_products(W[live]) & ((kinks == 0) | (np.abs(kinks) >= TINY))
+    near = ~exact & (kinks >= g[0] - gap) & (kinks <= g[-1] + gap)
+    return np.union1d(g, inside), float(np.max(gap[near], initial=0.0))
+
+
+def _branch_rounding(net, k, t):
+    """phi, (rank, len(t)), with u phi bounding the rounding of
+    net.branch_values(k, t), u the unit roundoff (see check_tensor_net):
+    the |partial sums| of each rank row in column order, twice its
+    |products|, and |weights| @ |W t| over the rows whose W * t rounds. A
+    zero weight is not stored, so its partial sum is the one before it,
+    counted twice: a looser bound, no weaker."""
+    W, _, weights = net.branches[k]
+    r = net.branch_inputs(k, t)
+    wabs = np.abs(weights)
+    rounds = ~_exact_products(W[:, 0])
+    phi = 2.0 * np.einsum("pj,jm->pm", wabs, r)
+    if rounds.any():
+        phi += np.einsum("pj,jm->pm", wabs[:, rounds], np.abs(W[rounds] * t))
+    # points in the middle axis, so each row's partial sums run along the
+    # contiguous last axis
+    rt = np.ascontiguousarray(r.T)
+
+    def body(lo, hi):
+        s = weights[:, None, :] * rt[lo:hi]
+        np.cumsum(s, axis=2, out=s)
+        phi[:, lo:hi] += np.sum(np.abs(s, out=s), axis=2)
+
+    run_chunks(body, t.size, max(1, CHUNK_ELEMENTS // weights.size))
+    return phi
+
+
+def check_tensor_net(u: TensorFE, net: TensorNet) -> TensorNetReport:
+    """Check net against u on the whole grid box, exhaustively.
+
+    The check. Each branch of net is piecewise linear in its coordinate,
+    with kinks at -b_j / W_j, and u is multilinear on each grid cell. So on
+    each box of the product grid of nodes and kinks, net - u is multilinear
+    and its extremes lie at the box's corners: sup |net - u| over the grid
+    box is its maximum on that finite grid. The float kinks inside the box
+    are merged into the axis grids (a net compiled by compile_tnn has its
+    kinks at the nodes already); net.forward_grid evaluates the grid, with
+    forward_batch's bits, and u.eval_grid gives u there (its coefficients
+    at the nodes). max_deviation is the grid maximum of |net - u|.
+
+    The bound. Between nodes the computed net can be further off than at
+    any node, so rounding_bound rho bounds |fl(net) - net| everywhere in
+    the box, and the check passes iff max_deviation + 2 rho <= tolerance
+    (1e-9 (1 + max|c|)): the computed net then lies within tolerance of u
+    at every point of the box. The analysis is running-error analysis
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3),
+    in the model fl(x op y) = (x op y) / (1 + d), |d| <= u = 2^-53, so an
+    operation's error is at most u times its computed result. At a point
+    t of axis k, branch_values forms a_j = fl(W_j t), z_j = fl(a_j + b_j),
+    r_j = max(z_j, 0), then, along row p's stored entries J in storage
+    order, q_J = fl(w_J r_J) and the partial sums s_J = fl(s_prev + q_J):
+      - the sum of a_j and b_j moves relu by at most u r_j: z_j and a_j + b_j
+        share their sign, and where positive differ by at most u z_j;
+      - a_j is exact where W_j is 0 or a power of two, else within u |a_j|;
+      - each q_J and s_J is within u |q_J| and u |s_J|.
+    So |fl(G_kp) - G_kp| <= mu_kp = u phi_kp, with phi_kp = sum_J |s_J| +
+    2 sum_J |w_J| r_J + sum over the rounding rows |w_J| |a_J|. The
+    textbook bound gamma_m |w| @ relu(W t + b) (m the width) would not do:
+    ramp sums cancel, and on the benchmark's 800 x 800 rank-6 nets it
+    exceeds the tolerance about 50-fold, where this one stays at 0.15-0.18
+    of it. The branches multiply in axis order from ones
+    (n - 1 roundings) and the rank terms add in order (term p = 0, ...,
+    r - 1 is in r - p partial sums), so with g_k = |G_k|:
+        |fl(net) - net| <= sum_p (1 + c_p) prod_k (g_kp + mu_kp)
+                                 - prod_k g_kp,   c_p = (n - 1 + r - p) u'.
+    Written with exact quantities (the exact partial sums, relu(W t + b)
+    and |W t| in phi), this majorant is, in each coordinate with the others
+    fixed, a nonnegative combination of |affine| and relu(affine) pieces
+    between the kinks: convex there. So its maximum over the box also lies
+    on the grid. At the grid points, the computed quantities stand in for
+    the exact ones: a_k = fl(|G_k| + mu_k) bounds |exact G_k| up to its
+    own rounding, and that rounding, every gap between the computed and
+    the exact phi, and the float evaluation of the majorant are relative
+    errors of at most D u for D = max width + n + r + 4, which the factor
+    inflate = 1 + 8 D u covers (it is the u' above too). The difference is
+    evaluated as its nonnegative telescoped terms, c_p prod_k a_k and
+    (1 + c_p) mu_k prod_{j<k} a_j prod_{j>k} (a_j + mu_j), so that neither
+    cancellation nor a mu rounded away in a sum spoils the bound. (The
+    verdict's own two sums round by at most 2u of the tolerance.)
+
+    The slack terms, zero for a net compiled by compile_tnn:
+      - u between nodes (an axis with merged kinks) is computed within
+        12 n u (max|c| + 2^-1022) (TensorFE.eval_grid), added to
+        max_deviation;
+      - a float kink fl(-b_j / W_j) that may differ from the exact one by
+        up to delta_k (np.spacing) moves the corner the analysis needs by
+        delta_k; net, u and 2 rho change by at most delta_k (6 L_k + Lu_k)
+        there, with L_k = sum_p S_kp prod_{j != k} B_jp, S_kp = sum_J |w_J
+        W_J| bounding G_kp's slope, B_jp = max(a_j + mu_j) + 2 S_jp delta_j
+        bounding |G_jp| + mu_jp on the whole axis, and Lu_k u's steepest
+        slope along axis k; added to max_deviation;
+      - a product that underflows may lose 2^-1075 where the model allows
+        nothing. Fewer than K = 4 r (sum of widths + 2n + 2) products reach
+        a point's value or its bound, each multiplied afterwards by at most
+        2 max(1, max|w|) prod_k max(1, max_p B_kp); rho adds that total.
+
+    A net whose branch count is not u's dimension raises DocumentError.
+    """
+    n = u.mesh.n
+    if net.n != n:
+        raise DocumentError(f"input dimension {n}, expected {net.n}")
+    axes, deltas = zip(*(_breakpoints(g, W[:, 0], b) for g, (W, b, _)
+                         in zip(u.mesh.grids, net.branches)))
+    deltas = np.array(deltas)
+    cmax = float(np.max(np.abs(u.coefficients)))
+    tol = TNN_RTOL * (1.0 + cmax)
+    dev = float(np.max(np.abs(net.forward_grid(axes) - u.eval_grid(axes))))
+    if any(t.size != g.size for t, g in zip(axes, u.mesh.grids)):
+        dev += 12 * n * UNIT_ROUNDOFF * (cmax + TINY)
+
+    rank = net.rank
+    inflate = 1.0 + 8 * (max(net.widths) + n + rank + 4) * UNIT_ROUNDOFF
+    mu = [UNIT_ROUNDOFF * inflate * _branch_rounding(net, k, t)
+          for k, t in enumerate(axes)]
+    a = [np.abs(net.branch_values(k, t)) + mu[k] for k, t in enumerate(axes)]
+    h = [x + m for x, m in zip(a, mu)]
+    c = (n - 1 + rank - np.arange(rank)) * UNIT_ROUNDOFF * inflate
+    bound = grid_rank_sum(a, c)
+    for k in range(n):
+        bound += grid_rank_sum(a[:k] + [mu[k]] + h[k + 1:], 1.0 + c)
+    rho = float(np.max(bound)) * inflate
+
+    slopes = np.array([np.einsum("pj,j->p", np.abs(w), np.abs(W[:, 0]))
+                       for W, _, w in net.branches])
+    B = np.array([np.max(x + m, axis=1) for x, m in zip(a, mu)])
+    B += 2.0 * slopes * deltas[:, None]
+    for k in np.flatnonzero(deltas):
+        L = np.sum(slopes[k] * np.prod(np.delete(B, k, axis=0), axis=0))
+        Lu = np.max(np.abs(np.diff(u.coefficients, axis=k))
+                    / np.diff(u.mesh.grids[k]).reshape((-1,) + (1,) * (n - k - 1)))
+        dev += deltas[k] * (6.0 * L + Lu) * inflate
+
+    K = 4 * rank * (sum(net.widths) + 2 * n + 2)
+    wmax = max(float(np.max(np.abs(w), initial=0.0)) for _, _, w in net.branches)
+    scale = (math.log2(K) + math.log2(max(1.0, wmax))
+             + float(np.sum(np.log2(np.maximum(1.0, np.max(B, axis=1))))))
+    rho += math.ldexp(1.0, math.ceil(scale) + 2 - 1074) if scale < 2000 else math.inf
+    return TensorNetReport(dev, rho, tol)
 
 
 @dataclass

@@ -7,8 +7,10 @@ code they check.
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -529,6 +531,108 @@ def tensor_eval_batch(u, X):
             pos.append(idx[k] + c)
         out += w * u.coefficients[tuple(pos)]
     return out
+
+
+def foreign_tensor_net(rng, n):
+    """A tensor net of n branches that compile_tnn would not write: widths
+    1-6 and rank 1-3, W drawn from negative, zero, power-of-two and other
+    values, some -0.0 entries in b and some zero weights, kinks in and
+    around [0, 1]."""
+    from relufem.networks import TensorNet
+    rank = int(rng.integers(1, 4))
+    branches = []
+    for _ in range(n):
+        width = int(rng.integers(1, 7))
+        W = rng.choice([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 1.0 / 3.0, 0.7], width)
+        b = -W * rng.uniform(-0.2, 1.2, width)
+        b[rng.random(width) < 0.2] = -0.0
+        weights = rng.standard_normal((rank, width))
+        weights[rng.random((rank, width)) < 0.2] = 0.0
+        branches.append((W, b, weights))
+    return TensorNet(branches)
+
+
+def tnn_exact(net, x):
+    """The tensor net at the point x in exact rational arithmetic: every
+    float weight and coordinate as a Fraction, nothing rounded."""
+    total = Fraction(0)
+    for p in range(net.rank):
+        term = Fraction(1)
+        for (W, b, weights), t in zip(net.branches, x):
+            t = Fraction(float(t))
+            term *= sum(Fraction(float(w)) * max(Fraction(float(Wj)) * t
+                                                 + Fraction(float(bj)), 0)
+                        for w, Wj, bj in zip(weights[p], W[:, 0], b))
+        total += term
+    return total
+
+
+def tensor_fe_exact(u, x):
+    """The tensor FE function at the point x in exact rational arithmetic:
+    its cell's corner coefficients weighted by products of exact (1 - loc,
+    loc)."""
+    idx, loc = [], []
+    for g, t in zip(u.mesh.grids, x):
+        i = min(max(int(np.searchsorted(g, t, side="right")) - 1, 0), g.size - 2)
+        idx.append(i)
+        loc.append((Fraction(float(t)) - Fraction(float(g[i])))
+                   / (Fraction(float(g[i + 1])) - Fraction(float(g[i]))))
+    total = Fraction(0)
+    for corner in itertools.product((0, 1), repeat=u.mesh.n):
+        w = Fraction(1)
+        for c, lam in zip(corner, loc):
+            w *= lam if c else 1 - lam
+        total += w * Fraction(float(u.coefficients[tuple(
+            i + c for i, c in zip(idx, corner))]))
+    return total
+
+
+def tnn_rounding_majorant(net, x):
+    """The running-error majorant of relufem.verify.check_tensor_net at the
+    point x, neuron by neuron, without its inflation and underflow terms.
+
+    Per branch k and rank row p, in float: phi = sum of |partial sums|,
+    one per neuron in column order + 2 sum |w_J r_J| + sum |w_J W_J t| over
+    the rows whose W_J is not 0 or a power of two. Then exactly, with mu =
+    u phi and a = |G| + mu (in float, mu is below half an ulp of |G| as
+    often as not, and |G| + mu would round it away): sum_p (1 + c_p) prod_k
+    (a + mu) - prod_k a with c_p = (n - 1 + rank - p) u.
+    """
+    u = 2.0 ** -53
+    n = len(net.branches)
+    total = Fraction(0)
+    for p in range(net.rank):
+        upper, lower = Fraction(1), Fraction(1)
+        for (W, b, weights), t in zip(net.branches, x):
+            s, phi = 0.0, 0.0
+            for w, Wj, bj in zip(weights[p], W[:, 0], b):
+                a = float(Wj) * float(t)
+                r = max(a + float(bj), 0.0)
+                if math.frexp(float(Wj))[0] not in (0.0, 0.5, -0.5):
+                    phi += abs(float(w)) * abs(a)
+                q = float(w) * r
+                s += q
+                phi += abs(s) + 2.0 * abs(q)
+            mu = Fraction(u) * Fraction(phi)
+            upper *= Fraction(abs(s)) + 2 * mu
+            lower *= Fraction(abs(s)) + mu
+        c = Fraction(n - 1 + net.rank - p) * Fraction(u)
+        total += (1 + c) * upper - lower
+    return total
+
+
+def tnn_verify_report(u, net):
+    """(max_deviation, rounding_bound, tolerance) that tnn-verify reports for
+    a net whose kinks are all grid nodes: forward_batch on the nodes against
+    the coefficients, and the largest tnn_rounding_majorant over the nodes
+    (as a float, without check_tensor_net's relative inflation of about
+    1e-13 and its underflow term)."""
+    nodes = np.array(np.meshgrid(*u.mesh.grids, indexing="ij"))
+    nodes = nodes.reshape(u.mesh.n, -1).T
+    dev = float(np.max(np.abs(net.forward_batch(nodes) - u.coefficients.ravel())))
+    rho = float(max(tnn_rounding_majorant(net, x) for x in nodes))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(u.coefficients))))
+    return dev, rho, tol
 
 
 def cp_decompose_svd(T):

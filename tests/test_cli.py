@@ -15,6 +15,8 @@ from relufem.networks import TensorNet, load as load_net
 from relufem.tensorfe import TensorFE, TensorMesh
 from relufem.verify import convergence_experiment
 
+from oracles import tnn_verify_report
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -329,24 +331,8 @@ def test_tnn_build_refuses_hat_weights_beyond_the_float_range(tmp_path, capsys):
     assert not (tmp_path / "tnn.json").exists()
 
 
-def stacked_tnn_verify_text(u_path, net_path, samples, seed):
-    """tnn-verify's report with the grid nodes and the samples stacked
-    into one batch, the form the two-batch report must reproduce."""
-    u = TensorFE.load(u_path)
-    net = TensorNet.from_doc(docio.load(net_path))
-    rng = np.random.default_rng(seed)
-    los = [g[0] for g in u.mesh.grids]
-    his = [g[-1] for g in u.mesh.grids]
-    X = rng.uniform(los, his, size=(samples, u.mesh.n))
-    nodes = np.array(np.meshgrid(*u.mesh.grids, indexing="ij"))
-    X = np.vstack([nodes.reshape(u.mesh.n, -1).T, X])
-    dev = float(np.max(np.abs(net(X) - u(X))))
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(u.coefficients))))
-    return f"max_deviation={dev!r}\ntolerance={tol!r}\npassed={dev <= tol}\n"
-
-
 @pytest.mark.parametrize("seed", [0, 5])
-def test_tnn_verify_reports_what_the_stacked_batch_did(tmp_path, capsys, seed):
+def test_tnn_verify_reports_the_grid_check(tmp_path, capsys, seed):
     rng = np.random.default_rng(seed)
     grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, d - 2), 1.0]) for d in (2, 5, 10)]
     coefficients = rng.standard_normal((2, 5, 10))
@@ -354,8 +340,10 @@ def test_tnn_verify_reports_what_the_stacked_batch_did(tmp_path, capsys, seed):
     TensorFE(TensorMesh(grids), coefficients).save(u_path)
     assert main(["tnn-build", "--function", u_path, "--output", net_path]) == 0
     capsys.readouterr()
+    net = TensorNet.from_doc(docio.load(net_path))
     # the net of these coefficients passes; against changed ones it fails,
-    # by 1e-3 around one grid node and by 0.5 everywhere
+    # by 1e-3 at one grid node and by 0.5 everywhere. --samples and --seed
+    # are accepted and ignored
     bump = np.zeros_like(coefficients)
     bump[1, 2, 3] = 1e-3
     for changed, code in ((coefficients, 0), (coefficients + bump, 5),
@@ -364,8 +352,51 @@ def test_tnn_verify_reports_what_the_stacked_batch_did(tmp_path, capsys, seed):
         rc = main(["tnn-verify", "--function", u_path, "--network", net_path,
                    "--samples", "3000", "--seed", str(seed)])
         assert rc == code
-        assert capsys.readouterr().out == stacked_tnn_verify_text(
-            u_path, net_path, 3000, seed)
+        out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert list(out) == ["max_deviation", "rounding_bound", "tolerance", "passed"]
+        dev, rho, tol = tnn_verify_report(TensorFE.load(u_path), net)
+        assert out["max_deviation"] == repr(dev)
+        assert out["tolerance"] == repr(tol)
+        assert float(out["rounding_bound"]) == pytest.approx(rho, rel=1e-9, abs=0)
+        assert float(out["rounding_bound"]) >= rho
+        assert out["passed"] == str(code == 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("gap, code", [(4.1e-8, 5), (1e-3, 0)])
+def test_tnn_verify_refuses_nodes_too_close_for_the_hat_weights(
+        tmp_path, capsys, seed, gap, code):
+    """Two nodes 4.1e-8 apart make the hat weights cancel beyond the
+    tolerance: the rounding bound alone exceeds it, whatever the samples
+    once drawn would have hit. Nodes 1e-3 apart pass."""
+    rng = np.random.default_rng(seed)
+    g = np.linspace(0.0, 1.0, 20)
+    g[11] = g[10] + gap
+    u_path, net_path = str(tmp_path / "u.json"), str(tmp_path / "tnn.json")
+    TensorFE(TensorMesh([g, np.linspace(0.0, 1.0, 20)]),
+             rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))).save(u_path)
+    assert main(["tnn-build", "--function", u_path, "--output", net_path]) == 0
+    capsys.readouterr()
+    assert main(["tnn-verify", "--function", u_path, "--network", net_path]) == code
+    out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert (float(out["rounding_bound"]) > float(out["tolerance"])) == (code == 5)
+    _, rho, _ = tnn_verify_report(TensorFE.load(u_path),
+                                  TensorNet.from_doc(docio.load(net_path)))
+    assert float(out["rounding_bound"]) == pytest.approx(rho, rel=1e-9, abs=0)
+
+
+def test_tnn_verify_refuses_a_net_of_another_dimension(tmp_path, capsys):
+    docio.save({"grids": [[0.0, 1.0]] * 3, "shape": [2, 2, 2],
+                "coefficients": [0, 1, 2, 3, 4, 5, 6, 7]}, tmp_path / "u.json")
+    docio.save({"grids": [[0.0, 1.0]] * 2, "shape": [2, 2],
+                "coefficients": [0, 1, 2, 3]}, tmp_path / "u2.json")
+    assert main(["tnn-build", "--function", str(tmp_path / "u2.json"),
+                 "--output", str(tmp_path / "tnn.json")]) == 0
+    capsys.readouterr()
+    rc = main(["tnn-verify", "--function", str(tmp_path / "u.json"),
+               "--network", str(tmp_path / "tnn.json")])
+    assert rc == 2
+    assert "input dimension 3, expected 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "convergence",

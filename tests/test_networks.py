@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import os
 import signal
 import sys
@@ -6,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relufem import _chunks
 from relufem._chunks import CHUNK_ELEMENTS
@@ -17,7 +20,9 @@ from relufem.meshgen import random_polygon_mesh
 from relufem.networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
                               serialize, tnn_forward)
 from relufem.pwl import PiecewiseLinear, nodal_linear
-from relufem.tensorfe import compile_1d_hat
+from relufem.tensorfe import TensorFE, TensorMesh, compile_1d_hat, compile_tnn
+
+from oracles import foreign_tensor_net
 
 
 def tiny_net(output_bias=None):
@@ -236,6 +241,48 @@ def test_tnn_forward_does_not_depend_on_the_batch():
         net.branches[0][2][0, 0] = 1.0
     with pytest.raises(ValueError):
         net._layers[0].data[0] = 1.0
+
+
+def assert_grid_is_forward_batch(net, axes):
+    X = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1).T
+    np.testing.assert_array_equal(net.forward_grid(axes).reshape(-1).view(np.uint64),
+                                  net.forward_batch(X).view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       foreign=st.booleans())
+def test_tnn_grid_values_are_forward_batch_bits(n, seed, foreign):
+    """forward_grid at every point of a product grid of nodes, points
+    between them and points beyond them has forward_batch's bits, on nets
+    compile_tnn writes (hat layers from compile_1d_hat on one axis) and on
+    foreign ones."""
+    rng = np.random.default_rng(seed)
+    counts = tuple(int(c) for c in rng.integers(2, 6, n))
+    grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, c - 2), 1.0]) for c in counts]
+    if foreign:
+        net = foreign_tensor_net(rng, n)
+    elif n == 1:
+        net = TensorNet([compile_1d_hat(grids[0], rng.standard_normal(counts[0]))])
+    else:
+        # above order 2 a rank-one tensor, which ALS factors at once; padded
+        # to the shape bound, its zero terms are rows of zero weights
+        coefficients = rng.standard_normal(counts) if n == 2 else functools.reduce(
+            np.multiply.outer, [rng.standard_normal(c) for c in counts])
+        net = compile_tnn(TensorFE(TensorMesh(grids), coefficients),
+                          whole_space_rank=bool(seed % 2))
+    axes = [np.sort(np.r_[g, rng.uniform(-0.5, 1.5, 3)]) for g in grids]
+    assert_grid_is_forward_batch(net, axes)
+
+
+def test_tnn_grid_values_keep_their_bits_across_chunks():
+    # 300-point axes at rank 6 make 145-row chunks: three of them, which
+    # go to the pool on two or more CPUs
+    rng = np.random.default_rng(23)
+    net = hat_tensor_net(rng)
+    axes = [np.sort(rng.uniform(0, 1, 300)) for _ in range(2)]
+    assert CHUNK_ELEMENTS // (net.rank * 300) < 150
+    assert_grid_is_forward_batch(net, axes)
 
 
 def compiled_nets():

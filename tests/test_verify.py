@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,16 @@ from relufem.compiler import compile_compact_support, compile_weak_representatio
 from relufem.errors import MeshError, VerifyError
 from relufem.mesh import ConvexCell, PolytopeMesh, freudenthal_mesh, min_inradius
 from relufem.meshgen import random_polygon_mesh
-from relufem.networks import ReluNet2
+from relufem.networks import ReluNet2, TensorNet
 from relufem.pwl import PiecewiseLinear, nodal_linear
-from relufem.verify import (check_counts, check_weak_representation,
-                            convergence_experiment, estimate_lp_error,
-                            estimate_lp_error_with_stderr, sample_exterior)
+from relufem.tensorfe import TensorFE, TensorMesh, compile_tnn
+from relufem.verify import (TensorNetReport, check_counts, check_tensor_net,
+                            check_weak_representation, convergence_experiment,
+                            estimate_lp_error, estimate_lp_error_with_stderr,
+                            sample_exterior)
+
+from oracles import (foreign_tensor_net, tensor_fe_exact, tnn_exact,
+                     tnn_rounding_majorant)
 
 
 def interval_mesh(*breaks):
@@ -235,3 +242,123 @@ def test_polygon_mesh_weak_representation():
     rep = check_weak_representation(net, v, mesh, 0.05 * h,
                                     samples_per_cell=200, seed=3)
     assert rep.passed, rep.as_text()
+
+
+@pytest.mark.parametrize("dev, rho, passed", [
+    (0.5, 0.25, True), (0.5, 0.2500001, False), (0.0, 0.5, True),
+    (float("nan"), 0.0, False), (0.0, float("nan"), False)])
+def test_a_tensor_net_passes_iff_deviation_and_twice_the_bound_fit(dev, rho, passed):
+    rep = TensorNetReport(dev, rho, 1.0)
+    assert rep.passed is passed
+    assert rep.as_text().endswith(f"tolerance=1.0\npassed={passed}\n")
+
+
+def close_pair_grid(nodes, gap):
+    """nodes points spread over [0, 1], the middle two of them gap apart."""
+    g = np.linspace(0.0, 1.0, nodes)
+    g[nodes // 2 + 1] = g[nodes // 2] + gap
+    return g
+
+
+def assert_report_covers(u, net, rep, X):
+    """At every row of X, exactly: |fl(net) - net| <= rounding_bound, and
+    |fl(net) - u| <= max_deviation + 2 rounding_bound, the claim a passing
+    report makes for the whole grid box."""
+    rho = Fraction(rep.rounding_bound)
+    claim = Fraction(rep.max_deviation) + 2 * rho
+    worst = Fraction(0)
+    for x, y in zip(X, net.forward_batch(X)):
+        off = abs(Fraction(float(y)) - tnn_exact(net, x))
+        assert off <= rho
+        worst = max(worst, off)
+        assert abs(Fraction(float(y)) - tensor_fe_exact(u, x)) <= claim
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_rounding_bound_covers_the_exact_net_between_nodes(seed):
+    """Hat layers on a grid with two nodes 1e-7 apart cancel heavily: the
+    computed net is off the exact one by far more than at well spaced
+    nodes, between nodes as at them, and the bound still covers it."""
+    rng = np.random.default_rng(seed)
+    grids = [close_pair_grid(12, 1e-7), np.linspace(0.0, 1.0, 9)]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal((12, 3))
+                 @ rng.standard_normal((3, 9)))
+    net = compile_tnn(u)
+    rep = check_tensor_net(u, net)
+    nodes = np.array(np.meshgrid(*grids, indexing="ij")).reshape(2, -1).T
+    near = np.column_stack([grids[0][6] + rng.uniform(-1e-6, 1e-6, 100),
+                            rng.uniform(0, 1, 100)])
+    X = np.vstack([nodes, rng.uniform(0, 1, (150, 2)), near])
+    worst = assert_report_covers(u, net, rep, X)
+    # the rounding is real, and the bound is not vacuous
+    assert worst > 0
+    assert rep.rounding_bound < 1e5 * float(worst)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_report_covers_foreign_nets_at_their_kinks(seed):
+    """A foreign net's kinks fl(-b / W) join the axis grids: exactly at
+    them, between them and at random points, the report's claim holds."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    counts = tuple(int(c) for c in rng.integers(2, 5, n))
+    grids = [np.sort(np.r_[0.0, rng.uniform(0, 1, c - 2), 1.0]) for c in counts]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal(counts))
+    net = foreign_tensor_net(rng, n)
+    rep = check_tensor_net(u, net)
+    axes = []
+    for (W, b, _), g in zip(net.branches, grids):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = -b / W[:, 0]
+        kinks = kinks[(kinks >= 0.0) & (kinks <= 1.0)]
+        mids = (kinks[:, None] + rng.uniform(-1e-3, 1e-3, 2)).ravel()
+        axes.append(np.clip(np.r_[g, kinks, mids], 0.0, 1.0))
+    X = np.array(np.meshgrid(*axes, indexing="ij")).reshape(n, -1).T
+    X = np.vstack([X, rng.uniform(0, 1, (100, n))])
+    assert_report_covers(u, net, rep, X)
+    # the rounding bound is the neuron-by-neuron majorant's largest value,
+    # which lies on the grid of nodes and kinks that X holds (plus an
+    # underflow term below 1e-300)
+    majorant = max(tnn_rounding_majorant(net, x) for x in X)
+    assert rep.rounding_bound == pytest.approx(float(majorant), rel=1e-9, abs=1e-300)
+    assert rep.rounding_bound >= majorant
+
+
+def test_a_kink_hidden_between_nodes_fails_the_check():
+    """A tent c [relu(x - t_i) - 2 relu(x - m) + relu(x - t_i+1)] added to
+    one branch is 0 at every node: the node grid alone passes the net, and
+    the check, which evaluates its kink m too, fails it."""
+    rng = np.random.default_rng(4)
+    grids = [np.array([0.0, 0.3, 0.55, 1.0]), np.array([0.0, 0.4, 1.0])]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal((4, 3)))
+    net = compile_tnn(u)
+    assert check_tensor_net(u, net).passed
+    (W, b, weights), other = net.branches
+    lo, hi = grids[0][1], grids[0][2]
+    tent = np.zeros((net.rank, 3))
+    tent[0] = [1e-3, -2e-3, 1e-3]
+    mutant = TensorNet([(np.r_[W[:, 0], 1.0, 1.0, 1.0],
+                         np.r_[b, -lo, -(lo + hi) / 2, -hi],
+                         np.hstack([weights, tent])), other])
+    rep = check_tensor_net(u, mutant)
+    nodes = np.array(np.meshgrid(*grids, indexing="ij")).reshape(2, -1).T
+    at_nodes = float(np.max(np.abs(mutant(nodes) - u.coefficients.ravel())))
+    assert at_nodes + 2 * rep.rounding_bound <= rep.tolerance
+    assert not rep.passed
+    assert rep.max_deviation > 100 * rep.tolerance
+
+
+def test_the_check_passes_an_800x800_rank_6_net():
+    """The benchmark's fine case: every one of the 640,000 nodes and the
+    rounding bound between them, well inside the tolerance. The nodes are
+    jittered about a uniform grid, as the benchmark's are: sorted uniform
+    draws bring two nodes close enough to fail (see the close-pair test)."""
+    rng = np.random.default_rng(1)
+    jitter = [np.r_[0.0, rng.uniform(-0.25, 0.25, 798), 0.0] for _ in range(2)]
+    grids = [(np.arange(800) + j) / 799 for j in jitter]
+    u = TensorFE(TensorMesh(grids), rng.standard_normal((800, 6))
+                 @ rng.standard_normal((6, 800)))
+    rep = check_tensor_net(u, compile_tnn(u))
+    assert rep.passed
+    assert rep.max_deviation + 2 * rep.rounding_bound < 0.9 * rep.tolerance
