@@ -6,9 +6,10 @@ from .errors import (CompileError, ConditioningWarning, DocumentError,
                      MeshError, ReluFemError, VerifyError)
 from .mesh import (ConvexCell, DirectedHyperplaneRegistry, Halfspace,
                    PolytopeMesh, ValidationReport, build_registry,
-                   freudenthal_mesh, min_inradius, sample_cells,
-                   sample_exterior, sample_mesh, sample_shrunk_domain,
-                   shrink_cell, validate_mesh)
+                   freudenthal_mesh, min_inradius, shrink_cell,
+                   validate_mesh)
+from .sampling import (sample_cells, sample_exterior, sample_mesh,
+                       sample_shrunk_domain)
 from .pwl import (EvalResult, PiecewiseLinear, eval_pwl, nodal_linear,
                   sup_norm)
 from .networks import (ReluNet2, TensorNet, deserialize, fnn_forward,

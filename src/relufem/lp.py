@@ -37,8 +37,9 @@ def cell_facts(combinations, balls):
     W d != 0 (Stiemke's alternative).
 
     `balls` lists halfspaces (W_c, b_c). For each, the LP maximizes r_c
-    subject to w_i . x_c + b_i >= r_c |w_i|: the largest inscribed ball,
-    with r_c <= 0 when the interior is empty.
+    subject to (w_i / |w_i|) . x_c + b_i / |w_i| >= r_c: the largest
+    inscribed ball, with r_c <= 0 when the interior is empty. HiGHS meets
+    each row to an absolute tolerance, which unit rows make a distance.
 
     The blocks share no variable, so the summed objective is optimal
     exactly when every block's is. Returns (lambdas, [(centre, r), ...])
@@ -58,13 +59,14 @@ def cell_facts(combinations, balls):
     bounds = np.tile([-np.inf, np.inf], (width, 1))
     bounds[L0:, 0] = 1.0
     A_eq = b_eq = A_ub = b_ub = None
-    if balls:  # -w_i . x_c + |w_i| r_c <= b_i
+    if balls:  # -(w_i / |w_i|) . x_c + r_c <= b_i / |w_i|
         W, block, i, j = _stack([w for w, _ in balls])
+        norms = np.linalg.norm(W, axis=1)
         rows = np.concatenate([i, np.arange(len(W))])
         cols = np.concatenate([block[i] * (n + 1) + j, block * (n + 1) + n])
-        data = np.concatenate([-W[i, j], np.linalg.norm(W, axis=1)])
+        data = np.concatenate([-W[i, j] / norms[i], np.ones(len(W))])
         A_ub = coo_matrix((data, (rows, cols)), shape=(len(W), width))
-        b_ub = np.concatenate([b for _, b in balls])
+        b_ub = np.concatenate([b for _, b in balls]) / norms
     if combinations:  # block c's n rows of W_c^T
         W, block, i, j = _stack(combinations)
         A_eq = coo_matrix((W[i, j], (block[i] * n + j, L0 + i)),

@@ -5,12 +5,12 @@ a mesh is a list of such cells with pairwise disjoint interiors. Simplex
 cells may instead be given by their vertex lists, from which inward facet
 halfspaces are derived. The directed-hyperplane registry canonicalizes all
 facets of a mesh, merges the ones that are positive multiples of each other,
-and classifies the underlying hyperplanes as interior or boundary.
+and classifies the underlying hyperplanes as interior or boundary. Point
+location is relufem._boxtree's and the samplers are relufem.sampling's.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -20,19 +20,15 @@ import numpy as np
 from scipy.spatial import (ConvexHull, Delaunay, HalfspaceIntersection, QhullError,
                            cKDTree)
 
-from . import docio, lp
+from . import _boxtree, docio, lp
 from ._chunks import CHUNK_ELEMENTS
 from .errors import DocumentError, MeshError
+# the samplers live in relufem.sampling; relufem.mesh keeps their names
+from .sampling import (_rng, _simplex_volumes, sample_cells, sample_exterior,
+                       sample_mesh, sample_shrunk_domain)
 
 DEDUP_TOL = 1e-9
 VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
-# point location: deepest Morton level, and the candidate count at which a
-# box stops splitting
-TREE_LEVELS = 16
-LEAF_CANDIDATES = 4
-# sample_exterior: the bounding box's inflation, and the far ring's points
-EXTERIOR_INFLATE = 3.0
-EXTERIOR_FAR_POINTS = 100
 
 _UNSET = object()
 
@@ -58,132 +54,11 @@ class Halfspace:
 
 def _affine(X, W, b):
     """X @ W.T + b over any leading stack axes, summed coordinate by
-    coordinate, so an entry has the same bits in whatever stack it is."""
-    out = X[..., :, None, 0] * W[..., None, :, 0]
-    for d in range(1, W.shape[-1]):
-        out += X[..., :, None, d] * W[..., None, :, d]
-    out += b[..., None, :]
-    return out
-
-
-def _corner_values(lo, hi, W, b):
-    """Each facet's value at the corner of its box [lo, hi] that maximises
-    it, hi_d where w_d > 0 and lo_d elsewhere, by _affine's operations in
-    _affine's order: fl(...fl(fl(c_0 w_0) + fl(c_1 w_1)) ... + b). lo, hi
-    and W put the coordinate first and broadcast over the rest.
-
-    Every rounded product c_d w_d is monotone in c_d and every rounded sum
-    is nondecreasing in both terms (Higham 2002, ch. 2), so the corner value
-    bounds the value at any point of the box from above: a point whose
-    value is not NaN or -inf has a value <= the corner's, which is not NaN.
-    """
-    C = lo if hi is lo else np.where(W > 0, hi, lo)
-    out = C[0] * W[0]
-    for d in range(1, len(W)):
-        out += C[d] * W[d]
-    return out + b
-
-
-def _pairs_pass(lo, hi, box, cell, W, b, tol):
-    """Per pair i, whether every facet of cell[i] is >= -tol at the corners
-    of the box lo[:, box[i]], hi[:, box[i]]. W (n, m, cells) and b (m,
-    cells) hold each cell's facets, padded with copies; boxes are (n,
-    boxes). On a point (lo = hi = x) this is ConvexCell.contains, with the
-    same bits."""
-    passed = np.empty(box.size, dtype=bool)
-    step = max(1, CHUNK_ELEMENTS // (W.shape[0] * W.shape[1]))
-    for s in range(0, box.size, step):
-        i, c = box[s:s + step], cell[s:s + step]
-        # take keeps the gathered blocks contiguous, unlike fancy indexing
-        lo_i = np.take(lo, i, axis=1)[:, None]
-        hi_i = lo_i if hi is lo else np.take(hi, i, axis=1)[:, None]
-        values = _corner_values(lo_i, hi_i, np.take(W, c, axis=2), np.take(b, c, axis=1))
-        passed[s:s + step] = np.min(values, axis=0) >= -tol
-    return passed
-
-
-def _morton_order(X, levels):
-    """Order of the points X (n, P) by a Morton key (Morton 1966) on a
-    2^levels grid over their bounding box, and the sorted keys: each grid
-    box at each level holds a contiguous run of the sorted points."""
-    n = X.shape[0]
-    lo, hi = X.min(axis=1, keepdims=True), X.max(axis=1, keepdims=True)
-    with np.errstate(all="ignore"):
-        t = np.nan_to_num((X - lo) / (hi - lo), nan=0.0, posinf=0.0)
-    q = np.minimum(t * 2.0 ** levels, 2 ** levels - 1).astype(np.uint64)
-    # spread a byte's bits n apart by table lookup, one byte of q at a time
-    bits = np.arange(8, dtype=np.uint64)
-    spread = np.sum((np.arange(256, dtype=np.uint64)[:, None] >> bits & np.uint64(1))
-                    << (bits * np.uint64(n)), axis=1, dtype=np.uint64)
-    key = np.zeros(X.shape[1], dtype=np.uint64)
-    for d in range(n):
-        for byte in range(0, levels, 8):
-            key |= spread[q[d] >> np.uint64(byte) & np.uint64(255)] \
-                << np.uint64(byte * n + n - 1 - d)
-    order = np.argsort(key)
-    return order, key[order]
-
-
-def _box_tree_leaves(X, W, b, tol):
-    """The (point range, cell) pairs that may pass ConvexCell.contains(tol)
-    for finite points X (n, P); W and b as for _pairs_pass.
-
-    A tree of Morton boxes over the points, walked level by level from the
-    root with every cell a candidate: a (box, cell) pair is dropped when a
-    facet's corner value fails the test, so no point of the box can pass,
-    and a box's children inherit its survivors. A box stops splitting with
-    at most LEAF_CANDIDATES survivors, when it is one point, or at the last
-    level. Returns the Morton order of the points and one (start, end,
-    cell) per leaf and survivor: points order[start:end] may lie in cell.
-    """
-    n, P = X.shape
-    levels = min(TREE_LEVELS, 63 // n)
-    order = np.arange(P)  # sorted when the root splits
-    leaves = []
-    # the nodes holding pairs, as ranges of the sorted points
-    start, end = np.zeros(1, dtype=int), np.full(1, P)
-    box, cell = np.zeros(b.shape[1], dtype=int), np.arange(b.shape[1])
-    for level in range(levels + 1):
-        cuts = np.column_stack([start, end]).ravel()
-        cuts = cuts[:-1] if cuts[-1] == P else cuts
-        lo = np.minimum.reduceat(X, cuts, axis=1)[:, ::2]
-        hi = np.maximum.reduceat(X, cuts, axis=1)[:, ::2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            keep = _pairs_pass(lo, hi, box, cell, W, b, tol)
-        box, cell = box[keep], cell[keep]
-        leaf = ((np.bincount(box, minlength=start.size) <= LEAF_CANDIDATES)
-                | np.all(lo == hi, axis=0) | (level == levels))[box]
-        leaves.append((start[box[leaf]], end[box[leaf]], cell[leaf]))
-        box, cell = box[~leaf], cell[~leaf]
-        if not box.size:
-            break
-        if level == 0:
-            order, key = _morton_order(X, levels)
-            X = np.take(X, order, axis=1)
-        # split each node that keeps pairs at the next level's key bits
-        split = np.zeros(start.size, dtype=bool)
-        split[box] = True
-        prefix = key >> np.uint64(n * (levels - level - 1))
-        child_starts = np.concatenate([[0], np.flatnonzero(np.diff(prefix)) + 1])
-        child_ends = np.append(child_starts[1:], P)
-        first = np.searchsorted(child_starts, start[split])
-        children = np.searchsorted(child_starts, end[split]) - first
-        offsets = np.cumsum(children) - children
-        kids = np.repeat(first - offsets, children) + np.arange(children.sum())
-        start, end = child_starts[kids], child_ends[kids]
-        parent = (np.cumsum(split) - 1)[box]
-        per_pair = children[parent]
-        cell = np.repeat(cell, per_pair)
-        box = (np.repeat(offsets[parent] - np.cumsum(per_pair) + per_pair, per_pair)
-               + np.arange(cell.size))
-    start, end, cell = (np.concatenate(a) for a in zip(*leaves))
-    return order, start, end, cell
-
-
-def _simplex_volumes(T):
-    """Volumes of simplices given as vertex arrays, shape (k, n+1, n)."""
-    n = T.shape[2]
-    return np.abs(np.linalg.det(T[:, 1:] - T[:, :1])) / float(math.factorial(n))
+    coordinate (_boxtree._corner_values on points), so an entry has the
+    same bits in whatever stack it is."""
+    X = np.moveaxis(X[..., :, None, :], -1, 0)
+    return _boxtree._corner_values(X, X, np.moveaxis(W[..., None, :, :], -1, 0),
+                                   b[..., None, :])
 
 
 def _simplex_halfspaces(V, names=None):
@@ -247,20 +122,21 @@ def _simplex_facts(V, W, b, names=None):
     return np.max(h, axis=-1, keepdims=True) / h, r[:, None] * centre, r
 
 
-def _stacks(shapes):
-    """Index lists that cut the cells of the given (m, n) shapes into
-    stacks for _supporting_rows: cells of one dimension in order of facet
-    count, at most CHUNK_ELEMENTS floats of (vertex, facet) and (facet,
-    facet) pairs per stack, with C(m, n) vertices at its largest count m,
-    or one cell when that alone takes more."""
-    stack = []
-    for i in sorted(range(len(shapes)), key=lambda i: shapes[i][::-1]):
-        m, n = shapes[i]
-        if stack and (shapes[stack[0]][1] != n or (len(stack) + 1)
-                      * (math.comb(m, n) + m) * m * n > CHUNK_ELEMENTS):
+def _stacks(cells, V):
+    """Index lists that cut the cells, given their vertex sets V, into
+    stacks for _supporting_rows: cells of one dimension in list order, at
+    most CHUNK_ELEMENTS floats of (vertex, facet) and (facet, facet) pairs
+    per stack, (len(V_i) + m_i) m_i n for cell i, or one cell when that
+    alone takes more."""
+    stack, size = [], 0
+    for i in sorted(range(len(cells)), key=lambda i: cells[i].dim):
+        m, n = cells[i].W.shape
+        pairs = (len(V[i]) + m) * m * n
+        if stack and (cells[stack[0]].dim != n or size + pairs > CHUNK_ELEMENTS):
             yield stack
-            stack = []
+            stack, size = [], 0
         stack.append(i)
+        size += pairs
     if stack:
         yield stack
 
@@ -294,9 +170,7 @@ def _interior_points(cells, epsilon):
     """A point strictly inside each cell of one dimension shrunk by
     epsilon (every row > 0 there), None where there is none. The first
     candidate strictly inside wins: at epsilon 0 the cell's `interior`;
-    where the inradius exceeds epsilon its Chebyshev centre (_solve_facts);
-    where a row of tiny norm puts that centre outside, as HiGHS meets each
-    row to an absolute tolerance, the centre of one LP over unit rows."""
+    where the inradius exceeds epsilon its Chebyshev centre (_solve_facts)."""
     points = [None] * len(cells)
 
     def take(ids, candidates):  # where each is strictly inside, one stack
@@ -314,12 +188,6 @@ def _interior_points(cells, epsilon):
     _solve_facts([c for c, p in zip(cells, points) if p is None])
     wide = [i for i, p in enumerate(points) if p is None and cells[i].inradius() > epsilon]
     take(wide, [cells[i].chebyshev()[0] for i in wide])
-    outside = [i for i in wide if points[i] is None]
-    unit = [(cells[i].W / cells[i].norms[:, None], cells[i].b / cells[i].norms)
-            for i in outside]
-    facts = lp.cell_facts([], unit) if unit else None
-    if facts:  # None when that LP fails too
-        take(outside, [centre for centre, _ in facts[1]])
     return points
 
 
@@ -415,10 +283,8 @@ def _supporting_rows(cells, V, tol):
     # operations of _affine in its order
     vcell = np.repeat(np.arange(len(cells)), p)
     vert, facet = _pair_blocks(m[vcell], fstart[vcell])
-    value = X[vert, 0] * W[facet, 0]
-    for d in range(1, n):
-        value += X[vert, d] * W[facet, d]
-    value += b[facet]
+    XT = X[vert].T
+    value = _boxtree._corner_values(XT, XT, W[facet].T, b[facet])
     size = _max_abs(X)
     tight = np.abs(value / norms[facet]) <= VERTEX_RTOL * size[vert]
     rank_tol = VERTEX_RTOL * np.maximum.reduceat(size, np.cumsum(p) - p)
@@ -450,21 +316,12 @@ class ConvexCell:
 
     A cell caches four facts: its boundedness, the Chebyshev ball, a
     strictly positive combination of the facet normals summing to zero,
-    and the vertex set. A simplex is bounded; every other cell decides
-    boundedness alone, by one convex hull of its unit normals
-    (is_bounded). On a simplex (`is_simplex`) the ball and the
-    combination have closed forms, set at birth by from_simplices; every
-    other cell gets both from its blocks of one LP, shared by all the
-    cells of a mesh (PolytopeMesh.solve_facts) or solved alone for a lone
-    cell. The vertex set is given for a simplex. Every other bounded cell
-    learns which rows meet at each vertex from one Qhull halfspace
-    intersection about a point strictly inside it, its `interior` point
-    (a Voronoi cell's site) or its Chebyshev centre, and the vertices of
-    all the cells of a mesh are solved at once at its first mesh-level
-    question (vertex_sets, bounding_box, validate_mesh, the samplers). The
-    vertex set answers every other question, pruning included (prune_all,
-    stacked). Volumes and samples come from a tiling of the (shrunk)
-    cell; the unshrunk tiling is cached.
+    and the vertex set. A simplex is born with all four (from_simplices).
+    Any other cell decides boundedness by one hull of its unit normals
+    (is_bounded); its ball and combination come from one block LP
+    (_solve_facts) and its vertex set from the vertex path (_vertex_sets),
+    both shared by all the cells of a mesh. Volumes and samples come from
+    a tiling of the (shrunk) cell; the unshrunk tiling is cached.
     """
 
     def __init__(self, W, b, vertices=None):
@@ -663,7 +520,7 @@ class ConvexCell:
         _fill_vertex_sets(cells)
         V = [c.vertex_set() for c in cells]
         keep = [None] * len(cells)
-        for ids in _stacks([c.W.shape for c in cells]):
+        for ids in _stacks(cells, V):
             rows = _supporting_rows([cells[i] for i in ids], [V[i] for i in ids], tol)
             for i, r in zip(ids, np.split(rows, np.cumsum([cells[i].m for i in ids])[:-1])):
                 keep[i] = r
@@ -951,6 +808,10 @@ class PolytopeMesh:
         V = np.concatenate(self.vertex_sets())
         return V.min(axis=0), V.max(axis=0)
 
+    def tilings(self, epsilon: float = 0.0) -> list:
+        """Every cell's simplices(epsilon), by one _tilings pass."""
+        return _tilings(self.cells, epsilon)
+
     def volume(self) -> float:
         """Sum of the cell volumes in cell order; the simplex cells' come
         from one stacked determinant, the others' from their cached
@@ -986,51 +847,15 @@ class PolytopeMesh:
     def containing(self, X, tol=1e-12):
         """(first containing cell or -1, number of containing cells) per
         point; cell c contains x when ConvexCell.contains(x, tol) holds.
-
-        A Morton box tree over the finite points prunes candidate cells by
-        exact corner bounds (_box_tree_leaves); only the surviving (point,
-        cell) pairs, and every cell for a non-finite point, are tested.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        By relufem._boxtree, over each cell's facets padded to one block."""
         if self._blocks is None:  # each cell's facets, padded with its first
             W, b, starts, _ = self.facets()
             ends = np.append(starts[1:], b.size)
             k = np.arange(np.max(ends - starts))[:, None]
             pad = np.where(starts + k < ends, starts + k, starts)
             self._blocks = np.ascontiguousarray(W[pad].transpose(2, 0, 1)), b[pad]
-        W, b = self._blocks
-        X = np.ascontiguousarray(X.T)  # (n, P): coordinates first, as W
-        finite = np.isfinite(X).all(axis=0)
-        rows, rest = np.flatnonzero(finite), np.flatnonzero(~finite)
-        start = end = cell = np.zeros(0, dtype=int)
-        if rows.size:
-            order, start, end, cell = _box_tree_leaves(
-                np.take(X, rows, axis=1), W, b, tol)
-            rows = rows[order]
-        if rest.size:  # one leaf, every cell a candidate
-            start = np.append(start, np.full(self.n_cells, rows.size))
-            end = np.append(end, np.full(self.n_cells, X.shape[1]))
-            cell = np.append(cell, np.arange(self.n_cells))
-        rows = np.concatenate([rows, rest])
-        X = np.take(X, rows, axis=1)
-        span = end - start
-        offsets = np.cumsum(span) - span
-        total = int(span.sum())
-        first = np.full(rows.size, self.n_cells)
-        count = np.zeros(rows.size, dtype=int)
-        step = max(1, CHUNK_ELEMENTS // (W.shape[0] * W.shape[1]))
-        for lo in range(0, total, step):
-            t = np.arange(lo, min(lo + step, total))
-            leaf = np.searchsorted(offsets, t, side="right") - 1
-            point, c = start[leaf] + t - offsets[leaf], cell[leaf]
-            inside = _pairs_pass(X, X, point, c, W, b, tol)
-            count += np.bincount(point[inside], minlength=rows.size)
-            np.minimum.at(first, point[inside], c[inside])
-        out_first = np.empty_like(first)
-        out_count = np.empty_like(count)
-        out_first[rows] = np.where(first < self.n_cells, first, -1)
-        out_count[rows] = count
-        return out_first, out_count
+        return _boxtree.containing(np.atleast_2d(np.asarray(X, dtype=float)),
+                                   *self._blocks, tol)
 
     def locate(self, X, tol=1e-12):
         """First containing cell index per point, -1 when outside the mesh."""
@@ -1114,105 +939,6 @@ def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
                         domain_hull=unit_cube_hull(n))
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _sample(tiles, quotas, rng: np.random.Generator):
-    """quotas[c] uniform points of each cell c, tagged by cell, from the
-    tiling tiles[c] (k_c, n+1, n) of its (shrunk) interior.
-
-    Exact, with no rejection: each point picks a tile of its cell with
-    probability proportional to the tile's volume, then barycentric weights
-    from normalised exponentials, which are uniform on a simplex (Devroye
-    1986, ch. XI). A cell with no tiles or no quota gets no points.
-    """
-    tiles = [t if q else t[:0] for t, q in zip(tiles, quotas)]
-    n = tiles[0].shape[2]
-    k = np.array([len(t) for t in tiles], dtype=int)
-    tags = np.repeat(np.arange(len(tiles)), np.where(k > 0, quotas, 0))
-    T = np.concatenate(tiles)
-    vol = _simplex_volumes(T)
-    cum = np.cumsum(vol)
-    last = np.cumsum(k)[tags] - 1
-    first = last - k[tags] + 1
-    # inverse CDF over the cell's tiles; the clip keeps rounding in the cell
-    target = cum[last] - rng.random(tags.size) * (cum[last] - cum[first] + vol[first])
-    pick = np.clip(np.searchsorted(cum, target), first, last)
-    E = rng.standard_exponential((tags.size, n + 1))
-    X = np.einsum("pk,pkd->pd", E / E.sum(axis=1, keepdims=True), T[pick])
-    return X, tags
-
-
-def sample_shrunk_domain(mesh: PolytopeMesh, epsilon: float, count: int, seed: int):
-    """Uniform samples of the union of epsilon-shrunk cells, tagged by cell.
-
-    Returns (points, cell_indices). The count is split evenly over the
-    cells whose shrunk interior is non-empty; if every cell is empty the
-    epsilon is too large.
-    """
-    if not epsilon > 0:
-        raise MeshError("epsilon must be > 0")
-    if count < 1:
-        raise MeshError("count must be >= 1")
-    tiles = _tilings(mesh.cells, epsilon)
-    alive = np.flatnonzero([len(t) for t in tiles])
-    if not alive.size:
-        raise MeshError("epsilon too large: every shrunk cell is empty")
-    base, extra = divmod(count, alive.size)
-    quotas = np.zeros(mesh.n_cells, dtype=int)
-    quotas[alive] = base + (np.arange(alive.size) < extra)
-    return _sample(tiles, quotas, _rng(seed, 0))
-
-
-def sample_cells(mesh: PolytopeMesh, per_cell: int, seed: int, epsilon: float = 0.0):
-    """Per-cell uniform samples (optionally of the shrunk cells), tagged;
-    per_cell points in every cell whose shrunk interior is non-empty."""
-    return _sample(_tilings(mesh.cells, epsilon),
-                   [per_cell] * mesh.n_cells, _rng(seed, 0))
-
-
-def sample_mesh(mesh: PolytopeMesh, count: int, seed: int) -> np.ndarray:
-    """count uniform points of the whole mesh: cell counts drawn
-    multinomially by cell volume, then sampled cell by cell."""
-    rng = _rng(seed, 77)
-    tiles = _tilings(mesh.cells, 0.0)
-    vols = np.array([np.sum(_simplex_volumes(t)) for t in tiles])
-    return _sample(tiles, rng.multinomial(count, vols / vols.sum()), rng)[0]
-
-
-def sample_exterior(mesh: PolytopeMesh, count: int, seed: int, region=None):
-    """Points safely outside the mesh (or outside `region` when given):
-    rejection samples from the bounding box inflated EXTERIOR_INFLATE
-    times, plus EXTERIOR_FAR_POINTS on a far ring at ten diameters.
-    MeshError when the box yields fewer than count."""
-    lo, hi = mesh.bounding_box()
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * EXTERIOR_INFLATE
-    diam = float(np.linalg.norm(hi - lo))
-    rng = _rng(seed, 90)
-    batches = []
-    got = 0
-    for _ in range(400):
-        X = rng.uniform(center - half, center + half,
-                        size=(max(2 * count, 128), mesh.dimension))
-        if region is None:
-            X = X[mesh.containing(X, tol=1e-9)[1] == 0]
-        else:
-            X = X[~region.contains(X, tol=1e-9)]
-        batches.append(X)
-        got += X.shape[0]
-        if got >= count:
-            break
-    if got < count:
-        raise MeshError(f"exterior sampling found {got} of {count} points "
-                        f"outside the {'mesh' if region is None else 'region'}")
-    dirs = rng.standard_normal((EXTERIOR_FAR_POINTS, mesh.dimension))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.vstack([np.vstack(batches)[:count], center + dirs * (10.0 * diam)])
-
-
 @dataclass
 class ValidationReport:
     """Outcome of the structural and Monte-Carlo mesh checks."""
@@ -1283,8 +1009,7 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
     hull_uncovered = None
     if mesh.domain_hull is not None:
         in_hull = mesh.domain_hull.contains(X, tol=-1e-9)
-        n_hull = int(np.sum(in_hull))
-        if n_hull:
+        if in_hull.any():
             hull_uncovered = float(np.mean(inside_count[in_hull] == 0))
 
     issues = []

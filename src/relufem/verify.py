@@ -15,7 +15,8 @@ import numpy as np
 
 from ._chunks import CHUNK_ELEMENTS, run_chunks
 from .errors import ConditioningWarning, DocumentError, VerifyError
-from .mesh import PolytopeMesh, sample_cells, sample_exterior, sample_mesh
+from .mesh import PolytopeMesh
+from .sampling import sample_cells, sample_exterior, sample_mesh
 from .networks import ReluNet2, TensorNet, grid_rank_sum
 from .pwl import PiecewiseLinear
 from .tensorfe import TensorFE

@@ -154,6 +154,18 @@ def test_voronoi_mesh_equals_the_all_sites_reference(name):
             == mesh_bytes(lambda: oracles.voronoi_polygon_mesh(sites, SQUARE)))
 
 
+def test_chebyshev_centres_are_inside_cells_with_a_tiny_row():
+    """Sites 1e-14 apart give cells 2 and 3 a bisector row of norm 2e-14.
+    The block LP's unit rows keep every centre strictly inside its cell,
+    and cell 3, at most 0.1 tall, has inradius 0.05."""
+    sites, _ = SITES["sites 1e-14 apart"]
+    mesh = oracles.voronoi_polygon_mesh(sites, SQUARE)
+    mesh.solve_facts()
+    for cell in mesh.cells:
+        assert np.all(cell.facet_values(cell.chebyshev()[0]) / cell.norms > 0)
+    assert mesh.cells[3].inradius() == pytest.approx(0.05, abs=1e-12)
+
+
 def test_duplicate_sites_are_refused():
     sites, _ = SITES["duplicate site"]
     with pytest.raises(MeshError, match="zero facet normal"):

@@ -10,8 +10,9 @@ from scipy.stats import kstest
 
 from relufem.compiler import compile_weak_representation
 from relufem.errors import MeshError
-from relufem.mesh import (ConvexCell, PolytopeMesh, _affine, _corner_values,
-                          freudenthal_mesh, sample_cells, sample_shrunk_domain)
+from relufem._boxtree import _corner_values
+from relufem.mesh import (ConvexCell, PolytopeMesh, _affine, freudenthal_mesh,
+                          sample_cells, sample_shrunk_domain)
 from relufem.meshgen import (random_bounded_polytope, random_polygon_mesh,
                              random_simplex_mesh)
 from relufem.pwl import nodal_linear
