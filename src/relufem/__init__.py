@@ -4,10 +4,9 @@ tensor networks), with numerical verification of every construction."""
 
 from .errors import (CompileError, ConditioningWarning, DocumentError,
                      MeshError, ReluFemError, VerifyError)
-from .mesh import (ConvexCell, DirectedHyperplaneRegistry, Halfspace,
-                   PolytopeMesh, ValidationReport, build_registry,
-                   freudenthal_mesh, min_inradius, shrink_cell,
-                   validate_mesh)
+from .mesh import (ConvexCell, DirectedHyperplaneRegistry, PolytopeMesh,
+                   ValidationReport, build_registry, freudenthal_mesh,
+                   min_inradius, shrink_cell, validate_mesh)
 from .sampling import (sample_cells, sample_exterior, sample_mesh,
                        sample_shrunk_domain)
 from .pwl import (EvalResult, PiecewiseLinear, eval_pwl, nodal_linear,

@@ -1,6 +1,8 @@
 """Exact point location by a Morton box tree over the query points, for
 cells given as facet blocks W (n, m, cells), b (m, cells) padded with
-copies of one facet (PolytopeMesh.containing)."""
+copies of one facet (PolytopeMesh.containing). Its corner value has a 1-D
+caller too: the tensor net's branch sweep (networks._RampSweep) bounds
+each unit relu(W t + b) over a block of points by it."""
 
 from __future__ import annotations
 

@@ -33,25 +33,6 @@ VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
 _UNSET = object()
 
 
-@dataclass
-class Halfspace:
-    """One closed halfspace {x : normal @ x + offset >= 0}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        self.normal = np.asarray(self.normal, dtype=float).reshape(-1)
-        self.offset = float(self.offset)
-        if not np.all(np.isfinite(self.normal)) or not np.isfinite(self.offset):
-            raise MeshError("halfspace data must be finite")
-        if np.linalg.norm(self.normal) <= 0.0:
-            raise MeshError("halfspace normal must have positive length")
-
-    def value(self, x):
-        return float(self.normal @ np.asarray(x, dtype=float) + self.offset)
-
-
 def _affine(X, W, b):
     """X @ W.T + b over any leading stack axes, summed coordinate by
     coordinate (_boxtree._corner_values on points), so an entry has the
@@ -943,7 +924,6 @@ def freudenthal_mesh(n: int, N: int) -> PolytopeMesh:
 class ValidationReport:
     """Outcome of the structural and Monte-Carlo mesh checks."""
 
-    bounded: list[bool]
     inradius: list[float]
     overlap_fraction: float
     union_volume_estimate: float
@@ -1033,7 +1013,6 @@ def validate_mesh(mesh: PolytopeMesh, samples: int = 100_000, seed: int = 0
                           f"volume {hull_vol:.12g}")
 
     return ValidationReport(
-        bounded=[True] * mesh.n_cells,
         inradius=inradius,
         overlap_fraction=overlap_fraction,
         union_volume_estimate=union_vol,

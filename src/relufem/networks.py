@@ -8,12 +8,14 @@ outputs multiply across axes and sum over the rank index.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 from scipy import sparse
 
 from . import docio
+from ._boxtree import _corner_values
 from ._chunks import CHUNK_ELEMENTS, run_chunks
 from .errors import DocumentError
 
@@ -187,19 +189,173 @@ class ReluNet2:
                    provenance=_provenance(doc))
 
 
+def _csc(dense):
+    """The CSC matrix of a 2-D float array: its nonzero entries column by
+    column, row order inside a column, as scipy's own conversion gives."""
+    nonzero = dense.T != 0
+    _, rows = np.nonzero(nonzero)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(nonzero, axis=1))])
+    return sparse.csc_matrix((dense.T[nonzero], rows, indptr), shape=dense.shape)
+
+
+class _RampSweep:
+    """One branch's contraction weights @ relu(W t + b), unit by unit
+    (the rows of W and b, the columns of weights), over its live units.
+
+    The points are sorted and cut into blocks. A unit is live on a block of
+    finite points when fl(fl(W t) + b) > 0 at one of the block's two ends
+    (relufem._boxtree._corner_values with n = 1): a rounded product with W
+    and a rounded sum with b are monotone in t (Higham 2002, ch. 2), so a
+    unit whose end values are <= 0 is relu = +-0 at every point between
+    them, and one that overflows anywhere in the block overflows at an
+    end. The block's run reaches from its first live unit to its last live
+    unit with W != 0; a live unit after the run has W = 0 and b > 0, hence
+    the value b. One CSC product sums the run's terms, then those units'
+    terms, in storage order. Every skipped term is w * (+-0) = +-0, and
+    adding +-0 to a partial sum that started at +0, as the CSC product's
+    do, leaves it unchanged (a rounded sum is -0 only when both terms
+    are): each value has the bits of the full contraction in storage
+    order. Non-finite points (NaN, +-inf) go in last blocks that keep every
+    unit, as 0 * inf is NaN; the NaNs of one point all come from its NaN
+    or are the default NaN of 0 * inf and inf - inf, so their sums keep
+    one sign whatever the block. A call of at most step points is one
+    block of every unit: bounding it would take more numpy calls than it
+    could save, as unsorted points span most kinks.
+    """
+
+    def __init__(self, W, b, csc):
+        w = W[:, 0]
+        self.W, self.b, self.csc = W, b, csc
+        self.rank, self.width = csc.shape
+        # one past each unit with W != 0, 0 at the others
+        self.after = np.where(w != 0, np.arange(1, self.width + 1), 0)[:, None]
+        # the units with W = 0 and b > 0: relu(fl(+-0 + b)) = b at every
+        # finite point
+        self.const = np.flatnonzero((w == 0) & (b > 0)).tolist()
+        # units with W = 1 before each index: a run of them skips the
+        # multiply, as fl(1 t) = t
+        self.ones = np.concatenate([[0], np.cumsum(w == 1)]).tolist()
+        self.step = max(1, CHUNK_ELEMENTS // self.width)
+        _freeze([], self.after)
+
+    def _matrix(self, j0, j1, const):
+        """The weights' CSC columns j0:j1, then the columns const."""
+        if j0 == 0 and j1 == self.width:
+            return self.csc
+        p = self.csc.indptr
+        spans = [(p[j0], p[j1])] + [(p[j], p[j + 1]) for j in const]
+        counts = np.concatenate([np.diff(p[j0:j1 + 1]),
+                                 [c - a for a, c in spans[1:]]])
+        return sparse.csc_matrix(
+            (np.concatenate([self.csc.data[a:c] for a, c in spans]),
+             np.concatenate([self.csc.indices[a:c] for a, c in spans]),
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(self.rank, counts.size))
+
+    def _runs(self, lo, hi):
+        """(j0, j1) per block with finite ends lo <= hi, as lists: the
+        block's run is the units j0:j1, and (0, 0) when no unit with W != 0
+        is live on it."""
+        ends = np.concatenate([lo, hi])[None]
+        z = _corner_values(ends, ends, self.W[None], self.b[:, None])
+        live = np.maximum(z[:, :lo.size], z[:, lo.size:]) > 0
+        j1 = (live * self.after).max(axis=0)
+        j0 = np.minimum(live.argmax(axis=0), j1)
+        return j0.tolist(), j1.tolist()
+
+    def _blocks(self, s):
+        """(start, end, j0, j1) per block of the sorted finite points s:
+        blocks of self.step points, each merged into the one before while
+        the units from the first run start to the last run end, and the
+        constant units, times the points stay within CHUNK_ELEMENTS (a run
+        holding more units than the block's live ones adds zeros)."""
+        if not s.size:
+            return []
+        starts = np.arange(0, s.size, self.step)
+        ends = np.append(starts[1:], s.size)
+        blocks = []
+        for start, end, j0, j1 in zip(starts.tolist(), ends.tolist(),
+                                      *self._runs(s[starts], s[ends - 1])):
+            if blocks:
+                first, _, a, c = blocks[-1]
+                a, c = min(a, j0), max(c, j1)
+                if (c - a + len(self.const)) * (end - first) <= CHUNK_ELEMENTS:
+                    blocks[-1] = (first, end, a, c)
+                    continue
+            blocks.append((start, end, j0, j1))
+        return blocks
+
+    def _contract(self, t, j0, j1):
+        """(rank, len(t)): the units j0:j1 at the points t, then the
+        constant units from j1 on, in one CSC product."""
+        const = self.const[bisect.bisect_left(self.const, j1):]
+        if len(const) == self.width - j1:  # they are the units from j1 on
+            j1, const = self.width, []
+        run = j1 - j0
+        # a block's Z fits in CHUNK_ELEMENTS floats (one point's if the
+        # branch is wider); allocated at that one size, a freed Z serves
+        # the next block, where blocks of varying sizes grow the
+        # allocator's per-thread heaps
+        size = (run + len(const)) * t.size
+        Z = np.empty(max(size, CHUNK_ELEMENTS))[:size].reshape(run + len(const), t.size)
+        z = Z[:run]
+        if self.ones[j1] - self.ones[j0] == run:
+            np.add(self.b[j0:j1, None], t, out=z)
+        else:
+            np.multiply(self.W[j0:j1], t, out=z)
+            z += self.b[j0:j1, None]
+        np.maximum(z, 0.0, out=z)
+        if const:
+            Z[run:] = self.b[const, None]
+        return self._matrix(j0, j1, const) @ Z
+
+    def values(self, t):
+        """(rank, len(t)) at the 1-D float array t."""
+        if t.size <= self.step:
+            return self._contract(t, 0, self.width)
+        finite = np.isfinite(t)
+        rows = np.flatnonzero(finite)
+        rows = rows[np.argsort(t[rows])]
+        s = t[rows]
+        tasks = [(rows[i:e], s[i:e], j0, j1) for i, e, j0, j1 in self._blocks(s)]
+        rest = np.flatnonzero(~finite)
+        for i in range(0, rest.size, self.step):
+            idx = rest[i:i + self.step]
+            tasks.append((idx, t[idx], 0, self.width))
+        out = np.empty((self.rank, t.size))
+
+        def body(lo, hi):
+            for idx, ts, j0, j1 in tasks[lo:hi]:
+                out[:, idx] = self._contract(ts, j0, j1)
+
+        run_chunks(body, len(tasks), 1)
+        return out
+
+
 class TensorNet:
     """Sum over the rank index of products of per-axis branch nets.
 
     Branch k holds (W_k, b_k, weights_k); its contribution for rank p is
     weights_k[p] @ relu(W_k * x_k + b_k). Both evaluators contract each
-    branch through branch_values (frozen CSR matrices with points in
-    columns, so every sum runs in storage order whatever the batch), then
-    multiply the branches in axis order into a product that starts at ones,
-    and sum over the rank in storage order from 0. forward_batch does so
-    point by point; forward_grid on a product grid (grid_rank_sum), where
-    each branch needs only its own axis's coordinates. A grid point's value
-    is therefore the same float from both. Their point chunks go through the
-    same runner as ReluNet2's.
+    branch through branch_values, then multiply the branches in axis order
+    into a product that starts at ones, and sum over the rank in storage
+    order from 0. forward_batch does so point by point, in chunks of about
+    CHUNK_ELEMENTS / rank points; forward_grid on a product grid
+    (grid_rank_sum), where each branch needs only its own axis's
+    coordinates. A grid point's value is therefore the same float from
+    both.
+
+    branch_values sweeps an axis's points in sorted order, in blocks of at
+    most CHUNK_ELEMENTS run units times points that go through
+    relufem._chunks.run_chunks, and evaluates on each block only its live
+    units (_RampSweep): a unit relu(W_j t + b_j) is live on a block when it
+    is positive at one of the block's two ends, which bounds it on the
+    whole block because rounded products and sums are monotone. The units
+    it skips would add exact zeros, so every rank row is the float of the
+    full sum over the units in storage order (frozen CSC columns of the
+    weights), whatever the batch, block or thread. Non-finite coordinates
+    go in blocks that keep every unit (0 * inf is NaN), as they would in
+    the full sum.
 
     On each box of the product grid of the axes' breakpoints (the kinks
     -b_j / W_j), every branch is linear, so the net is multilinear there;
@@ -226,10 +382,16 @@ class TensorNet:
             raise DocumentError("tensor net needs at least one branch")
         self.rank = int(rank)
         self.provenance = provenance or {}
-        self._layers = tuple(sparse.csr_matrix(w) for _, _, w in self.branches) \
-            + (sparse.csr_matrix(np.ones((1, self.rank))),)
-        # the weights are frozen with their CSR copies, so the two agree
-        _freeze(self._layers, *(w for _, _, w in self.branches))
+        # the rank sum stays a CSR row: on one point, scipy's CSR and CSC
+        # products keep different signs of a sum of NaNs of both signs
+        self._layers = tuple(_csc(w) for _, _, w in self.branches) + (
+            sparse.csr_matrix((np.ones(self.rank), np.arange(self.rank),
+                               [0, self.rank]), shape=(1, self.rank)),)
+        # the weights and the branch arrays are frozen with their CSC
+        # copies, so the sweeps and the branches agree
+        _freeze(self._layers, *(a for br in self.branches for a in br))
+        self._sweeps = [_RampSweep(W, b, csc) for (W, b, _), csc
+                        in zip(self.branches, self._layers)]
 
     @property
     def n(self) -> int:
@@ -250,8 +412,8 @@ class TensorNet:
 
     def branch_values(self, k, t):
         """weights_k @ branch_inputs(k, t), as a (rank, len(t)) array: the
-        CSR sums of each rank row in storage order."""
-        return self._layers[k] @ self.branch_inputs(k, t)
+        sums of each rank row in storage order, over the live units."""
+        return self._sweeps[k].values(np.asarray(t, dtype=float).reshape(-1))
 
     def forward_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -259,16 +421,13 @@ class TensorNet:
             raise DocumentError(f"input dimension {X.shape[1]}, expected {self.n}")
         out = np.empty(X.shape[0])
         total = self._layers[-1]
-
-        def body(lo, hi):
-            Xc = X[lo:hi]
-            prod = np.ones((self.rank, hi - lo))
+        step = max(1, CHUNK_ELEMENTS // self.rank)
+        for lo in range(0, X.shape[0], step):
+            Xc = X[lo:lo + step]
+            prod = np.ones((self.rank, Xc.shape[0]))
             for k in range(self.n):
                 prod *= self.branch_values(k, Xc[:, k])
-            out[lo:hi] = (total @ prod)[0]
-
-        run_chunks(body, X.shape[0],
-                   max(1, CHUNK_ELEMENTS // max(self.widths + [self.rank])))
+            out[lo:lo + step] = (total @ prod)[0]
         return out
 
     def forward_grid(self, axes):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 from scipy.spatial.distance import cdist
@@ -550,6 +551,44 @@ def foreign_tensor_net(rng, n):
         weights[rng.random((rank, width)) < 0.2] = 0.0
         branches.append((W, b, weights))
     return TensorNet(branches)
+
+
+def tnn_branch_values(net, k, t):
+    """TensorNet.branch_values by the full-width contraction: every unit's
+    relu(W t + b) at every point, times the weights as a CSR matrix, whose
+    product sums each rank row's terms in storage order."""
+    W, b, weights = net.branches[k]
+    Z = W * np.asarray(t, dtype=float).reshape(-1)
+    Z += b[:, None]
+    np.maximum(Z, 0.0, out=Z)
+    return sparse.csr_matrix(weights) @ Z
+
+
+def tnn_forward_batch(net, X):
+    """TensorNet.forward_batch over tnn_branch_values, in its point chunks:
+    the branches multiplied in axis order from ones, the rank terms summed
+    in order. (A sum of NaNs of both signs in scipy's product keeps one
+    sign or the other depending on the batch length.)"""
+    from relufem import networks
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape[0])
+    step = max(1, networks.CHUNK_ELEMENTS // net.rank)
+    total = sparse.csr_matrix(np.ones((1, net.rank)))
+    for lo in range(0, X.shape[0], step):
+        Xc = X[lo:lo + step]
+        prod = np.ones((net.rank, Xc.shape[0]))
+        for k in range(net.n):
+            prod *= tnn_branch_values(net, k, Xc[:, k])
+        out[lo:lo + step] = (total @ prod)[0]
+    return out
+
+
+def tnn_forward_grid(net, axes):
+    """TensorNet.forward_grid over tnn_branch_values: each axis's branch
+    contracted on its coordinates, then grid_rank_sum with unit weights."""
+    from relufem.networks import grid_rank_sum
+    return grid_rank_sum([tnn_branch_values(net, k, t) for k, t in enumerate(axes)],
+                         np.ones(net.rank))
 
 
 def tnn_exact(net, x):

@@ -5,7 +5,7 @@ import oracles
 from relufem import docio
 from relufem.compiler import compile_weak_representation
 from relufem.errors import DocumentError, MeshError
-from relufem.mesh import (ConvexCell, Halfspace, PolytopeMesh, _simplex_halfspaces,
+from relufem.mesh import (ConvexCell, PolytopeMesh, _simplex_halfspaces,
                           build_registry, freudenthal_mesh,
                           sample_shrunk_domain, shrink_cell, validate_mesh)
 from relufem.meshgen import (demo_polygon_mesh, random_polygon_mesh,
@@ -24,16 +24,10 @@ def interval_cell(a=0.0, b=1.0):
     return ConvexCell([[1.0], [-1.0]], [-a, b])
 
 
-def test_halfspace_requires_nonzero_normal():
-    with pytest.raises(MeshError):
-        Halfspace(np.zeros(2), 1.0)
-
-
 def test_unit_square_mesh_valid():
     mesh = PolytopeMesh(2, [unit_square_cell()])
     report = validate_mesh(mesh, samples=5000, seed=0)
     assert report.ok
-    assert report.bounded == [True]
     assert report.inradius[0] == pytest.approx(0.5, abs=1e-9)
 
 

@@ -4,13 +4,14 @@ import os
 import signal
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relufem import _chunks
+from relufem import _chunks, networks
 from relufem._chunks import CHUNK_ELEMENTS
 from relufem.compiler import (compile_compact_support,
                               compile_weak_representation)
@@ -22,7 +23,8 @@ from relufem.networks import (ReluNet2, TensorNet, deserialize, fnn_forward,
 from relufem.pwl import PiecewiseLinear, nodal_linear
 from relufem.tensorfe import TensorFE, TensorMesh, compile_1d_hat, compile_tnn
 
-from oracles import foreign_tensor_net
+from oracles import (foreign_tensor_net, tnn_branch_values, tnn_forward_batch,
+                     tnn_forward_grid)
 
 
 def tiny_net(output_bias=None):
@@ -283,6 +285,150 @@ def test_tnn_grid_values_keep_their_bits_across_chunks():
     axes = [np.sort(rng.uniform(0, 1, 300)) for _ in range(2)]
     assert CHUNK_ELEMENTS // (net.rank * 300) < 150
     assert_grid_is_forward_batch(net, axes)
+
+
+SWEEP_W = [-7.3, -1.0, 0.0, 1e-300, 0.5, 1.0, 3.0]
+SWEEP_ERRSTATES = [{"all": "ignore"}, {"all": "ignore", "over": "raise"},
+                   {"all": "ignore", "invalid": "raise"}]
+
+
+def sweep_branch(rng, rank, compiled):
+    """A compiled hat branch (ramps in kink order, then the constant unit)
+    or a foreign one: W from SWEEP_W, unsorted kinks, W = 0 units with
+    b > 0 (live everywhere) or b <= 0 (dead) anywhere, zero weights."""
+    width = int(rng.integers(1, 13))
+    if compiled:
+        grid = np.sort(np.r_[0.0, rng.uniform(0, 1, width), 1.0])
+        W, b, _ = compile_1d_hat(grid, np.zeros(grid.size))
+        weights = np.vstack([compile_1d_hat(grid, rng.standard_normal(grid.size))[2]
+                             for _ in range(rank)])
+    else:
+        W = rng.choice(SWEEP_W, width)
+        b = -W * rng.uniform(-0.5, 1.5, width)
+        zero = W == 0
+        b[zero] = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], int(zero.sum()))
+        weights = rng.standard_normal((rank, width))
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    return W, b, weights
+
+
+def sweep_points(rng, branch, count):
+    """count coordinates: uniform ones, the branch's float kinks, +-0, and
+    some +-inf, NaN and +-1e308 (which overflow W t for |W| > 1)."""
+    W, b, _ = branch
+    W = np.asarray(W, dtype=float).reshape(-1)
+    kinks = -b[W != 0] / W[W != 0]
+    pool = np.r_[kinks, 0.0, -0.0, rng.uniform(-0.5, 1.5, 8)]
+    t = rng.choice(pool, count)
+    special = rng.random(count) < 0.05
+    t[special] = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308],
+                            int(special.sum()))
+    return t
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64),
+                                  np.asarray(b).view(np.uint64))
+
+
+def run_or_raise(f):
+    try:
+        return f()
+    except FloatingPointError:
+        return FloatingPointError
+
+
+def assert_sweep_is_the_full_contraction(net, axes, errstate, workers=1):
+    """branch_values, forward_batch and forward_grid against the oracles'
+    full-width contraction, bit for bit, or both raising under errstate."""
+    X = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1).T
+    with np.errstate(**errstate), mock.patch.object(_chunks, "_workers", workers):
+        pairs = [(lambda k=k, t=t: net.branch_values(k, t),
+                  lambda k=k, t=t: tnn_branch_values(net, k, t))
+                 for k, t in enumerate(axes)]
+        pairs += [(lambda: net.forward_batch(X), lambda: tnn_forward_batch(net, X)),
+                  (lambda: net.forward_grid(axes), lambda: tnn_forward_grid(net, axes))]
+        for sweep, full in pairs:
+            expect = run_or_raise(full)
+            got = run_or_raise(sweep)
+            if expect is FloatingPointError or got is FloatingPointError:
+                assert got is expect
+            else:
+                assert_same_bits(got, expect)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n=st.integers(1, 3), rank=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.sampled_from([1, 8, 64, CHUNK_ELEMENTS]),
+       workers=st.sampled_from([1, 2]),
+       errstate=st.sampled_from(SWEEP_ERRSTATES))
+def test_tnn_sweep_is_the_full_contraction(n, rank, seed, chunk, workers, errstate):
+    """The live-unit sweep has the bits of the full-width contraction on
+    compiled and foreign branches, in blocks of any size (CHUNK_ELEMENTS
+    patched down to split a few points into many), at kinks, +-0 and
+    non-finite points, or raises where it raises."""
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(networks, "CHUNK_ELEMENTS", chunk):
+        branches = [sweep_branch(rng, rank, bool(rng.integers(2))) for _ in range(n)]
+        net = TensorNet(branches)
+        axes = [sweep_points(rng, br, int(rng.integers(0, 40 // n + 2)))
+                for br in branches]
+        assert_sweep_is_the_full_contraction(net, axes, errstate, workers)
+
+
+def one_branch_net(W, b, weights):
+    return TensorNet([(np.array(W), np.array(b), np.array(weights))])
+
+
+@pytest.mark.parametrize("errstate", SWEEP_ERRSTATES)
+@pytest.mark.parametrize("net, t", [
+    # every unit has W < 0: a bound at a NaN end would find none live
+    (one_branch_net([-1.0, -7.3], [0.5, 2.0], [[1.0, -2.0]]),
+     [0.1, np.nan, 0.3, np.nan]),
+    # 0 * inf is NaN: a bound at an inf end would drop the dead unit
+    (one_branch_net([1.0, 0.0, 1.0], [-0.5, -1.0, 0.0], [[1.0, 3.0, 2.0]]),
+     [0.2, np.inf, 0.7, np.inf, -np.inf]),
+    # live W = 0 units before, inside and after the run of a block
+    (one_branch_net([0.0, 1.0, 0.0, -1.0, 0.0, 3.0, 0.0],
+                    [1.0, -0.2, 2.0, 0.8, 0.5, -3.0, -0.0],
+                    [[0.5, 1.0, -1.0, 2.0, 0.25, 4.0, 9.0],
+                     [1e-300, -1.0, 0.0, 1.0, -7.3, 0.0, 1.0]]),
+     [-1e308, -0.0, 0.0, 0.2, 0.8, 1.0, 1e308]),
+    # the first unit is dead on the block [1.3, 1e308] of two points and
+    # overflows at its far end: with both ends bounded, the sweep raises
+    # where the full sum does
+    (one_branch_net([-7.3, 0.5], [3.65, -0.1], [[1.0, 2.0]]),
+     [1.0, 1.2, 1.3, 1e308]),
+], ids=["negative-W-NaN", "dead-constant-inf", "constants-around-the-run",
+        "dead-unit-overflows"])
+def test_tnn_sweep_on_edge_cases_is_the_full_contraction(net, t, errstate):
+    # blocks of one point, of two (on a two-unit branch), and one block
+    for chunk in (1, 4, CHUNK_ELEMENTS):
+        with mock.patch.object(networks, "CHUNK_ELEMENTS", chunk):
+            swept = TensorNet(net.branches)
+            assert_sweep_is_the_full_contraction(swept, [np.array(t)], errstate)
+
+
+def test_tnn_sweep_on_a_fine_net_is_the_full_contraction():
+    # 300-unit branches on 20000 points: many blocks through the pool,
+    # with non-finite rows in the last one
+    rng = np.random.default_rng(37)
+    net = hat_tensor_net(rng)
+    X = with_non_finite_rows(rng.uniform(-0.1, 1.1, (20000, 2)), rng)
+    assert len(net._sweeps[0]._blocks(np.sort(X[np.isfinite(X[:, 0]), 0]))) > 3
+    axes = [X[:300, 0], X[:200, 1]]
+    with np.errstate(invalid="ignore"):
+        assert_same_bits(net(X), tnn_forward_batch(net, X))
+    assert_sweep_is_the_full_contraction(net, axes, SWEEP_ERRSTATES[0], 2)
+    # the CSC copies and the sweep's own arrays are read-only, like the
+    # weights
+    for layer in net._layers:
+        for a in (layer.data, layer.indices, layer.indptr):
+            assert not a.flags.writeable
+    for sweep in net._sweeps:
+        for a in (sweep.W, sweep.b, sweep.after):
+            assert not a.flags.writeable
 
 
 def compiled_nets():
