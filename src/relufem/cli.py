@@ -2,8 +2,9 @@
 
 Subcommands wrap one library operation each; inputs and outputs are the
 JSON documents defined by the owning modules. Exit codes: 2 for unreadable
-or malformed inputs, 3 for mesh validation failures, 4 for compilation
-errors, 5 for verification failures; 0 means every requested check passed.
+or malformed inputs or arguments (--epsilon must be finite and > 0), 3 for
+mesh validation failures, 4 for compilation errors, 5 for verification
+failures; 0 means every requested check passed.
 `tnn-verify` checks a tensor net on every box of its breakpoint grid, not
 on samples (relufem.verify.check_tensor_net), and prints max_deviation,
 rounding_bound, tolerance and passed; its --samples and --seed are
@@ -90,6 +91,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _epsilon(text: str) -> float:
+    eps = float(text)
+    if not 0.0 < eps < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must satisfy 0 < epsilon < inf, got {text!r}")
+    return eps
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relufem",
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--function", required=True,
                            help="function JSON file")
         if epsilon:
-            p.add_argument("--epsilon", type=float, required=True)
+            p.add_argument("--epsilon", type=_epsilon, required=True)
         if output:
             p.add_argument("--output", required=True, help="output file")
         p.add_argument("--seed", type=_seed, default=0)

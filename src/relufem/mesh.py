@@ -27,7 +27,8 @@ from .errors import DocumentError, MeshError
 from .sampling import (_rng, _simplex_volumes, sample_cells, sample_exterior,
                        sample_mesh, sample_shrunk_domain)
 
-DEDUP_TOL = 1e-9
+DEDUP_TOL = 1e-9  # registry keys (unit normal, unit offset) that agree
+PRUNE_TOL = 1e-9  # unit normals of one cell that shadow each other
 VERTEX_RTOL = 1e-12  # feasibility and coincidence, relative to max|x_j|
 
 _UNSET = object()
@@ -85,21 +86,19 @@ def _simplex_halfspaces(V, names=None):
 
 def _simplex_facts(V, W, b, names=None):
     """(lambda (k, n+1), incentres (k, n), inradii (k,)) of simplices V
-    (k, n+1, n) with facets W, b. h_i, facet i's largest vertex value, is
-    its value at the opposite vertex v_i, and the barycentric coordinates
-    h_i(x) / h_i sum to 1: lambda = max(h) / h (min 1, as the LP pins it),
-    r = 1 / sum_i |w_i| / h_i, incentre r sum_i (|w_i| / h_i) v_i. A flat
-    simplex raises MeshError naming it by names[i] (default "cell i")."""
-    H = _affine(V, W, b)  # (cell, vertex, facet)
-    opposite = np.argmax(H, axis=1)
-    h = np.take_along_axis(H, opposite[:, None], axis=1)[:, 0]
+    (k, n+1, n) with facets W, b (_simplex_halfspaces: facet i opposite
+    v_i). h_i = h_i(v_i), and the barycentric coordinates h_i(x) / h_i sum
+    to 1: lambda = max(h) / h (min 1, as the LP pins it), r = 1 / sum_i
+    |w_i| / h_i, incentre r sum_i (|w_i| / h_i) v_i. A flat simplex
+    raises MeshError naming it by names[i] (default "cell i")."""
+    h = np.diagonal(_affine(V, W, b), axis1=1, axis2=2)  # h_i(v_i)
     flat = np.flatnonzero(~np.all(h > 0.0, axis=1))
     if flat.size:
         name = f"cell {flat[0]}" if names is None else names[flat[0]]
         raise MeshError(f"{name}: degenerate simplex (flat)")
     g = np.linalg.norm(W, axis=-1) / h
     r = 1.0 / np.sum(g, axis=-1)
-    centre = (g[:, None] @ np.take_along_axis(V, opposite[..., None], axis=1))[:, 0]
+    centre = (g[:, None] @ V)[:, 0]
     return np.max(h, axis=-1, keepdims=True) / h, r[:, None] * centre, r
 
 
@@ -241,15 +240,15 @@ def _pair_blocks(sizes, starts):
     return item, np.arange(item.size) - first[item] + starts[item]
 
 
-def _supporting_rows(cells, V, tol):
-    """Whether prune_redundant(tol) keeps each facet of the cells (of one
+def _supporting_rows(cells, V):
+    """Whether prune_redundant keeps each facet of the cells (of one
     dimension), facets in cell order, given their vertex sets V.
 
     A facet supports when its tight vertices (|h_i(v)| / |w_i| within
     VERTEX_RTOL of max_j |v_j|) span an (n-1)-flat, by one stacked SVD
     per count of tight vertices, so every matrix is the one a lone cell
     would factor; a supporting row is shadowed by a supporting row of its
-    cell whose unit normal agrees within tol and whose unit offset comes
+    cell whose unit normal agrees within PRUNE_TOL and whose unit offset comes
     first in a stable sort. Every value is computed as for a lone cell."""
     n = cells[0].dim
     m = np.array([c.m for c in cells])
@@ -285,19 +284,19 @@ def _supporting_rows(cells, V, tol):
     U = W / norms[:, None]
     key = b / norms
     earlier = (key[j] < key[i]) | ((key[j] == key[i]) & (j < i))
-    shadow = (_max_abs(U[i] - U[j]) <= tol) & supports[j] & earlier
+    shadow = (_max_abs(U[i] - U[j]) <= PRUNE_TOL) & supports[j] & earlier
     return supports & (np.bincount(i[shadow], minlength=len(W)) == 0)
 
 
 class ConvexCell:
     """Closed convex polytope given by facet normals W and offsets b.
 
-    The cell is {x : W @ x + b >= 0}. Simplex cells keep their vertex
-    array as well, which enables nodal interpolation.
+    The cell is {x : W @ x + b >= 0}. A simplex (from_simplices) derives
+    W, b from its vertex array and keeps it, for nodal interpolation.
 
     A cell caches four facts: its boundedness, the Chebyshev ball, a
     strictly positive combination of the facet normals summing to zero,
-    and the vertex set. A simplex is born with all four (from_simplices).
+    and the vertex set. A simplex is born with all four.
     Any other cell decides boundedness by one hull of its unit normals
     (is_bounded); its ball and combination come from one block LP
     (_solve_facts) and its vertex set from the vertex path (_vertex_sets),
@@ -305,13 +304,12 @@ class ConvexCell:
     a tiling of the (shrunk) cell; the unshrunk tiling is cached.
     """
 
-    def __init__(self, W, b, vertices=None):
+    def __init__(self, W, b):
         W = np.atleast_2d(np.asarray(W, dtype=float))
         b = np.asarray(b, dtype=float).reshape(-1)
         if W.shape[0] != b.shape[0]:
             raise MeshError("normal/offset count mismatch")
-        self._set(W, b, _facet_norms(W, b),
-                  None if vertices is None else np.asarray(vertices, dtype=float))
+        self._set(W, b, _facet_norms(W, b), None)
 
     def _set(self, W, b, norms, vertices, interior=None):
         self.W, self.b, self.norms, self.vertices = W, b, norms, vertices
@@ -335,10 +333,10 @@ class ConvexCell:
         W, b = _simplex_halfspaces(V, names)
         norms = _facet_norms(W, b)
         cells = []
-        for i, facts in enumerate(zip(*_simplex_facts(V, W, b, names))):
+        for i, (lam, c, r) in enumerate(zip(*_simplex_facts(V, W, b, names))):
             cell = cls.__new__(cls)
             cell._set(W[i], b[i], norms[i], V[i])
-            cell._take_simplex_facts(facts)
+            cell._lam, cell._cheb, cell._bounded = lam, (c, r), True
             cells.append(cell)
         return cells
 
@@ -371,9 +369,8 @@ class ConvexCell:
 
     @property
     def is_simplex(self) -> bool:
-        """The cell carries its n+1 vertices, one opposite each facet."""
-        return (self.vertices is not None and self.m == self.dim + 1
-                and self.vertices.shape[0] == self.dim + 1)
+        """The cell carries its n+1 vertices, vertex j opposite facet j."""
+        return self.vertices is not None
 
     def facet_values(self, X):
         """h_i(x) for every facet, shape (S, m)."""
@@ -410,24 +407,14 @@ class ConvexCell:
         _solve_facts([self])
         return self._lam
 
-    def _take_simplex_facts(self, facts=None):
-        """Store (lambda, incentre, inradius) from _simplex_facts, derived
-        alone (k = 1) unless the cell's stack gave them."""
-        lam, c, r = facts or [a[0] for a in _simplex_facts(
-            self.vertices[None], self.W[None], self.b[None])]
-        self._lam, self._cheb, self._bounded = lam, (c, r), True
-
     def is_bounded(self) -> bool:
         """Bounded iff no d != 0 has W d >= 0, that is, iff the unit
         normals positively span R^n (Gordan's alternative): the origin lies
         strictly inside their convex hull, every hull facet more than
         VERTEX_RTOL from it. Qhull refuses fewer than n+1 normals or
         normals in a hyperplane, which span no R^n; in 1D there must be a
-        positive and a negative normal. A simplex whose closed-form facts
-        exist is not flat, so it is bounded."""
-        if self._bounded is None and self.is_simplex:
-            self._take_simplex_facts()
-        elif self._bounded is None and self.dim == 1:
+        positive and a negative normal. A simplex is born bounded."""
+        if self._bounded is None and self.dim == 1:
             self._bounded = bool(np.any(self.W > 0) and np.any(self.W < 0))
         elif self._bounded is None:
             try:
@@ -439,8 +426,8 @@ class ConvexCell:
         return self._bounded
 
     def vertex_set(self) -> np.ndarray:
-        """Vertices of the cell, shape (k, n): the given ones for simplices,
-        else from _fill_vertex_sets; MeshError when the cell is unbounded
+        """Vertices of the cell, shape (k, n): a simplex's own, else from
+        _fill_vertex_sets; MeshError when the cell is unbounded
         or its interior is empty."""
         if self.vertices is not None:
             return self.vertices
@@ -485,33 +472,35 @@ class ConvexCell:
     def volume(self) -> float:
         return float(np.sum(_simplex_volumes(self.simplices())))
 
-    def prune_redundant(self, tol=1e-9) -> "ConvexCell":
+    def prune_redundant(self) -> "ConvexCell":
         """Keep the halfspaces that support a facet of the bounded cell:
         those whose tight vertices span an (n-1)-flat. Of supporting rows
-        whose unit normals agree within tol only the one with the smallest
-        unit offset is kept (the first on a tie); a row that supports no
-        facet shadows none. A stack of one for prune_all."""
-        return ConvexCell.prune_all([self], tol)[0]
+        whose unit normals agree within PRUNE_TOL only the one with the
+        smallest unit offset is kept (the first on a tie); a row that
+        supports no facet shadows none. A stack of one for prune_all."""
+        return ConvexCell.prune_all([self])[0]
 
     @staticmethod
-    def prune_all(cells, tol=1e-9) -> list:
-        """prune_redundant(tol) of every cell of the list, refusing the
-        first unbounded or empty one, from the stacked vertex sets and one
-        pass of _supporting_rows per stack (_stacks)."""
+    def prune_all(cells) -> list:
+        """prune_redundant() of every cell of the list, refusing the first
+        unbounded or empty one, from the stacked vertex sets and one pass
+        of _supporting_rows per stack (_stacks). A simplex keeping every
+        row comes back as it is; any other cell as a halfspace cell."""
         _fill_vertex_sets(cells)
         V = [c.vertex_set() for c in cells]
         keep = [None] * len(cells)
         for ids in _stacks(cells, V):
-            rows = _supporting_rows([cells[i] for i in ids], [V[i] for i in ids], tol)
+            rows = _supporting_rows([cells[i] for i in ids], [V[i] for i in ids])
             for i, r in zip(ids, np.split(rows, np.cumsum([cells[i].m for i in ids])[:-1])):
                 keep[i] = r
         pruned = []
         for cell, rows in zip(cells, keep):
-            p = ConvexCell.__new__(ConvexCell)
-            p._set(cell.W[rows], cell.b[rows], cell.norms[rows], cell.vertices,
-                   cell.interior)
-            # the same polytope, so the same vertex set and boundedness
-            p._vertex_set, p._bounded = cell._vertex_set, cell._bounded
+            p = cell
+            if not (cell.is_simplex and rows.all()):
+                p = ConvexCell.__new__(ConvexCell)
+                p._set(cell.W[rows], cell.b[rows], cell.norms[rows], None, cell.interior)
+                # the same polytope, so the same vertex set and boundedness
+                p._vertex_set, p._bounded = cell._vertex_set, cell._bounded
             pruned.append(p)
         return pruned
 
@@ -580,33 +569,25 @@ def _tilings(cells, epsilon):
     _fill_vertex_sets(cells)
     shrunk = [None] * len(cells)
     if epsilon > 0:
-        todo = [i for i, c in enumerate(cells) if not c.is_simplex and (
-            c.vertices is not None or c.is_bounded() and len(c._vertex_set))]
+        todo = [i for i, c in enumerate(cells)
+                if not c.is_simplex and c.is_bounded() and len(c._vertex_set)]
         for i, V in zip(todo, _vertex_sets([cells[i] for i in todo], epsilon)):
             shrunk[i] = V
     return [c._tiling(epsilon, V) for c, V in zip(cells, shrunk)]
 
 
 def _solve_facts(cells, hull=None):
-    """Give each cell lacking them its normal combination and Chebyshev
-    ball: a simplex its closed forms, every other cell its blocks of one
-    LP (lp.cell_facts), which a bounded hull joins when some cell needs
-    the LP (an unbounded one would make it fail). When that LP fails,
-    each of its cells' two LPs is solved alone, so that every cell gets
-    what it would get if asked alone: None for no combination, None for
-    no ball (which `chebyshev` refuses)."""
-    todo = []
-    for cell in cells:
-        if cell._cheb is not _UNSET:
-            continue
-        if cell.is_simplex:
-            cell._take_simplex_facts()
-        else:
-            todo.append(cell)
+    """Give each cell lacking them (no simplex: it is born with them) its
+    normal combination and Chebyshev ball from its blocks of one LP
+    (lp.cell_facts), which a bounded hull joins when some cell needs the
+    LP (an unbounded one would make it fail). When that LP fails, each of
+    its cells' two LPs is solved alone, so that every cell gets what it
+    would get if asked alone: None for no combination, None for no ball
+    (which `chebyshev` refuses)."""
+    todo = [cell for cell in cells if cell._cheb is _UNSET]
     if not todo:
         return
-    if (hull is not None and hull._cheb is _UNSET and not hull.is_simplex
-            and hull.is_bounded()):
+    if hull is not None and hull._cheb is _UNSET and hull.is_bounded():
         todo.append(hull)
     facts = lp.cell_facts([c.W for c in todo], [(c.W, c.b) for c in todo])
     if facts is None:  # some cell fails a fact: find which, cell by cell
@@ -629,27 +610,24 @@ class DirectedHyperplaneRegistry:
     The facets are the rows of a stacked facet table (W, b, starts, tags;
     see PolytopeMesh.facets), keyed by (unit normal, unit offset). Facet by
     facet in table order, each maps to the first entry whose representative
-    (first-inserted) key is within `tol` of its own in every coordinate, or
+    (first-inserted) key is within DEDUP_TOL of its own in every coordinate, or
     else founds a new entry. All state is arrays:
 
     - per facet: `entry`, and `scale` = |w| / |w_rep| (1.0 for a
       bit-identical copy of the representative), and `norms` = |w|;
     - per entry: `rep`, the table row of its representative, and
       `undirected` and `interior` from pairing each entry with the first
-      entry within `tol` of its reversed key.
+      entry within DEDUP_TOL of its reversed key.
     """
-
-    def __init__(self, tol=DEDUP_TOL):
-        self.tol = tol
 
     @property
     def size(self) -> int:
         return len(self.rep)
 
     @classmethod
-    def build(cls, mesh: "PolytopeMesh", tol=DEDUP_TOL,
+    def build(cls, mesh: "PolytopeMesh",
               hull: "ConvexCell | None" = None) -> "DirectedHyperplaneRegistry":
-        reg = cls(tol=tol)
+        reg = cls()
         reg.W, reg.b, reg.starts, reg.tags = mesh.facets(hull)
         W, b = reg.W, reg.b
         # each row's norm by the stacked form of one vector's norm, which
@@ -665,8 +643,8 @@ class DirectedHyperplaneRegistry:
         order = np.argsort(first)
         # one max-norm ball query (Bentley 1975), hits in increasing order
         hits = cKDTree(distinct[order]).query_ball_point(
-            distinct[order], r=tol, p=np.inf, return_sorted=True)
-        # a key joins the first earlier founder within tol, as the first
+            distinct[order], r=DEDUP_TOL, p=np.inf, return_sorted=True)
+        # a key joins the first earlier founder within DEDUP_TOL, as the first
         # match of a scan over the entries would, or founds an entry
         founder = np.zeros(order.size, dtype=bool)
         root = np.arange(order.size)
@@ -683,13 +661,13 @@ class DirectedHyperplaneRegistry:
         return reg
 
     def classify(self):
-        """Pair each entry with the first entry within tol of its reversed
-        key when neither is paired yet; set `undirected`, `interior` and
-        the interior and boundary hyperplane counts."""
+        """Pair each entry with the first entry within DEDUP_TOL of its
+        reversed key when neither is paired yet; set `undirected`,
+        `interior` and the interior and boundary hyperplane counts."""
         keys = np.column_stack([self.W, self.b])[self.rep] \
             / self.norms[self.rep, None]
         opposite = cKDTree(keys).query_ball_point(
-            -keys, r=self.tol, p=np.inf, return_sorted=True)
+            -keys, r=DEDUP_TOL, p=np.inf, return_sorted=True)
         self.undirected = np.full(self.size, -1)
         self.interior = np.zeros(self.size, dtype=bool)
         next_id = 0
@@ -706,14 +684,14 @@ class DirectedHyperplaneRegistry:
         self.boundary_count = next_id - self.interior_count
 
 
-def build_registry(mesh: "PolytopeMesh", tol=DEDUP_TOL,
+def build_registry(mesh: "PolytopeMesh",
                    hull: "ConvexCell | None" = None) -> DirectedHyperplaneRegistry:
     """Canonicalize and dedup all mesh facets; size equals 2*H_i + H_b.
 
     With a hull, its facets join as the table's last block (tagged -1);
     hull facets that are not already mesh facets enlarge the registry.
     """
-    return DirectedHyperplaneRegistry.build(mesh, tol=tol, hull=hull)
+    return DirectedHyperplaneRegistry.build(mesh, hull=hull)
 
 
 class PolytopeMesh:

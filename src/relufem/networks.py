@@ -343,7 +343,8 @@ class TensorNet:
     CHUNK_ELEMENTS / rank points; forward_grid on a product grid
     (grid_rank_sum), where each branch needs only its own axis's
     coordinates. A grid point's value is therefore the same float from
-    both.
+    both. Both write every NaN as the default quiet NaN: a rank sum of
+    NaNs of both signs keeps either sign, depending on the batch.
 
     branch_values sweeps an axis's points in sorted order, in blocks of at
     most CHUNK_ELEMENTS run units times points that go through
@@ -428,6 +429,7 @@ class TensorNet:
             for k in range(self.n):
                 prod *= self.branch_values(k, Xc[:, k])
             out[lo:lo + step] = (total @ prod)[0]
+        out[np.isnan(out)] = np.nan
         return out
 
     def forward_grid(self, axes):
@@ -436,9 +438,11 @@ class TensorNet:
         its own axis, then grid_rank_sum with unit weights."""
         if len(axes) != self.n:
             raise DocumentError(f"input dimension {len(axes)}, expected {self.n}")
-        return grid_rank_sum(
+        out = grid_rank_sum(
             [self.branch_values(k, np.asarray(t, dtype=float).reshape(-1))
              for k, t in enumerate(axes)], np.ones(self.rank))
+        out[np.isnan(out)] = np.nan
+        return out
 
     def forward(self, x) -> float:
         return float(self.forward_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])

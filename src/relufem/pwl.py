@@ -27,10 +27,11 @@ class EvalResult(NamedTuple):
 
 
 class PiecewiseLinear:
-    """Per-cell affine data aligned with a mesh's cell order."""
+    """Per-cell affine data aligned with a mesh's cell order: the pieces
+    are the function. Only nodal_linear sets `nodal_values`, the values
+    it solved them from, which to_doc then writes in their place."""
 
-    def __init__(self, mesh: PolytopeMesh, gradients, constants, kind="general",
-                 nodal_values=None):
+    def __init__(self, mesh: PolytopeMesh, gradients, constants, kind="general"):
         if kind not in KINDS:
             raise DocumentError(f"unknown function kind '{kind}'")
         self.mesh = mesh
@@ -48,8 +49,7 @@ class PiecewiseLinear:
         if kind == "constant" and np.any(self.gradients != 0.0):
             raise DocumentError("constant fields must have zero gradients")
         self.kind = kind
-        self.nodal_values = None if nodal_values is None else \
-            np.asarray(nodal_values, dtype=float)
+        self.nodal_values = None
         self._sup = None
 
     @classmethod
@@ -94,7 +94,7 @@ class PiecewiseLinear:
         return self._sup
 
     def to_doc(self) -> dict:
-        if self.kind == "nodal-linear" and self.nodal_values is not None:
+        if self.nodal_values is not None:
             return {
                 "kind": self.kind,
                 "nodal_values": {str(i): v for i, v in enumerate(self.nodal_values)},
@@ -183,9 +183,10 @@ def nodal_linear(mesh: PolytopeMesh, nodal_values) -> PiecewiseLinear:
     if degenerate.any():
         raise MeshError(f"cell {int(np.argmax(degenerate))} is a degenerate simplex")
     sol = np.linalg.solve(M, values[ids][..., None])[..., 0]
-    grads, consts = sol[:, :-1].copy(), sol[:, -1].copy()
-    return PiecewiseLinear(mesh, grads, consts, kind="nodal-linear",
-                           nodal_values=values)
+    v = PiecewiseLinear(mesh, sol[:, :-1].copy(), sol[:, -1].copy(),
+                        kind="nodal-linear")
+    v.nodal_values = values
+    return v
 
 
 def eval_pwl(v: PiecewiseLinear, x) -> EvalResult:

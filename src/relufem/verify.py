@@ -198,9 +198,10 @@ def check_tensor_net(u: TensorFE, net: TensorNet) -> TensorNetReport:
     and its extremes lie at the box's corners: sup |net - u| over the grid
     box is its maximum on that finite grid. The float kinks inside the box
     are merged into the axis grids (a net compiled by compile_tnn has its
-    kinks at the nodes already); net.forward_grid evaluates the grid, with
-    forward_batch's bits, and u.eval_grid gives u there (its coefficients
-    at the nodes). max_deviation is the grid maximum of |net - u|.
+    kinks at the nodes already). grid_rank_sum of the branch values G_k on
+    each axis, contracted once, gives the net there (forward_grid's bits
+    up to a NaN's sign), and u.eval_grid gives u (its coefficients at the
+    nodes). max_deviation is the grid maximum of |net - u|.
 
     The bound. Between nodes the computed net can be further off than at
     any node, so rounding_bound rho bounds |fl(net) - net| everywhere in
@@ -268,7 +269,9 @@ def check_tensor_net(u: TensorFE, net: TensorNet) -> TensorNetReport:
     deltas = np.array(deltas)
     cmax = float(np.max(np.abs(u.coefficients)))
     tol = TNN_RTOL * (1.0 + cmax)
-    dev = float(np.max(np.abs(net.forward_grid(axes) - u.eval_grid(axes))))
+    G = [net.branch_values(k, t) for k, t in enumerate(axes)]
+    dev = float(np.max(np.abs(grid_rank_sum(G, np.ones(net.rank))
+                              - u.eval_grid(axes))))
     if any(t.size != g.size for t, g in zip(axes, u.mesh.grids)):
         dev += 12 * n * UNIT_ROUNDOFF * (cmax + TINY)
 
@@ -276,7 +279,7 @@ def check_tensor_net(u: TensorFE, net: TensorNet) -> TensorNetReport:
     inflate = 1.0 + 8 * (max(net.widths) + n + rank + 4) * UNIT_ROUNDOFF
     mu = [UNIT_ROUNDOFF * inflate * _branch_rounding(net, k, t)
           for k, t in enumerate(axes)]
-    a = [np.abs(net.branch_values(k, t)) + mu[k] for k, t in enumerate(axes)]
+    a = [np.abs(g) + m for g, m in zip(G, mu)]
     h = [x + m for x, m in zip(a, mu)]
     c = (n - 1 + rank - np.arange(rank)) * UNIT_ROUNDOFF * inflate
     bound = grid_rank_sum(a, c)

@@ -567,8 +567,9 @@ def tnn_branch_values(net, k, t):
 def tnn_forward_batch(net, X):
     """TensorNet.forward_batch over tnn_branch_values, in its point chunks:
     the branches multiplied in axis order from ones, the rank terms summed
-    in order. (A sum of NaNs of both signs in scipy's product keeps one
-    sign or the other depending on the batch length.)"""
+    in order, every NaN written as the default quiet NaN. (A sum of NaNs
+    of both signs in scipy's product keeps one sign or the other depending
+    on the batch length.)"""
     from relufem import networks
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty(X.shape[0])
@@ -580,15 +581,19 @@ def tnn_forward_batch(net, X):
         for k in range(net.n):
             prod *= tnn_branch_values(net, k, Xc[:, k])
         out[lo:lo + step] = (total @ prod)[0]
+    out[np.isnan(out)] = np.nan
     return out
 
 
 def tnn_forward_grid(net, axes):
     """TensorNet.forward_grid over tnn_branch_values: each axis's branch
-    contracted on its coordinates, then grid_rank_sum with unit weights."""
+    contracted on its coordinates, then grid_rank_sum with unit weights,
+    every NaN written as the default quiet NaN."""
     from relufem.networks import grid_rank_sum
-    return grid_rank_sum([tnn_branch_values(net, k, t) for k, t in enumerate(axes)],
-                         np.ones(net.rank))
+    out = grid_rank_sum([tnn_branch_values(net, k, t) for k, t in enumerate(axes)],
+                        np.ones(net.rank))
+    out[np.isnan(out)] = np.nan
+    return out
 
 
 def tnn_exact(net, x):

@@ -200,9 +200,7 @@ def slivers():
 
 
 def fact_meshes(tmp_path):
-    """Freudenthal 1-4D, jittered 3D and sliver meshes, simplex cells whose
-    facets come in another order than their opposite vertices (built with
-    `vertices=`, so their facts are derived lazily), and a mesh mixing a
+    """Freudenthal 1-4D, jittered 3D and sliver meshes, and a mesh mixing a
     simplex with a halfspace cell."""
     slot_docs(tmp_path, "c", "0.5")
     mixed = PolytopeMesh.load(tmp_path / "m.json")
@@ -210,10 +208,6 @@ def fact_meshes(tmp_path):
                                                   (4, 1))]
     meshes += [random_simplex_mesh(3, N, seed=N) for N in (2, 3, 4)]
     meshes += [PolytopeMesh(c.dim, [c]) for c in slivers()]
-    # facets in another order than their opposite vertices
-    meshes += [PolytopeMesh(c.dim, [ConvexCell(c.W[::-1], c.b[::-1],
-                                               vertices=c.vertices)])
-               for c in meshes[4].cells[:20] + slivers()]
     meshes.append(mixed)
     assert mixed.cells[0].is_simplex and not mixed.cells[1].is_simplex
     return meshes
@@ -237,7 +231,7 @@ def test_stacked_simplex_facts_equal_the_per_cell_closed_forms(tmp_path):
              if c.is_simplex]
     for n in range(1, 5):
         group = [c for c in cells if c.dim == n]
-        # the whole group as one stack, facts at birth and lazy facts alike
+        # the whole group as one stack
         stacked = _simplex_facts(*(np.array([getattr(c, a) for c in group])
                                    for a in ("vertices", "W", "b")))
         for i, cell in enumerate(group):
@@ -490,7 +484,7 @@ def test_an_unbounded_cell_is_named_before_an_earlier_empty_one(unbounded):
 def test_stacked_cell_checks_keep_norms_and_messages():
     for mesh in (freudenthal_mesh(3, 2), random_simplex_mesh(3, 2, seed=9)):
         for cell in mesh.cells:
-            alone = ConvexCell(cell.W, cell.b, vertices=cell.vertices)
+            alone = ConvexCell(cell.W, cell.b)
             assert np.array_equal(cell.norms, alone.norms)
             assert np.array_equal(cell.norms, np.linalg.norm(cell.W, axis=1))
     V = freudenthal_mesh(2, 1).cells[0].vertices[None].repeat(3, axis=0)
@@ -511,8 +505,8 @@ def test_prune_matches_the_lp_rule_on_clipped_voronoi_cells(monkeypatch):
     seen = []
     prune = ConvexCell.prune_all
 
-    def spy(cells, tol=1e-9):
-        pruned = prune(cells, tol)
+    def spy(cells):
+        pruned = prune(cells)
         seen.extend(zip(cells, pruned))
         return pruned
 
@@ -535,8 +529,8 @@ def test_pruned_cells_keep_the_vertex_set_they_would_enumerate(monkeypatch):
     seen = []
     prune = ConvexCell.prune_all
 
-    def spy(cells, tol=1e-9):
-        seen.extend(prune(cells, tol))
+    def spy(cells):
+        seen.extend(prune(cells))
         return seen[len(seen) - len(cells):]
 
     monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))

@@ -136,26 +136,83 @@ def test_build_two_cell_interval_summary(tmp_path, capsys):
     assert "h1=4 h2=3" in capsys.readouterr().out
 
 
-def test_epsilon_zero_exits_4(workdir):
-    rc = main(["build", "--mesh", str(workdir / "mesh.json"),
-               "--function", str(workdir / "fn.json"),
-               "--epsilon", "0", "--output", str(workdir / "x.json")])
-    assert rc == 4
-
-
-def test_nan_epsilon_is_refused_as_zero_is(workdir, capsys):
-    # build refuses it before compiling (4), verify before sampling (5)
-    common = ["--mesh", str(workdir / "mesh.json"),
-              "--function", str(workdir / "fn.json"), "--epsilon", "nan"]
-    assert main(["build"] + common + ["--output", str(workdir / "x.json")]) == 4
-    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_an_epsilon_not_finite_and_positive_exits_2(workdir, capsys, command,
+                                                     epsilon):
+    # refused by the parser, before build compiles (4) or verify samples (5)
+    last = {"build": ["--output", str(workdir / "x.json")],
+            "verify": ["--network", str(workdir / "net.json")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--mesh", str(workdir / "mesh.json"),
+              "--function", str(workdir / "fn.json"), "--epsilon", epsilon, *last])
+    assert exc.value.code == 2
+    assert (f"argument --epsilon: must satisfy 0 < epsilon < inf, got {epsilon!r}"
+            in capsys.readouterr().err)
     assert not (workdir / "x.json").exists()
+
+
+def test_an_epsilon_above_every_inradius_exits_4_in_build_and_5_in_verify(
+        workdir, capsys):
+    # the 2 x 2 Freudenthal mesh's inradius is 0.146
+    common = ["--mesh", str(workdir / "mesh.json"),
+              "--function", str(workdir / "fn.json"), "--samples", "50"]
+    assert main(["build", *common, "--epsilon", "0.5",
+                 "--output", str(workdir / "x.json")]) == 4
+    assert "shrinks to empty: epsilon 0.5 too large" in capsys.readouterr().err
+    assert not (workdir / "x.json").exists()
+    assert main(["build", *common, "--epsilon", "0.01",
+                 "--output", str(workdir / "net.json")]) == 0
+    capsys.readouterr()
+    assert main(["verify", *common, "--epsilon", "0.5",
+                 "--network", str(workdir / "net.json")]) == 5
+    assert capsys.readouterr().err == "error: no interior samples: epsilon too large\n"
+
+
+def test_output_bias_with_compact_support_exits_4(workdir, capsys):
     assert main(["build", "--mesh", str(workdir / "mesh.json"),
                  "--function", str(workdir / "fn.json"), "--epsilon", "0.01",
-                 "--output", str(workdir / "net.json"), "--samples", "50"]) == 0
-    capsys.readouterr()
-    assert main(["verify"] + common + ["--network", str(workdir / "net.json")]) == 5
-    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
+                 "--output-bias", "--compact-support",
+                 "--output", str(workdir / "x.json")]) == 4
+    assert "--output-bias is not available with --compact-support" \
+        in capsys.readouterr().err
+    assert not (workdir / "x.json").exists()
+
+
+def square_cells(boxes):
+    """Mesh document cells for axis-aligned boxes (x0, x1, y0, y1)."""
+    return [{"halfspaces": [{"w": [1.0, 0.0], "b": -x0}, {"w": [-1.0, 0.0], "b": x1},
+                            {"w": [0.0, 1.0], "b": -y0}, {"w": [0.0, -1.0], "b": y1}]}
+            for x0, x1, y0, y1 in boxes]
+
+
+@pytest.mark.parametrize("boxes, hull, issues", [
+    # two unit squares that overlap on half of each
+    ([(0.0, 1.0, 0.0, 1.0), (0.5, 1.5, 0.0, 1.0)], None,
+     ["validation: cell interiors overlap on ~",
+      "validation: union volume "]),
+    # two strips that leave the middle fifth of their hull uncovered
+    ([(0.0, 0.4, 0.0, 1.0), (0.6, 1.0, 0.0, 1.0)], (0.0, 1.0, 0.0, 1.0),
+     ["validation: domain hull not covered on ~",
+      "validation: summed cell volumes 0.8 vs domain hull volume 1\n"]),
+], ids=["overlap", "uncovered-hull"])
+def test_a_mesh_with_validation_issues_exits_3(tmp_path, capsys, boxes, hull,
+                                               issues):
+    doc = {"dimension": 2, "cells": square_cells(boxes)}
+    if hull is not None:
+        doc["domain_hull"] = square_cells([hull])[0]
+    docio.save(doc, tmp_path / "m.json")
+    docio.save({"kind": "constant",
+                "pieces": [{"a": [0.0, 0.0], "c": 1.0}] * len(boxes)},
+               tmp_path / "f.json")
+    assert main(["build", "--mesh", str(tmp_path / "m.json"),
+                 "--function", str(tmp_path / "f.json"), "--epsilon", "0.01",
+                 "--output", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert all(line.startswith("validation: ") for line in err.splitlines())
+    for issue in issues:
+        assert issue in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_malformed_function_exits_2(workdir):

@@ -407,3 +407,26 @@ def test_prune_redundant_drops_loose_halfspace():
     b = np.array([0.0, 1.0, 0.0, 1.0, 5.0])  # x >= -5 never binds
     cell = ConvexCell(W, b).prune_redundant()
     assert cell.m == 4
+
+
+def test_a_cell_takes_no_vertices_beside_its_halfspaces():
+    # vertices of a 5 x 5 square beside the unit square's halfspaces would
+    # have made the cell's volume 25
+    corners = 5.0 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cell = unit_square_cell()
+    with pytest.raises(TypeError):
+        ConvexCell(cell.W, cell.b, vertices=corners)
+    assert cell.vertices is None and not cell.is_simplex
+    assert cell.volume() == pytest.approx(1.0, rel=1e-12)
+    assert cell.prune_redundant().vertices is None
+
+
+def test_pruning_returns_a_simplex_with_its_facts():
+    cells = freudenthal_mesh(3, 1).cells
+    pruned = ConvexCell.prune_all(cells)
+    assert all(p is c for p, c in zip(pruned, cells))
+    # a halfspace cell is rebuilt, with no vertices, even with every row kept
+    square = unit_square_cell()
+    again = square.prune_redundant()
+    assert again is not square and again.vertices is None
+    assert np.array_equal(again.W, square.W) and np.array_equal(again.b, square.b)

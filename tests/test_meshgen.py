@@ -194,9 +194,9 @@ def test_large_voronoi_mesh_is_valid_and_cells_get_only_neighbour_rows(monkeypat
     handed = []
     prune = ConvexCell.prune_all
 
-    def spy(cells, tol=1e-9):
+    def spy(cells):
         handed.extend(cell.m for cell in cells)
-        return prune(cells, tol)
+        return prune(cells)
 
     monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))
     mesh = voronoi_polygon_mesh(sites, SQUARE)

@@ -196,3 +196,29 @@ def test_function_document_errors():
         PiecewiseLinear.from_doc(
             {"kind": "nodal-linear",
              "nodal_values": {str(i): 0.0 for i in range(99)}}, mesh)
+
+
+def test_a_function_takes_no_nodal_values_beside_its_pieces(tmp_path):
+    mesh = freudenthal_mesh(2, 1)
+    verts, _ = mesh.vertex_table()
+    zeros = np.zeros((mesh.n_cells, 2)), np.zeros(mesh.n_cells)
+    with pytest.raises(TypeError):
+        PiecewiseLinear(mesh, *zeros, kind="nodal-linear",
+                        nodal_values=np.ones(len(verts)))
+    # the pieces are the function, and they are what a document keeps
+    v = PiecewiseLinear(mesh, *zeros, kind="nodal-linear")
+    assert v.nodal_values is None and "pieces" in v.to_doc()
+    v.save(tmp_path / "v.json")
+    assert PiecewiseLinear.load(tmp_path / "v.json", mesh).sup_norm() == v.sup_norm() == 0.0
+
+
+def test_a_nodal_interpolant_keeps_its_sup_norm_through_a_file(tmp_path):
+    mesh = freudenthal_mesh(2, 3)
+    verts, _ = mesh.vertex_table()
+    v = nodal_linear(mesh, np.random.default_rng(12).uniform(-2, 2, len(verts)))
+    v.save(tmp_path / "v.json")
+    again = PiecewiseLinear.load(tmp_path / "v.json", mesh)
+    assert again.sup_norm() == v.sup_norm()
+    assert np.array_equal(again.nodal_values, v.nodal_values)
+    assert again.gradients.tobytes() == v.gradients.tobytes()
+    assert again.constants.tobytes() == v.constants.tobytes()

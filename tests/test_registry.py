@@ -134,9 +134,9 @@ def test_compact_build_makes_one_registry_per_hull(tmp_path, monkeypatch):
     hulls = []
     build = DirectedHyperplaneRegistry.build.__func__
 
-    def spy(cls, mesh, tol=DEDUP_TOL, hull=None):
+    def spy(cls, mesh, hull=None):
         hulls.append(hull)
-        return build(cls, mesh, tol=tol, hull=hull)
+        return build(cls, mesh, hull=hull)
 
     monkeypatch.setattr(DirectedHyperplaneRegistry, "build", classmethod(spy))
     mesh = random_polygon_mesh(4)

@@ -158,9 +158,9 @@ def test_generated_cells_are_pruned_as_the_reference_prunes_them(monkeypatch):
     handed = []
     prune = ConvexCell.prune_all
 
-    def spy(cells, tol=1e-9):
+    def spy(cells):
         handed.append([(c.W, c.b) for c in cells])
-        return prune(cells, tol)
+        return prune(cells)
 
     monkeypatch.setattr(ConvexCell, "prune_all", staticmethod(spy))
     mesh = random_polygon_mesh(4, n_sites=20)
@@ -328,9 +328,9 @@ def raw_clipped_cells():
     seen = []
     prune = ConvexCell.prune_all
 
-    def spy(cells, tol=1e-9):
+    def spy(cells):
         seen.extend(cells)
-        return prune(cells, tol)
+        return prune(cells)
 
     ConvexCell.prune_all = staticmethod(spy)
     try:

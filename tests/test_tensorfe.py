@@ -347,6 +347,19 @@ def test_compile_tnn_constant():
     np.testing.assert_allclose(net(X), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+def test_an_all_zero_tensor_compiles_to_a_rank_one_zero_net(shape):
+    cp = cp_decompose(np.zeros(shape))
+    assert cp.rank == 1 and cp.residual == 0.0
+    assert [f.shape for f in cp.factors] == [(1, d) for d in shape]
+    assert not any(np.any(f) for f in cp.factors)
+    net = compile_tnn(TensorFE(grid_mesh(*shape), np.zeros(shape)))
+    assert net.rank == 1 and net.widths == list(shape)
+    assert all(not np.any(weights) for _, _, weights in net.branches)
+    X = np.random.default_rng(12).uniform(0, 1, (200, len(shape)))
+    assert np.all(net(X) == 0.0)
+
+
 def test_compile_tnn_generic_sizes():
     rng = np.random.default_rng(8)
     # 5x6 nodes: rank 5, widths 5 and 6
